@@ -63,8 +63,8 @@ def _resolve_scenario(args):
     if getattr(args, "scenario", None):
         try:
             return load_scenario(args.scenario)
-        except FileNotFoundError as exc:
-            raise CliError(f"scenario file not found: {exc}", EXIT_IO)
+        except OSError as exc:
+            raise CliError(f"cannot read scenario file: {exc}", EXIT_IO)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_CONFIG)
     name = getattr(args, "preset", None) or "l6"
@@ -218,6 +218,24 @@ def _load_clicks(path):
     return chash, rows
 
 
+def _load_summary(path):
+    try:
+        with open(path) as fh:
+            summary = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: malformed JSON ({exc})", EXIT_IO)
+    return summary.get("config_hash"), summary
+
+
+def _check_hash(what, other, chash, force):
+    if other and chash and other != chash and not force:
+        raise CliError(
+            f"{what} hash {other} does not match events hash {chash} "
+            "(use --force to override)", EXIT_CONFIG)
+
+
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     report_path = os.path.join(out, "report.json")
@@ -231,13 +249,13 @@ def cmd_analyze(args) -> int:
     report = {"config_hash": chash, "mode": mode, "n_events": len(records),
               "estimators": {}}
 
-    clicks = None
+    clicks = summary = None
     if args.clicks:
         click_hash, clicks = _load_clicks(args.clicks)
-        if click_hash and chash and click_hash != chash and not args.force:
-            raise CliError(
-                f"click stream hash {click_hash} does not match events hash {chash} "
-                "(use --force to override)", EXIT_CONFIG)
+        _check_hash("click stream", click_hash, chash, args.force)
+    if args.summary:
+        summary_hash, summary = _load_summary(args.summary)
+        _check_hash("summary", summary_hash, chash, args.force)
 
     dataset = _dataset_from_records(records, mode)
     accepted = [r for r in records if r.get("accepted")]
@@ -266,19 +284,13 @@ def cmd_analyze(args) -> int:
                 s, sig = chsh_from_dataset(dataset)
                 report["estimators"]["chsh"] = {"s": s, "sigma": sig}
             elif name == "contrast":
-                n_null = sum(1 for r in records if r.get("type") != "header"
-                             and r.get("bell_outcome") == "DNull")
-                # D-null coincidences are carried in the summary, not the
-                # herald stream; fall back to summary counts if present
-                if args.summary:
-                    with open(args.summary) as fh:
-                        summary = json.load(fh)
-                    n_null = summary.get("n_dnull_accepted", 0)
-                    n_plus = summary.get("herald_counts", {}).get("DPlus", 0)
-                    n_minus = summary.get("herald_counts", {}).get("DMinus", 0)
-                else:
-                    n_plus = sum(1 for r in accepted if r["bell_outcome"] == "PsiPlus")
-                    n_minus = sum(1 for r in accepted if r["bell_outcome"] == "PsiMinus")
+                # D-null coincidences herald nothing, so only the summary
+                # counts them; both sides use the acceptance window
+                if summary is None:
+                    raise CliError("contrast estimator needs --summary", EXIT_CONFIG)
+                n_null = summary["n_dnull_accepted"]
+                n_plus = sum(1 for r in accepted if r["bell_outcome"] == "PsiPlus")
+                n_minus = sum(1 for r in accepted if r["bell_outcome"] == "PsiMinus")
                 c = interference_contrast(n_null, n_plus, n_minus)
                 report["estimators"]["contrast"] = {
                     "contrast": c, "sigma": contrast_sigma(max(n_null, 0.5), n_plus, n_minus),
@@ -549,7 +561,10 @@ def cmd_export_scenario(args) -> int:
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_overwrite(path, args.force)
-    save_scenario(preset(args.preset), path)
+    try:
+        save_scenario(preset(args.preset), path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
     print(f"wrote scenario to {path}")
     return EXIT_OK
 

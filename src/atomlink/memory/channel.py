@@ -70,15 +70,6 @@ class QutritChannel:
     def s4(self) -> np.ndarray:
         return self.superop.reshape(3, 3, 3, 3)
 
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        out = (self.superop @ np.asarray(rho, dtype=complex).reshape(9)).reshape(3, 3)
-        return (out + out.conj().T) / 2.0
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.spec.subsystem_dims != (3,):
-            raise ValueError("expected a single-qutrit state")
-        return DensityMatrix(rho.spec, self.apply_matrix(rho.matrix))
-
     def apply_to_subsystem(self, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
         dims = rho.spec.subsystem_dims
         if subsystem < 0 or subsystem >= len(dims) or dims[subsystem] != 3:

@@ -6,6 +6,7 @@ a fictitious field along y: it is odd in x, vanishes on the beam axis, and
 scales with the local intensity over k*w^2.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +37,7 @@ class FieldEnvironment:
         object.__setattr__(self, "shot_noise_sigma", s)
 
     def replace(self, **kwargs) -> "FieldEnvironment":
-        vals = {
-            "bias_field": self.bias_field,
-            "shot_noise_sigma": self.shot_noise_sigma,
-            "fictitious_field_scale": self.fictitious_field_scale,
-        }
-        vals.update(kwargs)
-        return FieldEnvironment(**vals)
+        return dataclasses.replace(self, **kwargs)
 
 
 def fictitious_field_y(trap: TrapParams, env: FieldEnvironment,
@@ -68,13 +63,4 @@ def local_effective_field(trap: TrapParams, env: FieldEnvironment, position,
         out = out + np.asarray(noise_sample, dtype=float)
     out = out.astype(float)
     out[1] += fictitious_field_y(trap, env, pos)[0]
-    return out
-
-
-def field_along_trajectory(trap: TrapParams, env: FieldEnvironment,
-                           positions: np.ndarray, noise_sample) -> np.ndarray:
-    """(n, 3) field for (n, 3) positions with one fixed noise sample."""
-    pos = np.atleast_2d(positions)
-    out = np.tile(env.bias_field + np.asarray(noise_sample, dtype=float), (pos.shape[0], 1))
-    out[:, 1] += fictitious_field_y(trap, env, pos)
     return out

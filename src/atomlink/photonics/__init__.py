@@ -1,5 +1,5 @@
 from .fibre import FibreLink, link_transmission, propagation_delay
-from .conversion import QfcParams, background_in_window, sample_background_counts
+from .conversion import QfcParams, background_in_window
 from .interference import PhotonWavepacket, indistinguishability, window_capture_probability
 from .bsm import (
     ClickRecord,
@@ -24,7 +24,7 @@ from .polarization import (
 
 __all__ = [
     "FibreLink", "link_transmission", "propagation_delay",
-    "QfcParams", "background_in_window", "sample_background_counts",
+    "QfcParams", "background_in_window",
     "PhotonWavepacket", "indistinguishability", "window_capture_probability",
     "ClickRecord", "CoincidenceClass", "DetectorParams", "classify_coincidence",
     "coincidence_distribution", "pair_distribution", "DETECTOR_PAIRS",

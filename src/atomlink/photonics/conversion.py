@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class QfcParams:
@@ -28,9 +26,3 @@ def background_in_window(rate: float, window: float) -> float:
     if window < 0.0:
         raise ValueError("window must be >= 0")
     return rate * window
-
-
-def sample_background_counts(rate: float, window: float, n: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Poisson draws of background counts for n windows."""
-    return rng.poisson(background_in_window(rate, window), size=n)

@@ -64,12 +64,6 @@ class FibreUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def compose(self, other: "FibreUnitary") -> "FibreUnitary":
-        prod = self.matrix @ other.matrix
-        # re-orthonormalize so long drift chains stay unitary to 1e-12
-        u_svd, _, vh = np.linalg.svd(prod)
-        return FibreUnitary(u_svd @ vh)
-
     def rotation_angle(self) -> float:
         """Rotation angle of the SU(2) element, ignoring global phase."""
         tr = self.matrix[0, 0] + self.matrix[1, 1]
@@ -133,12 +127,6 @@ def _so3_about(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + s * k + (1 - c) * (k @ k)
 
 
-def compensator_su2(settings) -> np.ndarray:
-    """Jones matrix of the three-paddle compensator for given angles."""
-    t1, t2, t3 = settings
-    return rotation_su2(_AXIS_A, t3) @ rotation_su2(_AXIS_B, t2) @ rotation_su2(_AXIS_A, t1)
-
-
 def _compensator_so3(settings) -> np.ndarray:
     t1, t2, t3 = settings
     return _so3_about(_AXIS_A, t3) @ _so3_about(_AXIS_B, t2) @ _so3_about(_AXIS_A, t1)
@@ -174,9 +162,6 @@ class PolarizationController:
 
     def residual_error(self, u: FibreUnitary) -> float:
         return residual_error_from_cost(_probe_cost(self.settings, stokes_rotation(u)))
-
-    def residual_unitary(self, u: FibreUnitary) -> FibreUnitary:
-        return FibreUnitary(compensator_su2(self.settings) @ u.matrix)
 
 
 def polarization_control_cycle(u: FibreUnitary, controller: PolarizationController

@@ -1,7 +1,5 @@
 """Fidelity-versus-length model: memory envelopes times interference contrast."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..analysis import fidelity_bound
@@ -65,9 +63,7 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
     The atom-atom visibility is the product of the two atom-photon
     visibilities at their delayed readout times and the two-photon
     interference contrast; the fidelity is the 3x3-space bound
-    1/9 + (8/9) V.  A delay-only column (same readout delays, negligible
-    fibre) is emitted alongside; in this model the fibre enters only through
-    the readout delay, so the two predictions coincide by construction.
+    1/9 + (8/9) V.
     """
     scenarios = list(scenarios)
     envelope = memory_envelopes(scenarios, n_trajectories, seed,
@@ -79,7 +75,6 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
         v = (s.node1.atom_photon_visibility * s.node2.atom_photon_visibility
              * s.xi_max * e1 * e2)
         v = min(v, 1.0)
-        delay_only = v
         rows.append({
             "name": s.name,
             "total_length_km": s.total_length_km,
@@ -89,7 +84,5 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
             "envelope2": e2,
             "visibility": v,
             "fidelity": fidelity_bound(v),
-            "visibility_delay_only": delay_only,
-            "fidelity_delay_only": fidelity_bound(delay_only),
         })
     return rows

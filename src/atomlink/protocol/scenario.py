@@ -11,7 +11,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -180,13 +181,13 @@ PRESETS = tuple(_TABLE_ROWS)
 # Config file round trip
 # ---------------------------------------------------------------------------
 
+# JSON has lists only; these leaf annotations get their Python type back
+_FROM_JSON_LIST = {tuple: tuple, np.ndarray: np.array}
+
+
 def scenario_to_dict(s: LinkScenario) -> dict:
-    d = asdict(s)
-    for key in ("node1", "node2"):
-        env = d[key]["field_env"]
-        env["bias_field"] = [float(x) for x in env["bias_field"]]
-        env["shot_noise_sigma"] = [float(x) for x in env["shot_noise_sigma"]]
-    return d
+    return asdict(s, dict_factory=lambda items: {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
 
 
 def config_hash(s: LinkScenario) -> str:
@@ -196,153 +197,79 @@ def config_hash(s: LinkScenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _section(prefix: str) -> str:
+    return prefix.rstrip(".") or "scenario"
+
+
+def _new_parser() -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    return cp
+
+
+def _write_sections(cp, obj, prefix=""):
+    """One section per dataclass, named by its dotted path; leaves as JSON."""
+    section = _section(prefix)
+    cp[section] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _write_sections(cp, value, f"{prefix}{f.name}.")
+        else:
+            cp[section][f.name] = json.dumps(value, default=np.ndarray.tolist)
+
+
+def _section_names(cls, prefix=""):
+    yield _section(prefix)
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            yield from _section_names(hint, f"{prefix}{name}.")
+
+
+def _read_sections(cp, cls, prefix=""):
+    """Rebuild ``cls`` from its section, so its constructor checks run."""
+    section = _section(prefix)
+    if section not in cp:
+        raise ValueError(f"missing section [{section}]")
+    raw = dict(cp[section])
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            kwargs[f.name] = _read_sections(cp, hint, f"{prefix}{f.name}.")
+            continue
+        if f.name not in raw:
+            raise ValueError(f"missing key {f.name!r} in [{section}]")
+        try:
+            value = json.loads(raw.pop(f.name))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"key {f.name!r} in [{section}] is not JSON: {exc}") from exc
+        convert = _FROM_JSON_LIST.get(get_origin(hint) or hint)
+        kwargs[f.name] = convert(value) if convert else value
+    if raw:
+        raise ValueError(f"unknown key {next(iter(raw))!r} in [{section}]")
+    return cls(**kwargs)
+
+
 def save_scenario(s: LinkScenario, path):
-    """Write the scenario as a sectioned text config."""
-    cp = configparser.ConfigParser()
-    cp["scenario"] = {"name": s.name}
-    nodes = {}
-    for idx, node in ((1, s.node1), (2, s.node2)):
-        p = f"node{idx}_"
-        nodes.update({
-            p + "pump_duration": repr(node.pump_duration),
-            p + "pump_efficiency": repr(node.pump_efficiency),
-            p + "collection_efficiency": repr(node.collection_efficiency),
-            p + "sync_jitter_sigma": repr(node.sync_jitter_sigma),
-            p + "trap_oscillation_period": repr(node.trap_oscillation_period),
-            p + "trap_depth_u0": repr(node.trap.trap_depth_u0),
-            p + "beam_waist_w0": repr(node.trap.beam_waist_w0),
-            p + "trap_wavelength": repr(node.trap.wavelength),
-            p + "temperature": repr(node.temperature),
-            p + "bias_field_y": repr(float(node.field_env.bias_field[1])),
-            p + "shot_noise_sigma_y": repr(float(node.field_env.shot_noise_sigma[1])),
-            p + "fictitious_field_scale": repr(node.field_env.fictitious_field_scale),
-            p + "decay_time": repr(node.wavepacket.decay_time),
-            p + "excitation_fwhm": repr(node.wavepacket.excitation_fwhm),
-            p + "qfc_efficiency": repr(node.qfc.external_efficiency),
-            p + "qfc_background_rate": repr(node.qfc.background_rate),
-            p + "atom_photon_visibility": repr(node.atom_photon_visibility),
-        })
-    cp["nodes"] = nodes
-    cp["links"] = {
-        "length1_km": repr(s.link1.length_km),
-        "attenuation1_db": repr(s.link1.attenuation_total_db),
-        "length2_km": repr(s.link2.length_km),
-        "attenuation2_db": repr(s.link2.attenuation_total_db),
-    }
-    cp["bsm"] = {
-        "detector_efficiency": repr(s.detectors.efficiency),
-        "dark_rate": repr(s.detectors.dark_rate),
-        "hardware_window": repr(s.hardware_window),
-        "hardware_window_offset": repr(s.hardware_window_offset),
-        "acceptance_window": repr(s.acceptance_window),
-        "acceptance_offset": repr(s.acceptance_offset),
-        "xi_max": repr(s.xi_max),
-        "ap_visibility_scale": repr(s.ap_visibility_scale),
-        "wavepacket_delay": repr(s.wavepacket_delay),
-        "polarization_error_mean": repr(s.polarization_error_mean),
-    }
-    cp["sequence"] = {
-        "tries_per_cooling_block": repr(s.sequence.tries_per_cooling_block),
-        "cooling_duration": repr(s.sequence.cooling_duration),
-        "block_period": repr(s.sequence.block_period),
-        "presence_check_duration": repr(s.sequence.presence_check_duration),
-        "trap_lifetime": repr(s.sequence.trap_lifetime),
-        "loading_time": repr(s.sequence.loading_time),
-        "t_overhead": repr(s.t_overhead),
-        "duty_cycle_nominal": repr(s.duty_cycle_nominal),
-    }
-    cp["readout"] = {
-        "readout_time1": repr(s.readout_time1),
-        "readout_time2": repr(s.readout_time2),
-    }
+    """Write the scenario losslessly: every dataclass field, values as JSON."""
+    cp = _new_parser()
+    _write_sections(cp, s)
     with open(path, "w") as fh:
         cp.write(fh)
 
 
 def load_scenario(path) -> LinkScenario:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+    """Read a file written by ``save_scenario``; any missing or extra key is an error."""
+    cp = _new_parser()
     try:
-        nodes = []
-        for idx in (1, 2):
-            sec = cp["nodes"]
-            p = f"node{idx}_"
-            env = FieldEnvironment(
-                bias_field=np.array([0.0, sec.getfloat(p + "bias_field_y"), 0.0]),
-                shot_noise_sigma=np.array([0.0, sec.getfloat(p + "shot_noise_sigma_y"), 0.0]),
-                fictitious_field_scale=sec.getfloat(p + "fictitious_field_scale"),
-            )
-            nodes.append(NodeConfig(
-                name=f"node{idx}",
-                pump_duration=sec.getfloat(p + "pump_duration"),
-                pump_efficiency=sec.getfloat(p + "pump_efficiency"),
-                collection_efficiency=sec.getfloat(p + "collection_efficiency"),
-                sync_jitter_sigma=sec.getfloat(p + "sync_jitter_sigma"),
-                trap_oscillation_period=sec.getfloat(p + "trap_oscillation_period"),
-                trap=TrapParams(
-                    wavelength=sec.getfloat(p + "trap_wavelength"),
-                    trap_depth_u0=sec.getfloat(p + "trap_depth_u0"),
-                    beam_waist_w0=sec.getfloat(p + "beam_waist_w0"),
-                ),
-                temperature=sec.getfloat(p + "temperature"),
-                field_env=env,
-                wavepacket=PhotonWavepacket(
-                    decay_time=sec.getfloat(p + "decay_time"),
-                    excitation_fwhm=sec.getfloat(p + "excitation_fwhm"),
-                ),
-                qfc=QfcParams(
-                    external_efficiency=sec.getfloat(p + "qfc_efficiency"),
-                    background_rate=sec.getfloat(p + "qfc_background_rate"),
-                ),
-                atom_photon_visibility=sec.getfloat(p + "atom_photon_visibility"),
-            ))
-        links = cp["links"]
-        bsm = cp["bsm"]
-        seq = cp["sequence"]
-        ro = cp["readout"]
-        return LinkScenario(
-            name=cp["scenario"].get("name", "custom"),
-            node1=nodes[0],
-            node2=nodes[1],
-            link1=FibreLink(links.getfloat("length1_km"), links.getfloat("attenuation1_db")),
-            link2=FibreLink(links.getfloat("length2_km"), links.getfloat("attenuation2_db")),
-            readout_time1=ro.getfloat("readout_time1"),
-            readout_time2=ro.getfloat("readout_time2"),
-            detectors=DetectorParams(
-                efficiency=bsm.getfloat("detector_efficiency"),
-                dark_rate=bsm.getfloat("dark_rate"),
-            ),
-            hardware_window=bsm.getfloat("hardware_window"),
-            hardware_window_offset=bsm.getfloat("hardware_window_offset"),
-            acceptance_window=bsm.getfloat("acceptance_window"),
-            acceptance_offset=bsm.getfloat("acceptance_offset"),
-            xi_max=bsm.getfloat("xi_max"),
-            ap_visibility_scale=bsm.getfloat("ap_visibility_scale"),
-            wavepacket_delay=bsm.getfloat("wavepacket_delay"),
-            polarization_error_mean=bsm.getfloat("polarization_error_mean"),
-            sequence=SequenceConfig(
-                tries_per_cooling_block=seq.getint("tries_per_cooling_block"),
-                cooling_duration=seq.getfloat("cooling_duration"),
-                block_period=seq.getfloat("block_period"),
-                presence_check_duration=seq.getfloat("presence_check_duration"),
-                trap_lifetime=seq.getfloat("trap_lifetime"),
-                loading_time=seq.getfloat("loading_time"),
-            ),
-            t_overhead=seq.getfloat("t_overhead"),
-            duty_cycle_nominal=seq.getfloat("duty_cycle_nominal"),
-        )
-    except (KeyError, TypeError, configparser.Error, ValueError) as exc:
+        with open(path) as fh:
+            cp.read_file(fh)
+        expected = set(_section_names(LinkScenario))
+        unknown = [name for name in cp.sections() if name not in expected]
+        if unknown:
+            raise ValueError(f"unknown section [{unknown[0]}]")
+        return _read_sections(cp, LinkScenario)
+    except (TypeError, ValueError, configparser.Error) as exc:
         raise ValueError(f"invalid scenario config {path}: {exc}") from exc
-
-
-def with_fibre_removed(s: LinkScenario) -> LinkScenario:
-    """Delay-only reference: same readout times, negligible fibre."""
-    return replace(
-        s,
-        name=s.name + "-delay-only",
-        link1=FibreLink(0.05, 0.05),
-        link2=FibreLink(0.75, 0.2),
-        published_values={},
-    )

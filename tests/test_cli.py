@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from atomlink.analysis import interference_contrast
 from atomlink.cli import main
 
 
@@ -80,6 +81,40 @@ class TestAnalyze:
         assert 0.5 < report["estimators"]["fidelity"]["fidelity"] <= 1.0
         assert report["accepted_fraction"] > 0.5
         assert report["estimators"]["sbr"]["coincidence"] > 10
+
+    def test_contrast_uses_acceptance_window(self, tmp_path):
+        # about 2% of heralds are D-null, so enough events to see a few
+        run = tmp_path / "run"
+        assert run_cli("simulate", "--preset", "l6", "--seed", "5", "--events", "800",
+                       "--out", str(run), "--trajectories", "300") == 0
+        out = tmp_path / "contrast"
+        assert run_cli("analyze", "--events", str(run / "events.jsonl"),
+                       "--summary", str(run / "summary.json"),
+                       "--estimators", "contrast", "--out", str(out)) == 0
+        reported = json.loads((out / "report.json").read_text())["estimators"]["contrast"]
+        summary = json.loads((run / "summary.json").read_text())
+        lines = (run / "events.jsonl").read_text().splitlines()[1:]
+        outcomes = [r["bell_outcome"] for r in map(json.loads, lines) if r["accepted"]]
+        assert summary["n_dnull_accepted"] > 0
+        assert len(outcomes) < summary["n_events"]
+        expected = interference_contrast(summary["n_dnull_accepted"],
+                                         outcomes.count("PsiPlus"), outcomes.count("PsiMinus"))
+        assert reported["contrast"] == pytest.approx(expected, rel=1e-12)
+
+    def test_contrast_needs_summary(self, small_run, tmp_path):
+        assert run_cli("analyze", "--events", str(small_run / "events.jsonl"),
+                       "--estimators", "contrast", "--out", str(tmp_path)) == 2
+
+    def test_summary_checked_like_clicks(self, small_run, tmp_path):
+        events = str(small_run / "events.jsonl")
+        assert run_cli("analyze", "--events", events, "--summary", str(tmp_path / "none.json"),
+                       "--out", str(tmp_path / "a")) == 4
+        summary = json.loads((small_run / "summary.json").read_text())
+        summary["config_hash"] = "0" * 16
+        other = tmp_path / "summary.json"
+        other.write_text(json.dumps(summary))
+        assert run_cli("analyze", "--events", events, "--summary", str(other),
+                       "--out", str(tmp_path / "b")) == 2
 
     def test_reanalysis_identical(self, small_run, tmp_path):
         blobs = []

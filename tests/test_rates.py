@@ -1,7 +1,11 @@
 """Rate budget, duty cycle and scenario plumbing."""
 
+import re
+from dataclasses import fields, is_dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from atomlink.protocol import (
     PRESETS,
@@ -19,7 +23,54 @@ from atomlink.protocol import (
     success_probability_report,
 )
 from atomlink.protocol.scenario import SequenceConfig, save_scenario
-from dataclasses import replace
+
+
+def _edited(obj, dotted, value):
+    """Copy of a nested dataclass with the leaf at a dotted path replaced."""
+    head, _, rest = dotted.partition(".")
+    return replace(obj, **{head: _edited(getattr(obj, head), rest, value) if rest else value})
+
+
+def _leaves(obj, prefix=""):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _nearby(value):
+    """Strategy for a valid value near ``value`` with the same Python type."""
+    if isinstance(value, int):
+        return st.integers(value, value + 5)
+    if isinstance(value, float):
+        return st.floats(1.0, 1.01).map(value.__mul__) if value else st.floats(0.0, 1e-9)
+    if isinstance(value, str):
+        return st.text(max_size=8)
+    if isinstance(value, tuple):
+        return st.tuples(*map(_nearby, value))
+    if isinstance(value, np.ndarray):
+        return st.tuples(*(_nearby(float(x)) for x in value)).map(np.array)
+    if isinstance(value, dict):
+        extra = st.dictionaries(st.text(max_size=8),
+                                st.integers() | st.floats(allow_nan=False), max_size=3)
+        return extra.map(lambda e: {**value, **e})
+    raise TypeError(f"no strategy for {type(value).__name__}")
+
+
+def _varied(obj, draw):
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        changes[f.name] = _varied(value, draw) if is_dataclass(value) else draw(_nearby(value))
+    return replace(obj, **changes)
+
+
+@st.composite
+def varied_scenarios(draw):
+    """A preset with every leaf of every nested dataclass moved a little."""
+    return _varied(preset(draw(st.sampled_from(PRESETS))), draw)
 
 
 class TestPresets:
@@ -47,12 +98,49 @@ class TestPresets:
         for name in PRESETS:
             preset(name)
 
-    def test_config_round_trip(self, tmp_path):
-        s = preset("l23")
-        path = tmp_path / "scenario.ini"
+    @given(s=varied_scenarios())
+    @example(s=_edited(preset("l6"), "node1.wavepacket.emission_offset", 5e-9))
+    @example(s=_edited(preset("l11"), "node2.field_env.shot_noise_sigma",
+                       np.array([0.2e-3, 0.5e-3, 0.1e-3])))
+    @example(s=_edited(preset("l23"), "node1.name", "alice"))
+    @example(s=_edited(preset("l33"), "node2.trap.atom_mass", 1.41e-25))
+    @example(s=_edited(preset("l6"), "link2.propagation_speed", 2.0e8))
+    @settings(max_examples=40, deadline=None)
+    def test_config_round_trip(self, tmp_path_factory, s):
+        path = tmp_path_factory.mktemp("round_trip") / "scenario.ini"
         save_scenario(s, path)
         s2 = load_scenario(path)
-        assert config_hash(s) == config_hash(s2)
+        assert config_hash(s2) == config_hash(s)
+        assert s2.published_values == s.published_values
+        for (key, a), (_, b) in zip(_leaves(s), _leaves(s2), strict=True):
+            assert type(a) is type(b), key
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), key
+            else:
+                assert a == b, key
+
+    @pytest.mark.parametrize("text, message", [
+        ("[nodes]\nnode1_pump_duration = 3e-06\n", "unknown section [nodes]"),
+        ("[sequence]\ntries_per_cooling_block = 40\n", "missing section [scenario]"),
+    ])
+    def test_foreign_layout_rejected(self, tmp_path, text, message):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[node1.trap]\n", "[node1.trap]\nmass = 1e-25\n", "unknown key 'mass' in [node1.trap]"),
+        ("dark_rate = 15.0\n", "", "missing key 'dark_rate' in [detectors]"),
+        ('name = "l6"', "name = l6", "key 'name' in [scenario] is not JSON"),
+        ("xi_max = 0.955", "xi_max = 1.5", "xi_max must be in [0, 1]"),
+    ])
+    def test_bad_key_named(self, tmp_path, old, new, message):
+        path = tmp_path / "scenario.ini"
+        save_scenario(preset("l6"), path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(path)
 
     def test_readout_before_heralding_rejected(self):
         with pytest.raises(ValueError, match="precedes the heralding"):
