@@ -230,7 +230,8 @@ def _load_summary(path):
 
 
 def _check_hash(what, other, chash, force):
-    if other and chash and other != chash and not force:
+    """A hash missing on either side counts as a mismatch."""
+    if (other is None or chash is None or other != chash) and not force:
         raise CliError(
             f"{what} hash {other} does not match events hash {chash} "
             "(use --force to override)", EXIT_CONFIG)
@@ -349,7 +350,7 @@ def cmd_dephasing(args) -> int:
     _check_overwrite(path, args.force)
     env = node.field_env
     if args.sigma_mg is not None:
-        env = env.replace(shot_noise_sigma=np.array([0.0, args.sigma_mg * 1e-3, 0.0]))
+        env = env.replace(shot_noise_sigma=args.sigma_mg * 1e-3)
     if args.fictitious_scale is not None:
         env = env.replace(fictitious_field_scale=args.fictitious_scale)
     times = np.round(np.arange(0.0, args.t_max + args.dt / 2, args.dt), 12)

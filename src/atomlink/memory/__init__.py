@@ -4,7 +4,7 @@ from .trap import (
     propagate_trajectory,
     sample_initial_conditions,
 )
-from .fields import FieldEnvironment, local_effective_field
+from .fields import FieldEnvironment
 from .spin import SpinTrajectoryResult, evolve_spin1, spin1_matrices
 from .channel import (
     CoherenceEnvelope,
@@ -17,7 +17,7 @@ from .channel import (
 
 __all__ = [
     "AtomInitialCondition", "TrapParams", "propagate_trajectory",
-    "sample_initial_conditions", "FieldEnvironment", "local_effective_field",
+    "sample_initial_conditions", "FieldEnvironment",
     "SpinTrajectoryResult", "evolve_spin1", "spin1_matrices",
     "CoherenceEnvelope", "DephasingChannelFamily", "QutritChannel",
     "coherence_envelope", "dephasing_channel", "dephasing_channel_family",

@@ -2,16 +2,15 @@
 
 Each trajectory draws thermal initial conditions and one quasi-static field
 noise sample, integrates the atomic motion in the Gaussian trap, and
-accumulates the exact spin-1 rotation driven by the local field.  Averaging
-the unitaries over trajectories gives a completely positive trace-preserving
-qutrit channel, stored as a superoperator acting on row-major vectorized
-density matrices.
-
-The memory qubit is quantized along the bias axis (lab y), so lab axes map
-to spin axes as (z, x, y) -> (F1, F2, F3).
+accumulates the Zeeman phase phi of the local field.  The bias, the noise
+and the vector-light-shift field all lie along the quantization axis, so a
+trajectory's unitary is diag(exp(-i m phi)) over m = (-1, 0, +1).  Averaging
+over trajectories gives a completely positive trace-preserving qutrit
+channel, stored as a superoperator acting on row-major vectorized density
+matrices; its only nonzero entries are s4[i, k, i, k] = E[exp(-i (m_i - m_k) phi)].
 
 Reproducibility contract: trajectory k draws from a Philox stream keyed by
-(seed, k), the y noise component is a deterministic stratified normal grid
+(seed, k), the quasi-static noise is a deterministic stratified normal grid
 over the trajectory index, and chunked reduction uses a fixed chunk size, so
 results are bit-identical for any worker count.
 """
@@ -24,10 +23,11 @@ from scipy.special import ndtri
 
 from ..quantum import DensityMatrix
 from .fields import FieldEnvironment, fictitious_field_y
-from .spin import rotation_step
+from .spin import OMEGA_PER_GAUSS
 from .trap import TrapParams, thermal_sigmas, yoshida4_step
 
 _UP, _ZERO, _DOWN = 2, 1, 0   # qutrit indices of m = +1, 0, -1
+_M = np.array([-1, 0, 1])      # magnetic quantum number of each qutrit index
 
 _UP_X = np.zeros(3, dtype=complex)
 _UP_X[_UP] = 1.0 / np.sqrt(2.0)
@@ -130,13 +130,9 @@ class DephasingChannelFamily:
 
     def rotating_channel_at(self, t: float) -> QutritChannel:
         idx = self._index_of(t)
-        b_spin = np.asarray(self.meta.get("bias_spin", (0.0, 0.0, 0.0)), dtype=float)
-        if float(self.times[idx]) == 0.0 or np.all(b_spin == 0.0):
-            return QutritChannel(self.superops[idx])
-        r = rotation_step(b_spin.reshape(1, 3), float(self.times[idx]))[0]
-        undo = r.conj().T
-        unrotate = np.einsum("ij,kl->ikjl", undo, undo.conj()).reshape(9, 9)
-        return QutritChannel(unrotate @ self.superops[idx])
+        bias_phase = OMEGA_PER_GAUSS * self.meta.get("bias_field", 0.0) * self.times[idx]
+        undo = np.exp(1j * np.subtract.outer(_M, _M) * bias_phase).reshape(9, 1)
+        return QutritChannel(undo * self.superops[idx])
 
     def envelope(self) -> np.ndarray:
         s4 = self.superops.reshape(-1, 3, 3, 3, 3)
@@ -188,52 +184,42 @@ def _trajectory_seeds(seed: int, indices: np.ndarray):
         yield np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(idx)]))
 
 
-def _chunk_superops(trap, env, temperature, indices, n_total, seed,
-                    sample_steps, n_steps, spin_dt, substeps):
-    """Superoperator partial sums of one trajectory chunk at every sample step."""
+def _chunk_phase_sums(trap, env, temperature, indices, n_total, seed,
+                      sample_steps, n_steps, spin_dt, substeps):
+    """Sums of exp(-i phi) and exp(-2i phi) over one trajectory chunk at every sample."""
     c = len(indices)
     sig_pos, sig_v = thermal_sigmas(trap, temperature)
     pos = np.empty((c, 3))
     vel = np.empty((c, 3))
-    noise = np.empty((c, 3))
     for row, gen in enumerate(_trajectory_seeds(seed, indices)):
         z = gen.normal(size=6)
         pos[row] = z[:3] * sig_pos
         vel[row] = z[3:] * sig_v
-        nz = gen.normal(size=2)
-        noise[row, 0] = nz[0] * env.shot_noise_sigma[0]
-        noise[row, 2] = nz[1] * env.shot_noise_sigma[2]
-    # stratified quasi-static y noise over the global trajectory index
-    noise[:, 1] = env.shot_noise_sigma[1] * ndtri((indices + 0.5) / n_total)
+    # stratified quasi-static noise over the global trajectory index
+    field = env.bias_field + env.shot_noise_sigma * ndtri((indices + 0.5) / n_total)
 
     n_times = 1 + max((max(v) for v in sample_steps.values()), default=0)
-    partials = np.zeros((n_times, 3, 3, 3, 3), dtype=complex)
-    u = np.tile(np.eye(3, dtype=complex), (c, 1, 1))
-    if 0 in sample_steps:
-        for t_idx in sample_steps[0]:
-            partials[t_idx] += np.einsum("nij,nkl->ikjl", u, u.conj())
+    sums = np.zeros((n_times, 2), dtype=complex)
+    phi = np.zeros(c)
 
+    def record(step):
+        if step in sample_steps:
+            rot = np.exp(-1j * phi)
+            sums[sample_steps[step]] += (rot.sum(), (rot * rot).sum())
+
+    record(0)
     acc = trap.acceleration(pos)
     h = spin_dt / substeps
     mid_idx = (substeps - 1) // 2
-    bias = env.bias_field
     for step in range(n_steps):
         mid = pos
         for s in range(substeps):
             pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
             if s == mid_idx:
                 mid = pos
-        b_lab = noise + bias
-        b_y = b_lab[:, 1] + fictitious_field_y(trap, env, mid)
-        # lab (z, x, y) -> spin (F1, F2, F3); quantization along the y bias
-        b_spin = np.stack([b_lab[:, 2], b_lab[:, 0], b_y], axis=1)
-        u = rotation_step(b_spin, spin_dt) @ u
-        key = step + 1
-        if key in sample_steps:
-            acc_s4 = np.einsum("nij,nkl->ikjl", u, u.conj())
-            for t_idx in sample_steps[key]:
-                partials[t_idx] += acc_s4
-    return partials
+        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * spin_dt
+        record(step + 1)
+    return sums
 
 
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
@@ -267,8 +253,8 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     ]
 
     def work(indices):
-        return _chunk_superops(trap, env, temperature, indices, n_trajectories,
-                               seed, sample_steps, n_steps, spin_dt, motion_substeps)
+        return _chunk_phase_sums(trap, env, temperature, indices, n_trajectories,
+                                 seed, sample_steps, n_steps, spin_dt, motion_substeps)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -278,8 +264,13 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     total = partials[0]
     for p in partials[1:]:
         total = total + p
-    superops = (total / n_trajectories).reshape(len(times), 9, 9)
-    bias = env.bias_field
+    e1, e2 = (total / n_trajectories).T
+    mean_phase = {0: 1.0, 1: e1, 2: e2, -1: e1.conj(), -2: e2.conj()}
+    s4 = np.zeros((len(times), 3, 3, 3, 3), dtype=complex)
+    for i in range(3):
+        for k in range(3):
+            s4[:, i, k, i, k] = mean_phase[_M[i] - _M[k]]
+    superops = s4.reshape(len(times), 9, 9)
     meta = {
         "temperature": temperature,
         "n_trajectories": n_trajectories,
@@ -287,8 +278,7 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "spin_dt": spin_dt,
         "motion_substeps": motion_substeps,
         "chunk_size": chunk_size,
-        # lab (z, x, y) -> spin (F1, F2, F3)
-        "bias_spin": (float(bias[2]), float(bias[0]), float(bias[1])),
+        "bias_field": env.bias_field,
     }
     return DephasingChannelFamily(times, superops, meta)
 

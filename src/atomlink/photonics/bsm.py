@@ -26,7 +26,6 @@ class DetectorParams:
 
     efficiency: float = 0.85
     dark_rate: float = 15.0
-    labels: tuple[str, ...] = DETECTOR_LABELS
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:

@@ -1,7 +1,5 @@
 """Fidelity-versus-length model: memory envelopes times interference contrast."""
 
-import numpy as np
-
 from ..analysis import fidelity_bound
 from ..memory import dephasing_channel_family
 from .scenario import CAL_SIGMA_SHOT_EFF
@@ -10,9 +8,7 @@ from .scenario import CAL_SIGMA_SHOT_EFF
 def _memory_env(node, sigma_override):
     if sigma_override is None:
         return node.field_env
-    return node.field_env.replace(
-        shot_noise_sigma=np.array([0.0, float(sigma_override), 0.0])
-    )
+    return node.field_env.replace(shot_noise_sigma=float(sigma_override))
 
 
 def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
@@ -28,8 +24,8 @@ def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
         env = _memory_env(node, memory_noise_sigma)
         trap = node.trap
         return (trap.wavelength, trap.trap_depth_u0, trap.beam_waist_w0,
-                trap.atom_mass, node.temperature, tuple(env.bias_field),
-                tuple(env.shot_noise_sigma), env.fictitious_field_scale)
+                trap.atom_mass, node.temperature, env.bias_field,
+                env.shot_noise_sigma, env.fictitious_field_scale)
 
     jobs = {}
     physics = {}

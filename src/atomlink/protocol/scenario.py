@@ -12,9 +12,7 @@ import configparser
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_origin, get_type_hints
-
-import numpy as np
+from typing import get_type_hints
 
 from ..memory import FieldEnvironment, TrapParams
 from ..photonics import DetectorParams, FibreLink, PhotonWavepacket, QfcParams
@@ -54,8 +52,6 @@ class NodeConfig:
     """One network node: trap, memory environment and photon generation."""
 
     name: str = "node1"
-    pump_duration: float = 3e-6
-    pump_efficiency: float = 0.8
     collection_efficiency: float = CAL_COLLECTION_EFFICIENCY
     sync_jitter_sigma: float = 150e-12
     trap_oscillation_period: float = 14.3e-6
@@ -67,7 +63,7 @@ class NodeConfig:
     atom_photon_visibility: float = 0.941
 
     def __post_init__(self):
-        for name in ("pump_efficiency", "collection_efficiency", "atom_photon_visibility"):
+        for name in ("collection_efficiency", "atom_photon_visibility"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -181,17 +177,8 @@ PRESETS = tuple(_TABLE_ROWS)
 # Config file round trip
 # ---------------------------------------------------------------------------
 
-# JSON has lists only; these leaf annotations get their Python type back
-_FROM_JSON_LIST = {tuple: tuple, np.ndarray: np.array}
-
-
-def scenario_to_dict(s: LinkScenario) -> dict:
-    return asdict(s, dict_factory=lambda items: {
-        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
-
-
 def config_hash(s: LinkScenario) -> str:
-    d = scenario_to_dict(s)
+    d = asdict(s)
     d.pop("published_values", None)   # annotations, not configuration
     blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -216,7 +203,7 @@ def _write_sections(cp, obj, prefix=""):
         if is_dataclass(value):
             _write_sections(cp, value, f"{prefix}{f.name}.")
         else:
-            cp[section][f.name] = json.dumps(value, default=np.ndarray.tolist)
+            cp[section][f.name] = json.dumps(value)
 
 
 def _section_names(cls, prefix=""):
@@ -242,11 +229,9 @@ def _read_sections(cp, cls, prefix=""):
         if f.name not in raw:
             raise ValueError(f"missing key {f.name!r} in [{section}]")
         try:
-            value = json.loads(raw.pop(f.name))
+            kwargs[f.name] = json.loads(raw.pop(f.name))
         except json.JSONDecodeError as exc:
             raise ValueError(f"key {f.name!r} in [{section}] is not JSON: {exc}") from exc
-        convert = _FROM_JSON_LIST.get(get_origin(hint) or hint)
-        kwargs[f.name] = convert(value) if convert else value
     if raw:
         raise ValueError(f"unknown key {next(iter(raw))!r} in [{section}]")
     return cls(**kwargs)

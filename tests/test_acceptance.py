@@ -135,10 +135,7 @@ class TestCriterion5MemoryPhysics:
     def test_memory_signatures(self):
         t0 = time.time()
         trap = TrapParams(trap_depth_u0=2.32e-3, beam_waist_w0=2.05e-6)
-        env = FieldEnvironment(
-            bias_field=np.array([0.0, 75.5e-3, 0.0]),
-            shot_noise_sigma=np.array([0.0, 0.5e-3, 0.0]),
-        )
+        env = FieldEnvironment(bias_field=75.5e-3, shot_noise_sigma=0.5e-3)
         times = np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12)
         fam = dephasing_channel_family(trap, env, 50e-6, times, 10_000,
                                        seed=2026, n_jobs=4)

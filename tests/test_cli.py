@@ -110,11 +110,13 @@ class TestAnalyze:
         assert run_cli("analyze", "--events", events, "--summary", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "a")) == 4
         summary = json.loads((small_run / "summary.json").read_text())
-        summary["config_hash"] = "0" * 16
-        other = tmp_path / "summary.json"
-        other.write_text(json.dumps(summary))
-        assert run_cli("analyze", "--events", events, "--summary", str(other),
-                       "--out", str(tmp_path / "b")) == 2
+        mismatched = dict(summary, config_hash="0" * 16)
+        unhashed = {k: v for k, v in summary.items() if k != "config_hash"}
+        for sub, edited in (("b", mismatched), ("c", unhashed)):
+            other = tmp_path / f"summary_{sub}.json"
+            other.write_text(json.dumps(edited))
+            assert run_cli("analyze", "--events", events, "--summary", str(other),
+                           "--out", str(tmp_path / sub)) == 2
 
     def test_reanalysis_identical(self, small_run, tmp_path):
         blobs = []
@@ -145,14 +147,18 @@ class TestAnalyze:
         other = tmp_path / "other"
         assert run_cli("simulate", "--preset", "l11", "--events", "20",
                        "--out", str(other), "--trajectories", "300") == 0
-        code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
-                       "--clicks", str(other / "clicks.csv"),
-                       "--out", str(tmp_path / "mix"))
-        assert code == 2
-        code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
-                       "--clicks", str(other / "clicks.csv"),
-                       "--out", str(tmp_path / "mix"), "--force")
-        assert code == 0
+        unhashed = tmp_path / "unhashed.csv"
+        unhashed.write_text("".join((small_run / "clicks.csv").read_text()
+                                    .splitlines(keepends=True)[1:]))
+        for sub, clicks in (("mix", other / "clicks.csv"), ("bare", unhashed)):
+            code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
+                           "--clicks", str(clicks),
+                           "--out", str(tmp_path / sub))
+            assert code == 2
+            code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
+                           "--clicks", str(clicks),
+                           "--out", str(tmp_path / sub), "--force")
+            assert code == 0
 
 
 class TestRates:
