@@ -7,6 +7,7 @@ from .estimators import (
     binomial_sigma,
     chsh_from_dataset,
     correlation_probability,
+    dataset_from_records,
     fidelity_bound,
     fringe_fit,
     interference_contrast,
@@ -19,6 +20,7 @@ __all__ = [
     "DetectionHistogram", "SbrEstimate", "acceptance_filter", "sbr",
     "CorrelationDataset", "FringeFit", "SettingCounts", "basis_contrast",
     "binomial_sigma", "chsh_from_dataset", "correlation_probability",
+    "dataset_from_records",
     "fidelity_bound", "fringe_fit", "interference_contrast",
     "statistical_error", "three_basis_summary", "fringe_visibility_summary",
 ]

@@ -72,6 +72,32 @@ class CorrelationDataset:
         return out
 
 
+def dataset_from_records(records, mode: str) -> CorrelationDataset:
+    """Dataset of the window-accepted heralds among event readout records.
+
+    "sampled-clicks" counts each sampled outcome pair; "density-matrix" sums
+    the expected outcome probabilities of each setting.
+    """
+    ds = CorrelationDataset()
+    expected = {}
+    for rec in records:
+        if not rec.get("accepted"):
+            continue
+        key = (round(rec["alpha_rad"], 12), round(rec["beta_rad"], 12),
+               rec["plane"], rec["bell_outcome"])
+        if mode == "sampled-clicks":
+            if rec.get("outcome1") is not None:
+                ds.add_event(*key, rec["outcome1"], rec["outcome2"])
+        elif rec.get("probabilities"):
+            agg = expected.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
+            for k in OUTCOME_KEYS:
+                agg[k] += rec["probabilities"][k]
+    for (alpha, beta, plane, outcome), agg in expected.items():
+        ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
+                        "outcome": outcome, **agg})
+    return ds
+
+
 def correlation_probability(counts) -> tuple[float, float]:
     """(P_corr, P_acorr) from (n_uu, n_ud, n_du, n_dd)."""
     if isinstance(counts, SettingCounts):

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    CorrelationDataset,
     DetectionHistogram,
     chsh_from_dataset,
     fringe_visibility_summary,
@@ -22,6 +21,7 @@ from .analysis import (
     sbr,
     three_basis_summary,
 )
+from .analysis import dataset_from_records as _dataset_from_records
 from .analysis.estimators import contrast_sigma
 from .calibration import DEFAULT_TARGETS, calibrate
 from .memory import coherence_envelope, dephasing_channel_family
@@ -166,31 +166,6 @@ def _load_events(path):
     if header is None:
         raise CliError(f"{path}: missing header line", EXIT_IO)
     return header, events
-
-
-def _dataset_from_records(records, mode):
-    ds = CorrelationDataset()
-    expected = {}
-    for rec in records:
-        if not rec.get("accepted"):
-            continue
-        key = (round(rec["alpha_rad"], 12), round(rec["beta_rad"], 12),
-               rec["plane"], rec["bell_outcome"])
-        if mode == "sampled-clicks":
-            if rec.get("outcome1") is None:
-                continue
-            ds.add_event(key[0], key[1], key[2], key[3], rec["outcome1"], rec["outcome2"])
-        else:
-            probs = rec.get("probabilities")
-            if not probs:
-                continue
-            agg = expected.setdefault(key, {"uu": 0.0, "ud": 0.0, "du": 0.0, "dd": 0.0})
-            for k in agg:
-                agg[k] += probs[k]
-    for (alpha, beta, plane, outcome), agg in expected.items():
-        ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
-                        "outcome": outcome, **{k: agg[k] for k in ("uu", "ud", "du", "dd")}})
-    return ds
 
 
 def _load_clicks(path):

@@ -29,11 +29,6 @@ GAMMA_2 = 2.0 * GAMMA_1
 FIBRE_SPEED = 2.0 * C_LIGHT / 3.0
 
 
-def thermal_sigma(omega: float, temperature: float, mass: float = M_RB87) -> float:
-    """1D position standard deviation of a thermal harmonic oscillator."""
-    return float(np.sqrt(K_B * temperature / (mass * omega**2)))
-
-
 def thermal_velocity_sigma(temperature: float, mass: float = M_RB87) -> float:
     """1D velocity standard deviation at thermal equilibrium."""
     return float(np.sqrt(K_B * temperature / mass))

@@ -6,8 +6,9 @@ accumulates the Zeeman phase phi of the local field.  The bias, the noise
 and the vector-light-shift field all lie along the quantization axis, so a
 trajectory's unitary is diag(exp(-i m phi)) over m = (-1, 0, +1).  Averaging
 over trajectories gives a completely positive trace-preserving qutrit
-channel, stored as a superoperator acting on row-major vectorized density
-matrices; its only nonzero entries are s4[i, k, i, k] = E[exp(-i (m_i - m_k) phi)].
+channel that multiplies each density-matrix entry by a number,
+rho[i, k] -> c[i, k] rho[i, k] with c[i, k] = E[exp(-i (m_i - m_k) phi)]
+(a Schur multiplier); the 3x3 coherence matrix c is all that is stored.
 
 Reproducibility contract: trajectory k draws from a Philox stream keyed by
 (seed, k), the quasi-static noise is a deterministic stratified normal grid
@@ -49,57 +50,31 @@ _SIGMA_Z[_DOWN, _DOWN] = -1.0
 
 @dataclass(frozen=True)
 class QutritChannel:
-    """CPTP map on the memory qutrit, stored as a 9x9 superoperator."""
+    """Dephasing map on the memory qutrit: rho[i, k] -> coherence[i, k] rho[i, k]."""
 
-    superop: np.ndarray
+    coherence: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.superop, dtype=complex)
-        if s.shape != (9, 9):
-            raise ValueError("superoperator must be 9x9")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "superop", s)
-
-    @classmethod
-    def identity(cls) -> "QutritChannel":
-        eye = np.eye(3, dtype=complex)
-        return cls(np.einsum("ij,kl->ikjl", eye, eye).reshape(9, 9))
-
-    @property
-    def s4(self) -> np.ndarray:
-        return self.superop.reshape(3, 3, 3, 3)
+        c = np.array(self.coherence, dtype=complex)
+        if c.shape != (3, 3):
+            raise ValueError("coherence matrix must be 3x3")
+        c.setflags(write=False)
+        object.__setattr__(self, "coherence", c)
 
     def apply_to_subsystem(self, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
         dims = rho.spec.subsystem_dims
         if subsystem < 0 or subsystem >= len(dims) or dims[subsystem] != 3:
             raise ValueError("subsystem must index a qutrit")
-        n = len(dims)
-        t = rho.matrix.reshape(dims + dims)
-        letters = "abcdefgh"
-        ket = list(letters[:n])
-        bra = list(letters[n : 2 * n])
-        ket_out = ket.copy()
-        bra_out = bra.copy()
-        ket_out[subsystem] = "y"
-        bra_out[subsystem] = "z"
-        sub = (
-            "yz" + ket[subsystem] + bra[subsystem] + ","
-            + "".join(ket + bra) + "->" + "".join(ket_out + bra_out)
-        )
-        out = np.einsum(sub, self.s4, t).reshape(rho.matrix.shape)
+        # broadcast c over the ket and bra axes of the subsystem
+        shape = [1] * (2 * len(dims))
+        shape[subsystem] = shape[len(dims) + subsystem] = 3
+        out = (rho.matrix.reshape(dims + dims) * self.coherence.reshape(shape)
+               ).reshape(rho.matrix.shape)
         return DensityMatrix(rho.spec, (out + out.conj().T) / 2.0)
-
-    def choi(self) -> np.ndarray:
-        return self.s4.transpose(0, 2, 1, 3).reshape(9, 9)
-
-    def trace_preservation_error(self) -> float:
-        reduced = np.einsum("iijl->jl", self.s4)
-        return float(np.max(np.abs(reduced - np.eye(3))))
 
     def coherence_amplitude(self) -> complex:
         """Survival amplitude of the |up><down| memory coherence."""
-        return complex(self.s4[_UP, _DOWN, _UP, _DOWN])
+        return complex(self.coherence[_UP, _DOWN])
 
     def visibility(self) -> float:
         return float(abs(self.coherence_amplitude()))
@@ -116,7 +91,7 @@ class DephasingChannelFamily:
     """
 
     times: np.ndarray
-    superops: np.ndarray          # (T, 9, 9)
+    coherences: np.ndarray        # (T, 3, 3)
     meta: dict = field(default_factory=dict)
 
     def _index_of(self, t: float) -> int:
@@ -126,17 +101,16 @@ class DephasingChannelFamily:
         return idx
 
     def channel_at(self, t: float) -> QutritChannel:
-        return QutritChannel(self.superops[self._index_of(t)])
+        return QutritChannel(self.coherences[self._index_of(t)])
 
     def rotating_channel_at(self, t: float) -> QutritChannel:
         idx = self._index_of(t)
         bias_phase = OMEGA_PER_GAUSS * self.meta.get("bias_field", 0.0) * self.times[idx]
-        undo = np.exp(1j * np.subtract.outer(_M, _M) * bias_phase).reshape(9, 1)
-        return QutritChannel(undo * self.superops[idx])
+        undo = np.exp(1j * np.subtract.outer(_M, _M) * bias_phase)
+        return QutritChannel(undo * self.coherences[idx])
 
     def envelope(self) -> np.ndarray:
-        s4 = self.superops.reshape(-1, 3, 3, 3, 3)
-        return np.abs(s4[:, _UP, _DOWN, _UP, _DOWN])
+        return np.abs(self.coherences[:, _UP, _DOWN])
 
     def expectation_curve(self, basis: str) -> np.ndarray:
         rho0, op = {
@@ -144,12 +118,8 @@ class DephasingChannelFamily:
             "Y": (np.outer(_UP_Y, _UP_Y.conj()), _SIGMA_Y),
             "Z": (np.diag([0.0, 0.0, 1.0]).astype(complex), _SIGMA_Z),
         }[basis.upper()]
-        out = np.empty(len(self.times))
-        vec = rho0.reshape(9)
-        for i, s in enumerate(self.superops):
-            rho_t = (s @ vec).reshape(3, 3)
-            out[i] = np.trace(op @ rho_t).real
-        return out
+        # Tr(op rho(t)) with rho(t) = c(t) * rho0 entrywise
+        return np.einsum("ij,tji->t", op, self.coherences * rho0).real
 
 
 @dataclass(frozen=True)
@@ -265,12 +235,9 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     for p in partials[1:]:
         total = total + p
     e1, e2 = (total / n_trajectories).T
-    mean_phase = {0: 1.0, 1: e1, 2: e2, -1: e1.conj(), -2: e2.conj()}
-    s4 = np.zeros((len(times), 3, 3, 3, 3), dtype=complex)
-    for i in range(3):
-        for k in range(3):
-            s4[:, i, k, i, k] = mean_phase[_M[i] - _M[k]]
-    superops = s4.reshape(len(times), 9, 9)
+    # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]
+    moments = np.stack([e2.conj(), e1.conj(), np.ones_like(e1), e1, e2], axis=1)
+    coherences = moments[:, np.subtract.outer(_M, _M) + 2]
     meta = {
         "temperature": temperature,
         "n_trajectories": n_trajectories,
@@ -280,7 +247,7 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "chunk_size": chunk_size,
         "bias_field": env.bias_field,
     }
-    return DephasingChannelFamily(times, superops, meta)
+    return DephasingChannelFamily(times, coherences, meta)
 
 
 def dephasing_channel(trap: TrapParams, env: FieldEnvironment, temperature: float,

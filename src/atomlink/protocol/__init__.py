@@ -14,7 +14,6 @@ from .rates import (
     heralding_delay,
     repetition_rate,
     sbr_model,
-    snapped_readout_time,
     success_probability,
     success_probability_report,
     simulate_occupancy,
@@ -26,7 +25,7 @@ __all__ = [
     "LinkScenario", "NodeConfig", "SequenceConfig", "PRESETS", "config_hash",
     "load_scenario", "preset", "save_scenario",
     "duty_cycle", "event_rate", "heralding_delay", "repetition_rate",
-    "sbr_model", "snapped_readout_time", "success_probability",
+    "sbr_model", "success_probability",
     "success_probability_report", "simulate_occupancy",
     "fidelity_vs_length", "HeraldedEvent", "RunResult", "run_sequence",
 ]

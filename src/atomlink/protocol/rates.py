@@ -4,7 +4,7 @@ import numpy as np
 
 from ..photonics import link_transmission, window_capture_probability
 from ..photonics.fibre import propagation_delay
-from .scenario import LinkScenario, NodeConfig, SequenceConfig
+from .scenario import LinkScenario, SequenceConfig
 
 
 def node_detection_efficiency(scenario: LinkScenario, node_index: int) -> float:
@@ -47,17 +47,6 @@ def repetition_rate(scenario: LinkScenario) -> float:
 def heralding_delay(scenario: LinkScenario, node_index: int) -> float:
     """Signalling time of the herald back to one node, L_i / (2c/3)."""
     return propagation_delay(scenario.links()[node_index])
-
-
-def snapped_readout_time(node: NodeConfig, lower_bound: float) -> float:
-    """Smallest multiple of the trap oscillation period at or above the bound.
-
-    High-fidelity readout is only possible when the atom has completed full
-    oscillations, so generated scenarios snap their readout times up.
-    """
-    period = node.trap_oscillation_period
-    n = max(1, int(np.ceil(lower_bound / period - 1e-9)))
-    return n * period
 
 
 def simulate_occupancy(sequence: SequenceConfig, duration: float = 3600.0,

@@ -54,7 +54,6 @@ class NodeConfig:
     name: str = "node1"
     collection_efficiency: float = CAL_COLLECTION_EFFICIENCY
     sync_jitter_sigma: float = 150e-12
-    trap_oscillation_period: float = 14.3e-6
     trap: TrapParams = field(default_factory=TrapParams)
     temperature: float = 50e-6
     field_env: FieldEnvironment = field(default_factory=FieldEnvironment)
@@ -74,7 +73,6 @@ class NodeConfig:
 def _default_node2() -> NodeConfig:
     return NodeConfig(
         name="node2",
-        trap_oscillation_period=17.8e-6,
         trap=TrapParams(trap_depth_u0=NODE2_TRAP_DEPTH),
         qfc=QfcParams(background_rate=170.0),
         atom_photon_visibility=0.911,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import quantum
-from ..analysis import CorrelationDataset
+from ..analysis import CorrelationDataset, dataset_from_records
 from ..memory import dephasing_channel_family
 from ..photonics import (
     CoincidenceClass,
@@ -129,7 +129,13 @@ class RunResult:
 
 
 class _SequenceClock:
-    """Converts live-try indices to wall time through the block structure."""
+    """Converts live-try indices to wall time through the block structure.
+
+    A block holds ``tries_per_block`` live tries in bursts of
+    ``tries_per_cooling_block``, each burst followed by cooling, and ends in
+    a presence check.  A trap found empty at the check is reloaded, and the
+    block pauses for the longest reload among its empty traps.
+    """
 
     def __init__(self, scenario: LinkScenario, rng: np.random.Generator):
         self.seq = scenario.sequence
@@ -140,37 +146,30 @@ class _SequenceClock:
             self.seq.tries_per_cooling_block,
             int(self.seq.block_period / burst) * self.seq.tries_per_cooling_block,
         )
+        elapsed = self.seq.block_period + self.seq.presence_check_duration
+        self.p_survive = np.exp(-elapsed / self.seq.trap_lifetime)
         self.wall = 0.0
         self.tries_in_block = 0
         self.dead_time = 0.0
 
     def advance(self, k: int) -> float:
         """Advance k live tries; returns the wall time of the last one."""
-        per_burst = self.seq.tries_per_cooling_block
-        while k > 0:
-            room = self.tries_per_block - self.tries_in_block
-            m = min(k, room)
-            q0 = self.tries_in_block
-            q1 = q0 + m
-            self.wall += m * self.period
-            self.wall += (q1 // per_burst - q0 // per_burst) * self.seq.cooling_duration
-            self.tries_in_block = q1
-            k -= m
-            if self.tries_in_block >= self.tries_per_block:
-                self._presence_check()
+        seq = self.seq
+        per_burst = seq.tries_per_cooling_block
+        q0 = self.tries_in_block
+        # blocks hold whole bursts, so the burst count needs no block split
+        blocks, self.tries_in_block = divmod(q0 + k, self.tries_per_block)
+        self.wall += k * self.period
+        self.wall += ((q0 + k) // per_burst - q0 // per_burst) * seq.cooling_duration
+        if blocks:
+            self.wall += blocks * seq.presence_check_duration
+            lost = self.rng.random((blocks, 2)) > self.p_survive
+            reload = np.zeros((blocks, 2))
+            reload[lost] = seq.loading_time * self.rng.uniform(0.4, 1.6, int(lost.sum()))
+            pause = float(reload.max(axis=1).sum())
+            self.wall += pause
+            self.dead_time += pause
         return self.wall
-
-    def _presence_check(self):
-        self.tries_in_block = 0
-        self.wall += self.seq.presence_check_duration
-        elapsed = self.seq.block_period + self.seq.presence_check_duration
-        p_survive = np.exp(-elapsed / self.seq.trap_lifetime)
-        pause = 0.0
-        for _ in range(2):
-            if self.rng.random() > p_survive:
-                pause = max(pause, self.seq.loading_time * self.rng.uniform(0.4, 1.6))
-        self.wall += pause
-        self.dead_time += pause
 
 
 def _werner_atom_photon(visibility: float) -> DensityMatrix:
@@ -187,19 +186,10 @@ def _random_small_rotation(rng: np.random.Generator, mean_error: float) -> np.nd
     return rotation_su2(axis, theta)
 
 
-_MIXED_PAIR = None
-
-
 def _mixed_qubit_pair() -> DensityMatrix:
     """Maximally mixed two-qubit state embedded in the qutrit pair."""
-    global _MIXED_PAIR
-    if _MIXED_PAIR is None:
-        m = np.zeros((9, 9), dtype=complex)
-        for i in (0, 2):
-            for j in (0, 2):
-                m[i * 3 + j, i * 3 + j] = 0.25
-        _MIXED_PAIR = DensityMatrix(HilbertSpec([3, 3]), m)
-    return _MIXED_PAIR
+    qubit = np.diag([0.5, 0.0, 0.5]).astype(complex)
+    return DensityMatrix(HilbertSpec([3, 3]), np.kron(qubit, qubit))
 
 
 def run_sequence(scenario: LinkScenario, schedule="three-basis",
@@ -262,11 +252,26 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                                        seed=seed * 2 + i + 1, n_jobs=n_jobs)
         channels.append(fam.rotating_channel_at(round(t, 12)))
 
+    # per-run constants of the event loop; none of them draws random numbers
     bell_targets = {o: atom_bell_state(o) for o in BellOutcome}
+    signal_in = tensor(*(
+        _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
+        for node in scenario.nodes()))
+    mixed_pair = _mixed_qubit_pair()
+    settings = []
+    for alpha, beta, plane in settings_cycle:
+        plane_enum = MeasurementPlane.EQUATOR if plane == "equator" else MeasurementPlane.Z
+        settings.append((alpha, beta, plane,
+                         AtomBasisSetting(alpha, plane_enum), AtomBasisSetting(beta, plane_enum)))
+    lo = scenario.acceptance_offset
+    hi = lo + scenario.acceptance_window
+
+    # click times relative to each photon's nominal arrival
+    def signal_offset(node):
+        return (node.wavepacket.sample_emission_times(1, rng)[0]
+                + rng.normal(0.0, node.sync_jitter_sigma))
 
     events = []
-    dataset = CorrelationDataset()
-    expected = {}
     clicks = []
     n_dnull = 0
     n_dnull_accepted = 0
@@ -282,16 +287,9 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         wall_time = clock.advance(gap)
         branch = branch_names[rng.choice(len(branch_names), p=branch_weights)]
 
-        # click times relative to each photon's nominal arrival
-        def signal_offset(node):
-            return (node.wavepacket.sample_emission_times(1, rng)[0]
-                    + rng.normal(0.0, node.sync_jitter_sigma))
-
         if branch == "dnull":
             pair = sample_pair(CoincidenceClass.D_NULL, rng)
             offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
-            lo = scenario.acceptance_offset
-            hi = lo + scenario.acceptance_window
             accepted = all(lo <= t <= hi for t in offs)
             n_dnull += 1
             n_dnull_accepted += int(accepted)
@@ -309,7 +307,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             offs[sig_node] = signal_offset(scenario.nodes()[sig_node])
             offs[1 - sig_node] = rng.uniform(hw0, hw1)
             origin = "background"
-            rho = _mixed_qubit_pair()
+            rho = mixed_pair
             outcome = _CLASS_TO_OUTCOME[cls]
         else:
             cls = CoincidenceClass.D_PLUS if branch == "dplus" else CoincidenceClass.D_MINUS
@@ -317,11 +315,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             pair = sample_pair(cls, rng)
             offs = [signal_offset(scenario.node1), signal_offset(scenario.node2)]
             origin = "signal"
-            ap1 = _werner_atom_photon(
-                min(1.0, scenario.node1.atom_photon_visibility * scenario.ap_visibility_scale))
-            ap2 = _werner_atom_photon(
-                min(1.0, scenario.node2.atom_photon_visibility * scenario.ap_visibility_scale))
-            rho_in = tensor(ap1, ap2)
+            rho_in = signal_in
             for sub in (1, 3):
                 residual = _random_small_rotation(rng, scenario.polarization_error_mean)
                 rho_in = apply_polarization_error(rho_in, residual, sub)
@@ -329,14 +323,9 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             rho = channels[0].apply_to_subsystem(rho, 0)
             rho = channels[1].apply_to_subsystem(rho, 1)
 
-        lo = scenario.acceptance_offset
-        hi = lo + scenario.acceptance_window
         accepted = all(lo <= t <= hi for t in offs)
-        alpha, beta, plane = settings_cycle[setting_idx % len(settings_cycle)]
+        alpha, beta, plane, s1, s2 = settings[setting_idx % len(settings)]
         setting_idx += 1
-        plane_enum = MeasurementPlane.EQUATOR if plane == "equator" else MeasurementPlane.Z
-        s1 = AtomBasisSetting(alpha, plane_enum)
-        s2 = AtomBasisSetting(beta, plane_enum)
         probs = joint_outcome_probabilities(rho, s1, s2)
         state_fid = fidelity(rho, bell_targets[outcome])
 
@@ -351,14 +340,6 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                 outcome1, outcome2 = "down", "up"
             else:
                 outcome1, outcome2 = "down", "down"
-            if accepted:
-                dataset.add_event(alpha, beta, plane, outcome.value, outcome1, outcome2)
-        if accepted:
-            key = (round(alpha, 12), round(beta, 12), plane, outcome.value)
-            agg = expected.setdefault(key, {"uu": 0.0, "ud": 0.0, "du": 0.0, "dd": 0.0, "n": 0})
-            for k in ("uu", "ud", "du", "dd"):
-                agg[k] += probs[k]
-            agg["n"] += 1
 
         events.append(HeraldedEvent(
             index=herald_count, try_index=try_index, wall_time=wall_time,
@@ -369,21 +350,13 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             probabilities=probs, state_fidelity=state_fid,
             outcome1=outcome1, outcome2=outcome2,
         ))
-        n_heralds_by_class[cls.value] = n_heralds_by_class.get(cls.value, 0) + 1
+        n_heralds_by_class[cls.value] += 1
         if collect_clicks:
             clicks.append(("node1", pair[0], offs[0],
                            "signal" if origin == "signal" else "mixed"))
             clicks.append(("node2", pair[1], offs[1],
                            "signal" if origin == "signal" else "mixed"))
         herald_count += 1
-
-    # density-matrix mode: expected counts form the analysis dataset
-    if mode == "density-matrix":
-        for (alpha, beta, plane, outcome), agg in expected.items():
-            dataset.rows.append({
-                "alpha": alpha, "beta": beta, "plane": plane, "outcome": outcome,
-                "uu": agg["uu"], "ud": agg["ud"], "du": agg["du"], "dd": agg["dd"],
-            })
 
     # subsampled singles stream for detection-time histograms; the flat
     # background is continuous, so it is recorded over a wide span around
@@ -413,7 +386,6 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
 
     n_accepted = sum(1 for e in events if e.accepted)
     sbr = sbr_model(scenario)
-    d_counts = {k: v for k, v in n_heralds_by_class.items() if k in ("DPlus", "DMinus")}
     summary = {
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
@@ -428,7 +400,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         "accepted_fraction": n_accepted / herald_count if herald_count else 0.0,
         "n_dnull": n_dnull,
         "n_dnull_accepted": n_dnull_accepted,
-        "herald_counts": d_counts,
+        "herald_counts": n_heralds_by_class,
         "xi": xi,
         "sbr_model": sbr,
         "model": {
@@ -441,5 +413,6 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         if events else None,
         "dead_time_s": clock.dead_time,
     }
+    dataset = dataset_from_records([e.readout_record() for e in events], mode)
     return RunResult(scenario.name, config_hash(scenario), mode, seed, events,
                      dataset, summary, clicks)

@@ -112,3 +112,30 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def brute_block_clock(gaps, period: float, sequence) -> list[float]:
+    """Wall time after each gap of live tries, stepping one try at a time.
+
+    Every try takes one period; each ``tries_per_cooling_block`` tries are
+    followed by cooling, and a block of as many whole bursts as fit in
+    ``block_period`` (at least one) by a presence check.  No trap is ever
+    lost, so there are no reload pauses.
+    """
+    per_burst = sequence.tries_per_cooling_block
+    burst = per_burst * period + sequence.cooling_duration
+    tries_per_block = per_burst * max(1, int(sequence.block_period / burst))
+    wall = 0.0
+    q = 0
+    walls = []
+    for gap in gaps:
+        for _ in range(int(gap)):
+            wall += period
+            q += 1
+            if q % per_burst == 0:
+                wall += sequence.cooling_duration
+            if q == tries_per_block:
+                wall += sequence.presence_check_duration
+                q = 0
+        walls.append(wall)
+    return walls

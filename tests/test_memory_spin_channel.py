@@ -15,10 +15,28 @@ from atomlink.memory import (
     spin1_matrices,
 )
 from atomlink.memory.fields import fictitious_field_y
-from atomlink.quantum import BellOutcome, atom_bell_state, fidelity
+from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_state, fidelity
+
+from oracles import random_density_matrix
 
 TRAP = TrapParams()
 QUIET = FieldEnvironment(shot_noise_sigma=0.0, fictitious_field_scale=0.0)
+
+
+def _pinned_unitaries(env, t, n_traj):
+    """Spin-1 unitaries of a pinned atom in each stratified static field.
+
+    At vanishing temperature the atom sits at the focus and the fictitious
+    term is zero, so trajectory k precesses in the static field b + sigma z_k
+    of its stratified noise sample; each unitary is built column by column
+    by the general spin-1 evolution along the quantization axis F3.
+    """
+    n = int(round(t / 1e-7))
+    z = ndtri((np.arange(n_traj) + 0.5) / n_traj)
+    return [np.stack([evolve_spin1(start, np.tile([0.0, 0.0, b], (n, 1)),
+                                   1e-7).spin_states[-1]
+                      for start in np.eye(3, dtype=complex)], axis=1)
+            for b in env.bias_field + env.shot_noise_sigma * z]
 
 
 class TestSpinMatrices:
@@ -109,14 +127,15 @@ class TestLocalField:
 class TestDephasingChannel:
     def test_zero_time_is_identity(self):
         ch = dephasing_channel(TRAP, QUIET, 50e-6, 0.0, 200, seed=4)
-        assert np.allclose(ch.superop, np.einsum(
-            "ij,kl->ikjl", np.eye(3), np.eye(3)).reshape(9, 9), atol=1e-12)
+        assert np.allclose(ch.coherence, np.ones((3, 3)), atol=1e-12)
 
     def test_trace_preserving_and_cp(self):
         env = FieldEnvironment()
         ch = dephasing_channel(TRAP, env, 50e-6, 20e-6, 300, seed=8)
-        assert ch.trace_preservation_error() < 1e-9
-        eigs = np.linalg.eigvalsh(ch.choi())
+        # a Schur multiplier preserves the trace iff its diagonal is one, and
+        # it is CP iff its coherence matrix (its Choi matrix) is PSD
+        assert np.max(np.abs(np.diag(ch.coherence) - 1.0)) < 1e-9
+        eigs = np.linalg.eigvalsh(ch.coherence)
         assert eigs.min() > -1e-10
 
     def test_pure_bias_keeps_visibility(self):
@@ -126,26 +145,39 @@ class TestDephasingChannel:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5e-3])
     def test_matches_single_spin_evolution_for_pinned_atom(self, sigma):
-        # at vanishing temperature the atom sits at the focus and the
-        # fictitious term is zero, so trajectory k precesses in the static
-        # field b + sigma z_k of its stratified noise sample; the channel
-        # must be the mean of those rotations, built by the general spin-1
-        # evolution along the quantization axis F3
+        # the channel must be the mean of the pinned atom's rotations; the
+        # reference superoperator s4[i, k, j, l] = E[U_ij U*_kl] is zero
+        # outside s4[i, k, i, k], which holds the coherence matrix
         t = 20e-6
         n_traj = 150
         env = FieldEnvironment(shot_noise_sigma=sigma, fictitious_field_scale=0.0)
         ch = dephasing_channel(TRAP, env, 1e-15, t, n_traj, seed=2)
-        n = int(round(t / 1e-7))
-        z = ndtri((np.arange(n_traj) + 0.5) / n_traj)
-        expected = np.zeros((9, 9), dtype=complex)
-        for b in env.bias_field + sigma * z:
-            # reconstruct the unitary column by column
-            u = np.stack([evolve_spin1(start, np.tile([0.0, 0.0, b], (n, 1)),
-                                       1e-7).spin_states[-1]
-                          for start in np.eye(3, dtype=complex)], axis=1)
-            expected += np.einsum("ij,kl->ikjl", u, u.conj()).reshape(9, 9)
+        s4 = np.mean([np.einsum("ij,kl->ikjl", u, u.conj())
+                      for u in _pinned_unitaries(env, t, n_traj)], axis=0)
+        i, k = np.indices((3, 3))
+        outside = s4.copy()
+        outside[i, k, i, k] = 0.0
+        assert np.max(np.abs(outside)) < 1e-12
+        assert np.max(np.abs(ch.coherence - s4[i, k, i, k])) < 1e-12
+
+    @pytest.mark.parametrize("subsystem", [0, 2])
+    def test_apply_matches_lifted_unitaries(self, subsystem):
+        # on a random qutrit-qubit-qutrit state the channel acts on one
+        # qutrit as the mean of U rho U^dagger over the trajectories
+        t = 20e-6
+        n_traj = 120
+        env = FieldEnvironment(shot_noise_sigma=0.5e-3, fictitious_field_scale=0.0)
+        ch = dephasing_channel(TRAP, env, 1e-15, t, n_traj, seed=5)
+        rho = random_density_matrix(np.random.default_rng(13), 18)
+        expected = np.zeros((18, 18), dtype=complex)
+        for u in _pinned_unitaries(env, t, n_traj):
+            ops = [np.eye(3), np.eye(2), np.eye(3)]
+            ops[subsystem] = u
+            lifted = np.kron(np.kron(ops[0], ops[1]), ops[2])
+            expected += lifted @ rho @ lifted.conj().T
         expected /= n_traj
-        assert np.max(np.abs(ch.superop - expected)) < 1e-12
+        out = ch.apply_to_subsystem(DensityMatrix(HilbertSpec([3, 2, 3]), rho), subsystem)
+        assert np.max(np.abs(out.matrix - expected)) < 1e-12
 
     def test_gaussian_dephasing_oracle(self):
         # quasi-static gaussian noise along the quantization axis dephases
@@ -166,9 +198,9 @@ class TestDephasingChannel:
         times = np.round([0.0, 10e-6, 25e-6], 12)
         a = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=1)
         b = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=3)
-        assert np.array_equal(a.superops, b.superops)
+        assert np.array_equal(a.coherences, b.coherences)
         c = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=1)
-        assert np.array_equal(a.superops, c.superops)
+        assert np.array_equal(a.coherences, c.coherences)
 
     def test_monte_carlo_convergence(self):
         env = FieldEnvironment()

@@ -1,10 +1,15 @@
 """Discrete-event run tests: determinism, statistics, mode consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from atomlink.analysis import correlation_probability, three_basis_summary
 from atomlink.protocol import event_rate, preset, repetition_rate, run_sequence
+from atomlink.protocol.sequence import _SequenceClock
+
+import oracles
 
 N_TRAJ = 600   # keep unit tests quick; the acceptance suite uses full counts
 
@@ -80,6 +85,43 @@ class TestEventStatistics:
         counts = list(settings.values())
         assert len(counts) == 6
         assert max(counts) - min(counts) <= 1
+
+
+def _with_lifetime(name, trap_lifetime):
+    s = preset(name)
+    return replace(s, sequence=replace(s.sequence, trap_lifetime=trap_lifetime))
+
+
+class TestBlockClock:
+    @pytest.mark.parametrize("name", ["l6", "l33"])
+    def test_matches_per_try_oracle_without_losses(self, name):
+        s = _with_lifetime(name, 1e300)
+        clock = _SequenceClock(s, np.random.default_rng(4))
+        # gaps of about three blocks, so one advance often crosses several
+        gaps = np.random.default_rng(7).geometric(1.0 / (3 * clock.tries_per_block), size=150)
+        walls = np.array([clock.advance(int(g)) for g in gaps])
+        expected = np.array(oracles.brute_block_clock(gaps, 1.0 / repetition_rate(s),
+                                                      s.sequence))
+        assert np.max(np.abs(walls / expected - 1.0)) <= 1e-9
+        assert clock.dead_time == 0.0
+
+    def test_mean_dead_time_per_block(self):
+        # a block pauses for one reload, U(0.4, 1.6) in units of the loading
+        # time, if one trap was lost, and for the longer of two (mean 1.2)
+        # if both were
+        s = _with_lifetime("l6", 1.0)
+        seq = s.sequence
+        clock = _SequenceClock(s, np.random.default_rng(12))
+        per_call, calls = 10, 3000
+        pauses = []
+        for _ in range(calls):
+            before = clock.dead_time
+            clock.advance(per_call * clock.tries_per_block)
+            pauses.append((clock.dead_time - before) / per_call)
+        q = 1.0 - np.exp(-(seq.block_period + seq.presence_check_duration) / seq.trap_lifetime)
+        expected = seq.loading_time * (2 * q * (1 - q) * 1.0 + q**2 * 1.2)
+        se = np.std(pauses) / np.sqrt(calls)
+        assert abs(np.mean(pauses) - expected) < 4 * se
 
 
 class TestStateQuality:
