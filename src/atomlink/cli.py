@@ -16,9 +16,11 @@ from . import __version__
 from .analysis import (
     DetectionHistogram,
     chsh_from_dataset,
+    correlation_probability,
     fringe_visibility_summary,
     interference_contrast,
     sbr,
+    statistical_error,
     three_basis_summary,
 )
 from .analysis import dataset_from_records as _dataset_from_records
@@ -218,6 +220,8 @@ def cmd_analyze(args) -> int:
     _check_overwrite(report_path, args.force)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()] \
         if args.estimators else []
+    if args.fringe_csv and "fringe" in estimators:
+        _check_overwrite(args.fringe_csv, args.force)
 
     header, records = _load_events(args.events)
     chash = header.get("config_hash")
@@ -297,14 +301,12 @@ def cmd_analyze(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
 
     if "fringe" in report["estimators"] and args.fringe_csv:
-        _check_overwrite(args.fringe_csv, args.force)
         with open(args.fringe_csv, "w", newline="") as fh:
             fh.write(f"# config_hash={chash}\n")
             w = csv.writer(fh)
             w.writerow(["outcome", "beta_deg", "alpha_deg", "p_corr", "sigma"])
             for outcome in ("PsiMinus", "PsiPlus"):
                 for row in dataset.settings(outcome=outcome, plane="equator"):
-                    from .analysis import correlation_probability, statistical_error
                     p, _ = correlation_probability(row)
                     w.writerow([outcome, f"{np.degrees(row.beta):.1f}",
                                 f"{np.degrees(row.alpha):.1f}", f"{p:.6f}",
@@ -318,6 +320,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dephasing(args) -> int:
+    if not args.dt > 0.0:
+        raise CliError(f"--dt must be positive, got {args.dt!r}", EXIT_CONFIG)
     scenario = _resolve_scenario(args)
     node = scenario.nodes()[args.node - 1]
     out = _out_dir(args)
@@ -354,15 +358,17 @@ def cmd_dephasing(args) -> int:
 
 def cmd_rates(args) -> int:
     names = [n.strip() for n in args.presets.split(",") if n.strip()]
+    if not names:
+        raise CliError(f"--presets names no preset: {args.presets!r}", EXIT_CONFIG)
+    try:
+        scenarios = [preset(name) for name in names]
+    except KeyError as exc:
+        raise CliError(str(exc), EXIT_CONFIG)
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_overwrite(path, args.force)
     rows = []
-    for name in names:
-        try:
-            s = preset(name)
-        except KeyError as exc:
-            raise CliError(str(exc), EXIT_CONFIG)
+    for name, s in zip(names, scenarios):
         rep = repetition_rate(s)
         p_model = success_probability(s)
         duty = duty_cycle(s.sequence, 1.0 / rep, seed=args.seed)
@@ -397,7 +403,7 @@ def cmd_rates(args) -> int:
     if args.fidelity_out:
         fpath = os.path.join(out, args.fidelity_out)
         _check_overwrite(fpath, args.force)
-        table = fidelity_vs_length([preset(n) for n in names],
+        table = fidelity_vs_length(scenarios,
                                    n_trajectories=args.trajectories, seed=args.seed,
                                    n_jobs=args.jobs)
         with open(fpath, "w", newline="") as fh:

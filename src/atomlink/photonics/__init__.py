@@ -14,7 +14,6 @@ from .polarization import (
     FibreUnitary,
     PolarizationState,
     PolarizationController,
-    apply_polarization_error,
     drift_step,
     polarization_control_cycle,
     rotation_su2,
@@ -28,7 +27,7 @@ __all__ = [
     "PhotonWavepacket", "indistinguishability", "window_capture_probability",
     "ClickRecord", "CoincidenceClass", "DetectorParams", "classify_coincidence",
     "coincidence_distribution", "pair_distribution", "DETECTOR_PAIRS",
-    "FibreUnitary", "PolarizationState", "PolarizationController", "apply_polarization_error",
+    "FibreUnitary", "PolarizationState", "PolarizationController",
     "drift_step", "polarization_control_cycle", "rotation_su2",
     "simulate_drift_with_control", "stokes_rotation",
 ]

@@ -10,9 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import quantum
-from ..quantum import DensityMatrix
-
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -253,18 +250,6 @@ def invert_rotation_settings(u: FibreUnitary) -> np.ndarray:
         )
         t1 = 0.0
     return np.array([t1, t2, t3])
-
-
-def apply_polarization_error(rho: DensityMatrix, residual: FibreUnitary | np.ndarray,
-                             photon_subsystem: int) -> DensityMatrix:
-    """Conjugate one photon qubit of rho by the residual Jones unitary."""
-    dims = rho.spec.subsystem_dims
-    if photon_subsystem < 0 or photon_subsystem >= len(dims) or dims[photon_subsystem] != 2:
-        raise ValueError("photon_subsystem must index a qubit")
-    m = residual.matrix if isinstance(residual, FibreUnitary) else np.asarray(residual)
-    lifted = quantum._lift(m, dims, photon_subsystem)
-    out = lifted @ rho.matrix @ lifted.conj().T
-    return DensityMatrix(rho.spec, (out + out.conj().T) / 2.0)
 
 
 def simulate_drift_with_control(drift_rate: float, cadence: float, duration: float,

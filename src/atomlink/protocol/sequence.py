@@ -23,7 +23,7 @@ from ..photonics import (
     window_capture_probability,
 )
 from ..photonics.bsm import sample_pair
-from ..photonics.polarization import apply_polarization_error, rotation_su2
+from ..photonics.polarization import rotation_su2
 from ..quantum import (
     AtomBasisSetting,
     BellOutcome,
@@ -315,11 +315,9 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             pair = sample_pair(cls, rng)
             offs = [signal_offset(scenario.node1), signal_offset(scenario.node2)]
             origin = "signal"
-            rho_in = signal_in
-            for sub in (1, 3):
-                residual = _random_small_rotation(rng, scenario.polarization_error_mean)
-                rho_in = apply_polarization_error(rho_in, residual, sub)
-            _, rho = quantum.swap_with_interference(rho_in, outcome, xi)
+            u1 = _random_small_rotation(rng, scenario.polarization_error_mean)
+            u2 = _random_small_rotation(rng, scenario.polarization_error_mean)
+            _, rho = quantum.swap_with_interference(signal_in, outcome, xi, (u1, u2))
             rho = channels[0].apply_to_subsystem(rho, 0)
             rho = channels[1].apply_to_subsystem(rho, 1)
 

@@ -260,14 +260,37 @@ def atom_bell_state(outcome: BellOutcome) -> StateVector:
     return StateVector(HilbertSpec([3, 3]), amps)
 
 
-def photon_bell_vector(outcome: BellOutcome) -> np.ndarray:
-    """Photonic Bell state (|HV> +/- |VH>)/sqrt2 on the two BSM input modes."""
-    sign = 1.0 if outcome is BellOutcome.PSI_PLUS else -1.0
-    return (np.kron(PHOTON_H, PHOTON_V) + sign * np.kron(PHOTON_V, PHOTON_H)) / np.sqrt(2.0)
-
-
 _AA_SPEC = HilbertSpec([3, 3])
-_APAP_SPEC = HilbertSpec([3, 2, 3, 2])
+
+# photon-pair kets as [photon1, photon2] arrays
+_HV = np.outer(PHOTON_H, PHOTON_V)
+_VH = np.outer(PHOTON_V, PHOTON_H)
+_PHOTON_BELL = {
+    BellOutcome.PSI_PLUS: (_HV + _VH) / np.sqrt(2.0),
+    BellOutcome.PSI_MINUS: (_HV - _VH) / np.sqrt(2.0),
+}
+
+
+def _herald(rho: DensityMatrix, kets: np.ndarray,
+            weights: np.ndarray) -> tuple[float, DensityMatrix]:
+    """Weighted sum of photon-pair projections of a [3,2,3,2] state.
+
+    Contracts the photon pair with every ket k_n of ``kets`` (shape
+    (n, 2, 2)) at weight w_n, which traces the photons out.  Returns the
+    total probability sum_n w_n <k_n|rho|k_n> and the normalized atom-atom
+    state; raises if that probability is zero.
+    """
+    if rho.spec.subsystem_dims != (3, 2, 3, 2):
+        raise ValueError("expected subsystem dims (3, 2, 3, 2)")
+    t = rho.matrix.reshape(3, 2, 3, 2, 3, 2, 3, 2)
+    # indices: atom1 p1 atom2 p2 (ket) ; atom1' p1' atom2' p2' (bra)
+    raw = np.einsum("n,njl,ijklIJKL,nJL->ikIK", weights, kets.conj(), t, kets)
+    raw = raw.reshape(9, 9)
+    prob = float(np.trace(raw).real)
+    if prob < 1e-15:
+        raise ValueError("the herald has zero probability on this input")
+    mat = raw / prob
+    return prob, DensityMatrix(_AA_SPEC, (mat + mat.conj().T) / 2.0)
 
 
 def bell_project(rho: DensityMatrix, outcome: BellOutcome) -> tuple[float, DensityMatrix]:
@@ -276,67 +299,33 @@ def bell_project(rho: DensityMatrix, outcome: BellOutcome) -> tuple[float, Densi
     Returns the outcome probability and the normalized heralded atom-atom
     state.  Raises if the outcome has no support on the input.
     """
-    psi = photon_bell_vector(outcome).reshape(2, 2)
-    t = _reshape_apap(rho)
-    # indices: atom1 p1 atom2 p2 (ket) ; atom1' p1' atom2' p2' (bra)
-    raw = np.einsum("jl,ijklIJKL,JL->ikIK", psi.conj(), t, psi)
-    prob = float(np.trace(raw.reshape(9, 9)).real)
-    if prob < 1e-15:
-        raise ValueError(f"outcome {outcome.value} has zero probability on this input")
-    mat = raw.reshape(9, 9) / prob
-    mat = (mat + mat.conj().T) / 2.0
-    return prob, DensityMatrix(_AA_SPEC, mat)
+    return _herald(rho, _PHOTON_BELL[outcome][None], np.ones(1))
 
 
-def distinguishable_project(rho: DensityMatrix) -> tuple[float, DensityMatrix]:
-    """Herald by one H and one V photon without two-photon interference.
-
-    The photon pair is projected onto |HV><HV| and |VH><VH| incoherently
-    (no cross coherence survives for distinguishable photons).  Returns the
-    total probability of the one-H-one-V pattern and the heralded atom-atom
-    state.
-    """
-    t = _reshape_apap(rho)
-    raw = np.zeros((3, 3, 3, 3), dtype=complex)
-    for ket in (np.kron(PHOTON_H, PHOTON_V), np.kron(PHOTON_V, PHOTON_H)):
-        k = ket.reshape(2, 2)
-        raw += np.einsum("jl,ijklIJKL,JL->ikIK", k.conj(), t, k)
-    prob = float(np.trace(raw.reshape(9, 9)).real)
-    if prob < 1e-15:
-        raise ValueError("one-H-one-V pattern has zero probability on this input")
-    mat = raw.reshape(9, 9) / prob
-    mat = (mat + mat.conj().T) / 2.0
-    return prob, DensityMatrix(_AA_SPEC, mat)
-
-
-def swap_with_interference(rho: DensityMatrix, outcome: BellOutcome,
-                           xi: float) -> tuple[float, DensityMatrix]:
+def swap_with_interference(rho: DensityMatrix, outcome: BellOutcome, xi: float,
+                           residuals: tuple[np.ndarray, np.ndarray]
+                           ) -> tuple[float, DensityMatrix]:
     """Heralded atom-atom state for partial photon indistinguishability xi.
 
     With probability weight xi the herald projects onto the photonic Bell
     state; with weight (1-xi) the photons are distinguishable and an
     unordered (H, V) pair lands in the heralding detector group half the
     time.  Returns the herald probability and the heralded state.
+
+    ``residuals`` are the Jones matrices (u1, u2) the two photons pick up
+    before the BSM.  They are folded into the photon-pair kets instead of
+    acting on ``rho``: projecting (u1 x u2) rho (u1 x u2)^dagger onto a ket
+    k (indexed [photon1, photon2]) is projecting rho onto
+    k' = u1^dagger k conj(u2).  Raises only if the herald has zero
+    probability.
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
-    parts = []
-    if xi > 0.0:
-        p_coh, rho_coh = bell_project(rho, outcome)
-        parts.append((xi * p_coh, rho_coh))
-    if xi < 1.0:
-        p_cl, rho_cl = distinguishable_project(rho)
-        # distinguishable (H,V) pairs split evenly between the D+ and D- groups
-        parts.append(((1.0 - xi) * 0.5 * p_cl, rho_cl))
-    prob = sum(w for w, _ in parts)
-    mat = sum(w * r.matrix for w, r in parts) / prob
-    return float(prob), DensityMatrix(_AA_SPEC, (mat + mat.conj().T) / 2.0)
-
-
-def _reshape_apap(rho: DensityMatrix) -> np.ndarray:
-    if rho.spec.subsystem_dims != (3, 2, 3, 2):
-        raise ValueError("expected subsystem dims (3, 2, 3, 2)")
-    return rho.matrix.reshape(3, 2, 3, 2, 3, 2, 3, 2)
+    u1, u2 = residuals
+    kets = np.stack([_PHOTON_BELL[outcome], _HV, _VH])
+    # distinguishable (H,V) pairs split evenly between the D+ and D- groups
+    weights = np.array([xi, 0.5 * (1.0 - xi), 0.5 * (1.0 - xi)])
+    return _herald(rho, u1.conj().T @ kets @ u2.conj(), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,19 @@ def brute_partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np
     return out
 
 
-def brute_bell_projector(sign: int) -> np.ndarray:
-    """36x36 projector I3 x |psi><psi| x-ordered on (atom1, ph1, atom2, ph2).
-
-    ``sign`` +1 for (HV+VH)/sqrt2, -1 for (HV-VH)/sqrt2.
-    """
+def brute_bell_ket(sign: int) -> np.ndarray:
+    """Photon-pair ket indexed [p1, p2]: (HV+VH)/sqrt2 for +1, (HV-VH)/sqrt2 for -1."""
     psi = np.zeros((2, 2), dtype=complex)
     psi[0, 1] = 1.0 / SQ2
     psi[1, 0] = sign / SQ2
+    return psi
+
+
+def brute_pair_projector(psi: np.ndarray) -> np.ndarray:
+    """36x36 operator I3 x |psi><psi| x-ordered on (atom1, ph1, atom2, ph2).
+
+    ``psi`` is any photon-pair ket as a 2x2 array indexed [p1, p2].
+    """
     proj = np.zeros((36, 36), dtype=complex)
     for a1 in range(3):
         for p1 in range(2):
@@ -74,13 +79,35 @@ def brute_bell_projector(sign: int) -> np.ndarray:
 
 def brute_bell_project(rho36: np.ndarray, sign: int):
     """(probability, heralded 9x9 atom-atom state) via the 36x36 projector."""
-    proj = brute_bell_projector(sign)
+    proj = brute_pair_projector(brute_bell_ket(sign))
     post = proj @ rho36 @ proj.conj().T
     prob = np.trace(post).real
     post = post / prob
     # trace out the photons by explicit index summation
     reduced = brute_partial_trace(post, [3, 2, 3, 2], keep=[0, 2])
     return prob, reduced
+
+
+def brute_swap(rho36: np.ndarray, sign: int, xi: float, u1: np.ndarray, u2: np.ndarray):
+    """(probability, heralded state) of a partially interfering swap, by brute force.
+
+    The residual Jones matrices act on the photons of the 36x36 state first;
+    then the Bell projection (weight xi) and the |HV>, |VH> projections
+    (weight (1-xi)/2 each) are taken one by one, traced out explicitly and
+    summed by weight before normalizing.
+    """
+    i3 = np.eye(3, dtype=complex)
+    lift = np.kron(np.kron(i3, u1), np.kron(i3, u2))
+    rotated = lift @ rho36 @ lift.conj().T
+    hv = np.outer(H, V)
+    parts = ((xi, brute_bell_ket(sign)), ((1.0 - xi) / 2.0, hv), ((1.0 - xi) / 2.0, hv.T))
+    total = np.zeros((9, 9), dtype=complex)
+    for weight, psi in parts:
+        proj = brute_pair_projector(psi)
+        post = proj @ rotated @ proj.conj().T
+        total += weight * brute_partial_trace(post, [3, 2, 3, 2], keep=[0, 2])
+    prob = np.trace(total).real
+    return prob, total / prob
 
 
 def rotation_to_x_basis() -> np.ndarray:
@@ -112,6 +139,12 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random SU(2) matrix [[a, -conj(b)], [b, conj(a)]] from a unit quaternion."""
+    a, b = random_pure_state(rng, 2)
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
 
 def brute_block_clock(gaps, period: float, sequence) -> list[float]:

@@ -143,6 +143,17 @@ class TestAnalyze:
         assert code == 4
         assert ":4:" in capsys.readouterr().err
 
+    def test_fringe_csv_checked_before_report(self, small_run, tmp_path):
+        out = tmp_path / "fringe"
+        fringe_csv = tmp_path / "fringe.csv"
+        fringe_csv.write_text("keep\n")
+        code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
+                       "--estimators", "fringe", "--fringe-csv", str(fringe_csv),
+                       "--out", str(out))
+        assert code == 4
+        assert not (out / "report.json").exists()
+        assert fringe_csv.read_text() == "keep\n"
+
     def test_mixed_hashes_rejected(self, small_run, tmp_path):
         other = tmp_path / "other"
         assert run_cli("simulate", "--preset", "l11", "--events", "20",
@@ -170,6 +181,12 @@ class TestRates:
         l6 = dict(zip(text[0].split(","), text[1].split(",")))
         assert float(l6["repetition_rate_hz"]) == pytest.approx(30.8e3, rel=0.05)
         assert float(l6["success_probability_model"]) == pytest.approx(3.66e-6, rel=0.01)
+
+    @pytest.mark.parametrize("presets", [",", "l6,nope"])
+    def test_bad_presets_write_nothing(self, tmp_path, presets):
+        out = tmp_path / "rates"
+        assert run_cli("rates", "--presets", presets, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -225,6 +242,12 @@ class TestDephasing:
             fh.readline()
             rows = list(csv.DictReader(fh))
         assert all(float(r["envelope"]) > 0.999 for r in rows)
+
+    @pytest.mark.parametrize("dt", ["0", "-1e-6"])
+    def test_nonpositive_dt_is_config_error(self, tmp_path, dt):
+        out = tmp_path / "dephasing"
+        assert run_cli("dephasing", "--preset", "l6", f"--dt={dt}", "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestExportScenario:

@@ -6,7 +6,6 @@ import pytest
 from atomlink.photonics import (
     FibreUnitary,
     PolarizationController,
-    apply_polarization_error,
     drift_step,
     polarization_control_cycle,
     rotation_su2,
@@ -119,33 +118,49 @@ class TestController:
 
 
 class TestApplyError:
+    """Residual Jones matrices folded into the Bell-measurement kets."""
+
+    @staticmethod
+    def swap_input():
+        ap = q.atom_photon_state().density_matrix()
+        return q.tensor(ap, ap)
+
     def test_identity_unchanged(self):
-        rho = q.atom_photon_state().density_matrix()
-        out = apply_polarization_error(rho, FibreUnitary(), photon_subsystem=1)
-        assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
+        rho = self.swap_input()
+        identity = np.eye(2, dtype=complex)
+        for outcome in q.BellOutcome:
+            p, out = q.swap_with_interference(rho, outcome, 1.0, (identity, identity))
+            p_ref, ref = q.bell_project(rho, outcome)
+            assert p == pytest.approx(p_ref, abs=1e-14)
+            assert np.allclose(out.matrix, ref.matrix, atol=1e-14)
 
     def test_trace_preserved(self):
+        # each photon of the ideal input is maximally mixed, so no residual
+        # moves a herald probability off 1/4
         rng = np.random.default_rng(7)
-        rho = q.atom_photon_state().density_matrix()
-        out = apply_polarization_error(rho, random_unitary(rng), 1)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+        rho = self.swap_input()
+        for xi in (0.0, 1.0):
+            for outcome in q.BellOutcome:
+                u1, u2 = random_unitary(rng).matrix, random_unitary(rng).matrix
+                p, out = q.swap_with_interference(rho, outcome, xi, (u1, u2))
+                assert p == pytest.approx(0.25, abs=1e-12)
+                assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_degrades_as_sin_squared(self):
-        # one-sided rotation of a maximally entangled state:
-        # F = cos^2(theta/2) = 1 - sin^2(theta/2) for any rotation axis
-        psi = q.atom_photon_state()
-        rho = psi.density_matrix()
+        # a rotation on one photon before the Bell measurement lands on one
+        # atom of the heralded Bell state: F = cos^2(theta/2) for any axis
+        rho = self.swap_input()
+        identity = np.eye(2, dtype=complex)
         for theta in (0.1, 0.5, 1.2):
             for axis in ((1, 0, 0), (0, 0, 1), (0.3, -0.5, 0.8)):
-                out = apply_polarization_error(rho, rotation_su2(axis, theta), 1)
-                assert q.fidelity(out, psi) == pytest.approx(
-                    1.0 - np.sin(theta / 2.0) ** 2, abs=1e-12
-                )
-
-    def test_invalid_subsystem(self):
-        rho = q.atom_photon_state().density_matrix()
-        with pytest.raises(ValueError):
-            apply_polarization_error(rho, FibreUnitary(), 0)  # qutrit, not photon
+                u = rotation_su2(axis, theta)
+                for residuals in ((u, identity), (identity, u)):
+                    for outcome in q.BellOutcome:
+                        p, out = q.swap_with_interference(rho, outcome, 1.0, residuals)
+                        assert p == pytest.approx(0.25, abs=1e-12)
+                        assert q.fidelity(out, q.atom_bell_state(outcome)) == pytest.approx(
+                            np.cos(theta / 2.0) ** 2, abs=1e-12
+                        )
 
 
 class TestPolarizationState:

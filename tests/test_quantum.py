@@ -17,6 +17,7 @@ from atomlink.quantum import (
 import oracles
 
 RNG = np.random.default_rng(20260809)
+IDENTITY_PAIR = (np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
 
 def ideal_swap_input() -> DensityMatrix:
@@ -193,14 +194,26 @@ class TestBellProject:
 
     def test_swap_with_interference_endpoints(self):
         rho = ideal_swap_input()
-        p1, coh = q.swap_with_interference(rho, BellOutcome.PSI_MINUS, 1.0)
+        p1, coh = q.swap_with_interference(rho, BellOutcome.PSI_MINUS, 1.0, IDENTITY_PAIR)
         _, ref = q.bell_project(rho, BellOutcome.PSI_MINUS)
         assert np.allclose(coh.matrix, ref.matrix, atol=1e-12)
-        p0, cl = q.swap_with_interference(rho, BellOutcome.PSI_MINUS, 0.0)
+        p0, cl = q.swap_with_interference(rho, BellOutcome.PSI_MINUS, 0.0, IDENTITY_PAIR)
         assert p0 == pytest.approx(0.25, abs=1e-12)  # herald rate unchanged
         assert q.fidelity(cl, q.atom_bell_state(BellOutcome.PSI_MINUS)) == pytest.approx(
             0.5, abs=1e-12
         )
+
+    @pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
+    def test_folded_residuals_match_brute_force(self, xi):
+        rng = np.random.default_rng(17)
+        rho = DensityMatrix(HilbertSpec([3, 2, 3, 2]), oracles.random_density_matrix(rng, 36))
+        for _ in range(2):
+            u1, u2 = oracles.random_su2(rng), oracles.random_su2(rng)
+            for outcome, sign in ((BellOutcome.PSI_MINUS, -1), (BellOutcome.PSI_PLUS, +1)):
+                p, aa = q.swap_with_interference(rho, outcome, xi, (u1, u2))
+                p_ref, aa_ref = oracles.brute_swap(rho.matrix, sign, xi, u1, u2)
+                assert p == pytest.approx(p_ref, abs=1e-12)
+                assert np.max(np.abs(aa.matrix - aa_ref)) < 1e-12
 
 
 class TestMeasureAtom:

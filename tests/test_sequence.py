@@ -160,13 +160,20 @@ class TestStateQuality:
             assert e.state_fidelity == pytest.approx(1.0, abs=5e-4)
 
 
+N_MODES = 1600
+
+
+@pytest.fixture(scope="module")
+def mode_runs():
+    """Density-matrix and sampled-clicks l6 runs of the same seed."""
+    return tuple(run_sequence(preset("l6"), schedule="three-basis", target_events=N_MODES,
+                              seed=31, mode=mode, n_trajectories=N_TRAJ)
+                 for mode in ("density-matrix", "sampled-clicks"))
+
+
 class TestModeConsistency:
-    def test_sampled_matches_density_matrix(self):
-        n = 1600
-        dm = run_sequence(preset("l6"), schedule="three-basis", target_events=n,
-                          seed=31, mode="density-matrix", n_trajectories=N_TRAJ)
-        sp = run_sequence(preset("l6"), schedule="three-basis", target_events=n,
-                          seed=31, mode="sampled-clicks", n_trajectories=N_TRAJ)
+    def test_sampled_matches_density_matrix(self, mode_runs):
+        dm, sp = mode_runs
         for row in dm.dataset.settings():
             p_dm, _ = correlation_probability(row)
             counts = sp.dataset.counts(row.alpha, row.beta, row.plane, row.outcome)
@@ -174,15 +181,11 @@ class TestModeConsistency:
             tol = 3.5 * 0.5 / np.sqrt(counts.total())   # per-setting binomial bound
             assert abs(p_dm - p_sp) < tol, (row.alpha, row.beta, row.plane, row.outcome)
 
-    def test_estimator_consistency(self):
-        n = 1600
-        dm = run_sequence(preset("l6"), schedule="three-basis", target_events=n,
-                          seed=31, mode="density-matrix", n_trajectories=N_TRAJ)
-        sp = run_sequence(preset("l6"), schedule="three-basis", target_events=n,
-                          seed=31, mode="sampled-clicks", n_trajectories=N_TRAJ)
+    def test_estimator_consistency(self, mode_runs):
+        dm, sp = mode_runs
         f_dm = three_basis_summary(dm.dataset)["fidelity"]
         f_sp = three_basis_summary(sp.dataset)["fidelity"]
-        assert abs(f_dm - f_sp) < 3.0 / np.sqrt(n)
+        assert abs(f_dm - f_sp) < 3.0 / np.sqrt(N_MODES)
 
 
 class TestValidation:
