@@ -48,6 +48,9 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 EXIT_IO = 4
 
+JOBS_HELP = ("accepted and ignored: the memory Monte Carlo integrates all "
+             "trajectories as one array in a single pass")
+
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -56,9 +59,13 @@ class CliError(Exception):
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("ATOMLINK_OUT", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory; ``_open_output`` creates it on the first write."""
+    return args.out or os.environ.get("ATOMLINK_OUT", ".")
+
+
+def _open_output(path):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline="")
 
 
 def _resolve_scenario(args):
@@ -76,9 +83,18 @@ def _resolve_scenario(args):
         raise CliError(str(exc), EXIT_CONFIG)
 
 
-def _check_overwrite(path, force):
+def _check_output(path, out, force):
+    """Fail before any work if ``path`` exists (without --force) or cannot be made.
+
+    Only the output directory ``out`` is created, on the first write; any
+    other directory in ``path`` must exist already.
+    """
     if os.path.exists(path) and not force:
         raise CliError(f"refusing to overwrite {path} (use --force)", EXIT_IO)
+    parent = os.path.dirname(path) or "."
+    made_later = os.path.normpath(parent) == os.path.normpath(out) and not os.path.exists(parent)
+    if not (made_later or os.path.isdir(parent)):
+        raise CliError(f"cannot write {path}: {parent} is not a directory", EXIT_IO)
 
 
 def _write_manifest(out, args, scenario, extra=None):
@@ -96,7 +112,7 @@ def _write_manifest(out, args, scenario, extra=None):
     if extra:
         manifest.update(extra)
     path = os.path.join(out, "manifest.json")
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path
 
@@ -112,15 +128,14 @@ def cmd_simulate(args) -> int:
     summary_path = os.path.join(out, "summary.json")
     clicks_path = os.path.join(out, "clicks.csv")
     for p in (events_path, summary_path, clicks_path):
-        _check_overwrite(p, args.force)
+        _check_output(p, out, args.force)
 
     result = run_sequence(
         scenario, schedule=args.schedule, target_events=args.events,
         seed=args.seed, mode=args.mode, n_trajectories=args.trajectories,
-        n_jobs=args.jobs,
     )
     chash = result.config_hash
-    with open(events_path, "w") as fh:
+    with _open_output(events_path) as fh:
         header = {"type": "header", "config_hash": chash, "scenario": scenario.name,
                   "mode": args.mode, "seed": args.seed, "schedule": args.schedule}
         fh.write(json.dumps(header) + "\n")
@@ -128,9 +143,9 @@ def cmd_simulate(args) -> int:
             rec = e.readout_record()
             rec["config_hash"] = chash
             fh.write(json.dumps(rec) + "\n")
-    with open(summary_path, "w") as fh:
+    with _open_output(summary_path) as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True, default=float)
-    with open(clicks_path, "w", newline="") as fh:
+    with _open_output(clicks_path) as fh:
         fh.write(f"# config_hash={chash}\n")
         writer = csv.writer(fh)
         writer.writerow(["window", "detector", "timestamp_ns", "origin"])
@@ -217,11 +232,11 @@ def _check_hash(what, other, chash, force):
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     report_path = os.path.join(out, "report.json")
-    _check_overwrite(report_path, args.force)
+    _check_output(report_path, out, args.force)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()] \
         if args.estimators else []
     if args.fringe_csv and "fringe" in estimators:
-        _check_overwrite(args.fringe_csv, args.force)
+        _check_output(args.fringe_csv, out, args.force)
 
     header, records = _load_events(args.events)
     chash = header.get("config_hash")
@@ -297,11 +312,11 @@ def cmd_analyze(args) -> int:
         except (ValueError, KeyError) as exc:
             report["estimators"][name] = {"error": str(exc)}
 
-    with open(report_path, "w") as fh:
+    with _open_output(report_path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
 
     if "fringe" in report["estimators"] and args.fringe_csv:
-        with open(args.fringe_csv, "w", newline="") as fh:
+        with _open_output(args.fringe_csv) as fh:
             fh.write(f"# config_hash={chash}\n")
             w = csv.writer(fh)
             w.writerow(["outcome", "beta_deg", "alpha_deg", "p_corr", "sigma"])
@@ -322,11 +337,13 @@ def cmd_analyze(args) -> int:
 def cmd_dephasing(args) -> int:
     if not args.dt > 0.0:
         raise CliError(f"--dt must be positive, got {args.dt!r}", EXIT_CONFIG)
+    if not args.t_max >= 0.0:
+        raise CliError(f"--t-max must be >= 0, got {args.t_max!r}", EXIT_CONFIG)
     scenario = _resolve_scenario(args)
     node = scenario.nodes()[args.node - 1]
     out = _out_dir(args)
     path = os.path.join(out, args.output)
-    _check_overwrite(path, args.force)
+    _check_output(path, out, args.force)
     env = node.field_env
     if args.sigma_mg is not None:
         env = env.replace(shot_noise_sigma=args.sigma_mg * 1e-3)
@@ -335,10 +352,9 @@ def cmd_dephasing(args) -> int:
     times = np.round(np.arange(0.0, args.t_max + args.dt / 2, args.dt), 12)
     family = dephasing_channel_family(
         node.trap, env, node.temperature, times, args.trajectories, seed=args.seed,
-        n_jobs=args.jobs,
     )
     ce = coherence_envelope(family)
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(f"# config_hash={config_hash(scenario)}\n")
         w = csv.writer(fh)
         w.writerow(["time_us", "basis", "expectation", "envelope"])
@@ -366,7 +382,11 @@ def cmd_rates(args) -> int:
         raise CliError(str(exc), EXIT_CONFIG)
     out = _out_dir(args)
     path = os.path.join(out, args.output)
-    _check_overwrite(path, args.force)
+    _check_output(path, out, args.force)
+    fpath = None
+    if args.fidelity_out:
+        fpath = os.path.join(out, args.fidelity_out)
+        _check_output(fpath, out, args.force)
     rows = []
     for name, s in zip(names, scenarios):
         rep = repetition_rate(s)
@@ -394,19 +414,16 @@ def cmd_rates(args) -> int:
             "sbr_coincidence_model": sb["coincidence"],
             "acceptance_fraction_model": window_capture(s, 0) * window_capture(s, 1),
         })
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         for r in rows:
             w.writerow(r)
     print(f"wrote rate budget to {path}")
-    if args.fidelity_out:
-        fpath = os.path.join(out, args.fidelity_out)
-        _check_overwrite(fpath, args.force)
+    if fpath:
         table = fidelity_vs_length(scenarios,
-                                   n_trajectories=args.trajectories, seed=args.seed,
-                                   n_jobs=args.jobs)
-        with open(fpath, "w", newline="") as fh:
+                                   n_trajectories=args.trajectories, seed=args.seed)
+        with _open_output(fpath) as fh:
             w = csv.DictWriter(fh, fieldnames=list(table[0]))
             w.writeheader()
             for r in table:
@@ -431,7 +448,7 @@ def cmd_calibrate(args) -> int:
             raise CliError(f"targets file is not valid JSON: {exc}", EXIT_CONFIG)
     out = _out_dir(args)
     path = os.path.join(out, args.output)
-    _check_overwrite(path, args.force)
+    _check_output(path, out, args.force)
     try:
         result = calibrate(targets)
     except (ValueError, KeyError) as exc:
@@ -445,7 +462,7 @@ def cmd_calibrate(args) -> int:
         "notes": result.notes,
         "targets": targets or DEFAULT_TARGETS,
     }
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
     print(f"wrote calibration to {path} (converged={result.converged})")
     if not result.converged:
@@ -474,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory "
                         "(default $ATOMLINK_OUT or .)")
         sp.add_argument("--force", action="store_true", help="overwrite outputs")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     sim = sub.add_parser("simulate", help="run the event simulation")
     add_common(sim)
@@ -519,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--seed", type=int, default=1)
     rat.add_argument("--out", default=None)
     rat.add_argument("--force", action="store_true")
-    rat.add_argument("--jobs", type=int, default=1)
+    rat.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     rat.set_defaults(func=cmd_rates)
 
     cal = sub.add_parser("calibrate", help="fit model constants to targets")
@@ -542,8 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_export_scenario(args) -> int:
     out = _out_dir(args)
     path = os.path.join(out, args.output)
-    _check_overwrite(path, args.force)
+    _check_output(path, out, args.force)
     try:
+        os.makedirs(out, exist_ok=True)
         save_scenario(preset(args.preset), path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
@@ -562,6 +580,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

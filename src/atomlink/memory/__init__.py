@@ -1,11 +1,5 @@
-from .trap import (
-    AtomInitialCondition,
-    TrapParams,
-    propagate_trajectory,
-    sample_initial_conditions,
-)
+from .trap import TrapParams
 from .fields import FieldEnvironment
-from .spin import SpinTrajectoryResult, evolve_spin1, spin1_matrices
 from .channel import (
     CoherenceEnvelope,
     DephasingChannelFamily,
@@ -16,9 +10,7 @@ from .channel import (
 )
 
 __all__ = [
-    "AtomInitialCondition", "TrapParams", "propagate_trajectory",
-    "sample_initial_conditions", "FieldEnvironment",
-    "SpinTrajectoryResult", "evolve_spin1", "spin1_matrices",
+    "TrapParams", "FieldEnvironment",
     "CoherenceEnvelope", "DephasingChannelFamily", "QutritChannel",
     "coherence_envelope", "dephasing_channel", "dephasing_channel_family",
 ]

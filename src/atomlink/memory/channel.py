@@ -12,11 +12,10 @@ rho[i, k] -> c[i, k] rho[i, k] with c[i, k] = E[exp(-i (m_i - m_k) phi)]
 
 Reproducibility contract: trajectory k draws from a Philox stream keyed by
 (seed, k), the quasi-static noise is a deterministic stratified normal grid
-over the trajectory index, and chunked reduction uses a fixed chunk size, so
-results are bit-identical for any worker count.
+over the trajectory index, and all trajectories are integrated and summed as
+one array in a single pass, so the same arguments give bit-identical results.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,64 +148,23 @@ class CoherenceEnvelope:
         return float(t0 + (v0 - target) / (v0 - v1) * (t1 - t0))
 
 
-def _trajectory_seeds(seed: int, indices: np.ndarray):
-    for idx in indices:
-        yield np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(idx)]))
-
-
-def _chunk_phase_sums(trap, env, temperature, indices, n_total, seed,
-                      sample_steps, n_steps, spin_dt, substeps):
-    """Sums of exp(-i phi) and exp(-2i phi) over one trajectory chunk at every sample."""
-    c = len(indices)
-    sig_pos, sig_v = thermal_sigmas(trap, temperature)
-    pos = np.empty((c, 3))
-    vel = np.empty((c, 3))
-    for row, gen in enumerate(_trajectory_seeds(seed, indices)):
-        z = gen.normal(size=6)
-        pos[row] = z[:3] * sig_pos
-        vel[row] = z[3:] * sig_v
-    # stratified quasi-static noise over the global trajectory index
-    field = env.bias_field + env.shot_noise_sigma * ndtri((indices + 0.5) / n_total)
-
-    n_times = 1 + max((max(v) for v in sample_steps.values()), default=0)
-    sums = np.zeros((n_times, 2), dtype=complex)
-    phi = np.zeros(c)
-
-    def record(step):
-        if step in sample_steps:
-            rot = np.exp(-1j * phi)
-            sums[sample_steps[step]] += (rot.sum(), (rot * rot).sum())
-
-    record(0)
-    acc = trap.acceleration(pos)
-    h = spin_dt / substeps
-    mid_idx = (substeps - 1) // 2
-    for step in range(n_steps):
-        mid = pos
-        for s in range(substeps):
-            pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
-            if s == mid_idx:
-                mid = pos
-        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * spin_dt
-        record(step + 1)
-    return sums
-
-
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
                              temperature: float, times, n_trajectories: int,
                              seed: int, spin_dt: float = 1e-7,
-                             motion_substeps: int = 2, chunk_size: int = 2048,
-                             n_jobs: int = 1) -> DephasingChannelFamily:
+                             motion_substeps: int = 2) -> DephasingChannelFamily:
     """Build the averaged memory channel at each requested time.
 
-    ``times`` must sit on the spin-step grid.  The result is deterministic
-    given (seed, n_trajectories) regardless of chunking workers.
+    ``times`` must sit on the spin-step grid.  All trajectories are
+    integrated as one array, so the result is a function of the arguments
+    alone.
     """
     if n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValueError("at least one sample time is needed")
     if np.any(times < 0):
         raise ValueError("sample times must be >= 0")
     steps = np.round(times / spin_dt).astype(int)
@@ -215,26 +173,43 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     sample_steps: dict[int, list[int]] = {}
     for t_idx, s in enumerate(steps):
         sample_steps.setdefault(int(s), []).append(t_idx)
-    n_steps = int(steps.max()) if len(steps) else 0
+    n_steps = int(steps.max())
 
-    chunks = [
-        np.arange(i, min(i + chunk_size, n_trajectories))
-        for i in range(0, n_trajectories, chunk_size)
-    ]
+    sig_pos, sig_v = thermal_sigmas(trap, temperature)
+    pos = np.empty((n_trajectories, 3))
+    vel = np.empty((n_trajectories, 3))
+    for k in range(n_trajectories):
+        gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)]))
+        z = gen.normal(size=6)
+        pos[k] = z[:3] * sig_pos
+        vel[k] = z[3:] * sig_v
+    # stratified quasi-static noise over the trajectory index
+    field = env.bias_field + env.shot_noise_sigma * ndtri(
+        (np.arange(n_trajectories) + 0.5) / n_trajectories)
 
-    def work(indices):
-        return _chunk_phase_sums(trap, env, temperature, indices, n_trajectories,
-                                 seed, sample_steps, n_steps, spin_dt, motion_substeps)
+    # sums of exp(-i phi) and exp(-2i phi) over the trajectories at every sample
+    sums = np.zeros((len(times), 2), dtype=complex)
+    phi = np.zeros(n_trajectories)
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            partials = list(pool.map(work, chunks))
-    else:
-        partials = [work(ch) for ch in chunks]
-    total = partials[0]
-    for p in partials[1:]:
-        total = total + p
-    e1, e2 = (total / n_trajectories).T
+    def record(step):
+        if step in sample_steps:
+            rot = np.exp(-1j * phi)
+            sums[sample_steps[step]] += (rot.sum(), (rot * rot).sum())
+
+    record(0)
+    acc = trap.acceleration(pos)
+    h = spin_dt / motion_substeps
+    mid_idx = (motion_substeps - 1) // 2
+    for step in range(n_steps):
+        mid = pos
+        for s in range(motion_substeps):
+            pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
+            if s == mid_idx:
+                mid = pos
+        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * spin_dt
+        record(step + 1)
+
+    e1, e2 = (sums / n_trajectories).T
     # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]
     moments = np.stack([e2.conj(), e1.conj(), np.ones_like(e1), e1, e2], axis=1)
     coherences = moments[:, np.subtract.outer(_M, _M) + 2]
@@ -244,7 +219,6 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "seed": seed,
         "spin_dt": spin_dt,
         "motion_substeps": motion_substeps,
-        "chunk_size": chunk_size,
         "bias_field": env.bias_field,
     }
     return DephasingChannelFamily(times, coherences, meta)

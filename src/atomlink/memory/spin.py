@@ -1,96 +1,6 @@
-"""Spin-1 Zeeman evolution on the F=1 ground manifold.
-
-Spinor components are ordered (m=-1, m=0, m=+1) along the quantization
-axis, matching the qutrit convention of the quantum module.  Each time step
-applies the exact rotation exp(-i dt g_F mu_B (B.F)/hbar) of the
-piecewise-constant local field, so the norm is preserved to rounding.
-"""
-
-from dataclasses import dataclass
-
-import numpy as np
+"""Zeeman rotation rate of the F=1 ground manifold."""
 
 from ..constants import G_F, GAUSS_TO_TESLA, HBAR, MU_B
 
-_SQ2 = np.sqrt(2.0)
-
-F_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
-F_Y = np.array([[0, 1j, 0], [-1j, 0, 1j], [0, -1j, 0]], dtype=complex) / _SQ2
-F_Z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
-
 # rad/s per gauss of Zeeman rotation, signed with g_F
 OMEGA_PER_GAUSS = G_F * MU_B * GAUSS_TO_TESLA / HBAR
-
-
-def spin1_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return F_X, F_Y, F_Z
-
-
-def rotation_step(fields: np.ndarray, dt: float) -> np.ndarray:
-    """Rotation operators exp(-i dt Omega.F) for (n, 3) field vectors in gauss.
-
-    Uses the spin-1 Rodrigues form U = I - i sin(th) A + (cos(th)-1) A^2
-    with A = n.F, valid because A has eigenvalues (-1, 0, 1).
-    """
-    b = np.atleast_2d(np.asarray(fields, dtype=float))
-    omega = OMEGA_PER_GAUSS * b          # (n, 3) rad/s
-    theta = np.linalg.norm(omega, axis=1) * dt
-    n = omega.shape[0]
-    out = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
-    active = theta > 0.0
-    if not np.any(active):
-        return out
-    axis = np.zeros_like(omega)
-    axis[active] = omega[active] / np.linalg.norm(omega[active], axis=1)[:, None]
-    a = (
-        axis[:, 0, None, None] * F_X
-        + axis[:, 1, None, None] * F_Y
-        + axis[:, 2, None, None] * F_Z
-    )
-    a2 = a @ a
-    s = np.sin(theta)[:, None, None]
-    c = np.cos(theta)[:, None, None]
-    rot = np.eye(3, dtype=complex) - 1j * s * a + (c - 1.0) * a2
-    out[active] = rot[active]
-    return out
-
-
-@dataclass(frozen=True)
-class SpinTrajectoryResult:
-    """Spinor evolution along one trajectory with per-time expectations."""
-
-    times: np.ndarray
-    spin_states: np.ndarray        # (n+1, 3) complex spinors
-    populations: np.ndarray        # (n+1, 3) |amplitude|^2 in (m=-1, 0, +1)
-    f_expectations: np.ndarray     # (n+1, 3) <Fx>, <Fy>, <Fz>
-
-    def norm_deviation(self) -> float:
-        return float(np.max(np.abs(np.linalg.norm(self.spin_states, axis=1) - 1.0)))
-
-
-def evolve_spin1(initial, field_along_trajectory: np.ndarray, dt: float) -> SpinTrajectoryResult:
-    """Propagate a normalized 3-spinor through a sequence of field samples.
-
-    ``field_along_trajectory`` holds one (3,) gauss vector per step; the
-    field is taken constant within each step.
-    """
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (3,):
-        raise ValueError("initial spinor must have 3 components")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("initial spinor must be normalized")
-    fields = np.atleast_2d(np.asarray(field_along_trajectory, dtype=float))
-    steps = rotation_step(fields, dt)
-    n = fields.shape[0]
-    states = np.empty((n + 1, 3), dtype=complex)
-    states[0] = psi / norm
-    for i in range(n):
-        states[i + 1] = steps[i] @ states[i]
-    pops = np.abs(states) ** 2
-    f_exp = np.stack(
-        [np.real(np.einsum("ti,ij,tj->t", states.conj(), f, states)) for f in (F_X, F_Y, F_Z)],
-        axis=1,
-    )
-    times = np.arange(n + 1) * dt
-    return SpinTrajectoryResult(times, states, pops, f_exp)

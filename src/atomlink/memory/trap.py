@@ -101,22 +101,6 @@ class TrapParams:
         return kin + self.potential(positions)
 
 
-@dataclass(frozen=True)
-class AtomInitialCondition:
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
-        if p.shape != (3,) or v.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-            raise ValueError("initial conditions must be finite")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "velocity", v)
-
-
 def thermal_sigmas(trap: TrapParams, temperature: float) -> tuple[np.ndarray, float]:
     """(position sigmas per axis, velocity sigma) of the harmonic thermal state."""
     if temperature <= 0:
@@ -124,25 +108,6 @@ def thermal_sigmas(trap: TrapParams, temperature: float) -> tuple[np.ndarray, fl
     omegas = np.array([trap.omega_radial, trap.omega_radial, trap.omega_axial])
     sig_pos = np.sqrt(K_B * temperature / trap.atom_mass) / omegas
     return sig_pos, thermal_velocity_sigma(temperature, trap.atom_mass)
-
-
-def sample_initial_conditions(trap: TrapParams, temperature: float,
-                              rng_seed) -> AtomInitialCondition:
-    """Draw a starting position and velocity from the thermal trap distribution."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    sig_pos, sig_v = thermal_sigmas(trap, temperature)
-    return AtomInitialCondition(
-        rng.normal(0.0, 1.0, size=3) * sig_pos,
-        rng.normal(0.0, sig_v, size=3),
-    )
-
-
-def sample_initial_conditions_batch(trap: TrapParams, temperature: float, n: int,
-                                    rng: np.random.Generator):
-    sig_pos, sig_v = thermal_sigmas(trap, temperature)
-    pos = rng.normal(0.0, 1.0, size=(n, 3)) * sig_pos
-    vel = rng.normal(0.0, sig_v, size=(n, 3))
-    return pos, vel
 
 
 def _leapfrog(trap: TrapParams, pos, vel, h, acc):
@@ -159,55 +124,3 @@ def yoshida4_step(trap: TrapParams, pos, vel, h, acc):
     for w in (_Y4_W1, _Y4_W0, _Y4_W1):
         pos, vel, acc = _leapfrog(trap, pos, vel, w * h, acc)
     return pos, vel, acc
-
-
-def internal_substeps(trap: TrapParams, dt: float) -> int:
-    """Substep count keeping omega_r * h small enough for ~1e-7 energy error."""
-    h_target = (2.0 * np.pi / trap.omega_radial) / 250.0
-    return max(1, int(np.ceil(dt / h_target)))
-
-
-def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
-                         t_max: float):
-    """Integrate the motion in the full Gaussian potential.
-
-    Returns (times, positions, velocities, escaped).  ``dt`` is the sampling
-    grid; it must not exceed 1/(50 nu_radial).  The symplectic integrator
-    subdivides each dt internally to hold the energy drift below 1e-6
-    relative.  A positive total energy flags escape and truncates the
-    trajectory at that sample.
-    """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
-    if dt > 1.0 / (50.0 * trap.nu_radial) * (1.0 + 1e-9):
-        raise ValueError("dt must satisfy dt <= 1/(50 nu_radial)")
-    n_steps = int(np.round(t_max / dt))
-    n_sub = internal_substeps(trap, dt)
-    h = dt / n_sub
-
-    pos = ic.position.reshape(1, 3).astype(float)
-    vel = ic.velocity.reshape(1, 3).astype(float)
-    acc = trap.acceleration(pos)
-    times = np.arange(n_steps + 1) * dt
-    positions = np.empty((n_steps + 1, 3))
-    velocities = np.empty((n_steps + 1, 3))
-    positions[0] = pos[0]
-    velocities[0] = vel[0]
-    escaped = bool(trap.total_energy(pos, vel)[0] >= 0.0)
-    last = n_steps
-    for i in range(1, n_steps + 1):
-        if escaped:
-            last = i - 1
-            break
-        for _ in range(n_sub):
-            pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
-        positions[i] = pos[0]
-        velocities[i] = vel[0]
-        if trap.total_energy(pos, vel)[0] >= 0.0:
-            escaped = True
-            last = i
-    if escaped:
-        times = times[: last + 1]
-        positions = positions[: last + 1]
-        velocities = velocities[: last + 1]
-    return times, positions, velocities, escaped

@@ -12,7 +12,7 @@ def _memory_env(node, sigma_override):
 
 
 def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
-                     memory_noise_sigma=CAL_SIGMA_SHOT_EFF, n_jobs=1):
+                     memory_noise_sigma=CAL_SIGMA_SHOT_EFF):
     """Visibility envelopes of both memories at every scenario's readout times.
 
     One Monte-Carlo family is built per distinct node physics;
@@ -39,9 +39,7 @@ def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
         trap, temperature, env = physics[key]
         grid = sorted(times | {0.0})
         families[key] = dephasing_channel_family(
-            trap, env, temperature, grid, n_trajectories, seed=seed + i,
-            n_jobs=n_jobs,
-        )
+            trap, env, temperature, grid, n_trajectories, seed=seed + i)
 
     def envelope(scenario, node_index):
         node = scenario.nodes()[node_index]
@@ -53,7 +51,7 @@ def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
 
 
 def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
-                       memory_noise_sigma=CAL_SIGMA_SHOT_EFF, n_jobs=1):
+                       memory_noise_sigma=CAL_SIGMA_SHOT_EFF):
     """Predicted atom-atom visibility and fidelity for each fibre configuration.
 
     The atom-atom visibility is the product of the two atom-photon
@@ -63,7 +61,7 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
     """
     scenarios = list(scenarios)
     envelope = memory_envelopes(scenarios, n_trajectories, seed,
-                                memory_noise_sigma, n_jobs)
+                                memory_noise_sigma)
     rows = []
     for s in scenarios:
         e1 = envelope(s, 0)

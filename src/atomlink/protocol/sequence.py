@@ -196,8 +196,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                  target_events: int = 1000, seed: int = 0,
                  mode: str = "density-matrix", n_trajectories: int = 2000,
                  memory_noise_sigma=CAL_SIGMA_SHOT_EFF,
-                 collect_clicks: bool = True, max_singles: int = 20000,
-                 n_jobs: int = 1) -> RunResult:
+                 collect_clicks: bool = True, max_singles: int = 20000) -> RunResult:
     """Simulate heralded entanglement generation events.
 
     ``mode`` "density-matrix" attaches the exact atom-atom state and readout
@@ -249,7 +248,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         env = _memory_env(node, memory_noise_sigma)
         fam = dephasing_channel_family(node.trap, env, node.temperature,
                                        [round(t, 12)], n_trajectories,
-                                       seed=seed * 2 + i + 1, n_jobs=n_jobs)
+                                       seed=seed * 2 + i + 1)
         channels.append(fam.rotating_channel_at(round(t, 12)))
 
     # per-run constants of the event loop; none of them draws random numbers

@@ -5,7 +5,15 @@ textbook formulas) and shares no code path with the package internals it
 checks.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.special import ndtri
+
+from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
+from atomlink.memory.spin import OMEGA_PER_GAUSS
+from atomlink.memory.trap import TrapParams, thermal_sigmas, yoshida4_step
 
 SQ2 = np.sqrt(2.0)
 
@@ -172,3 +180,255 @@ def brute_block_clock(gaps, period: float, sequence) -> list[float]:
                 q = 0
         walls.append(wall)
     return walls
+
+
+# ---------------------------------------------------------------------------
+# Spin-1 evolution and single-atom motion used by the memory tests.  The
+# motion helpers step with the package's Yoshida integrator, whose energy
+# conservation and oscillation period the trap tests check;
+# brute_channel_coherence below has its own integrator and field formulas.
+# ---------------------------------------------------------------------------
+
+SQ2 = np.sqrt(2.0)
+
+F_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQ2
+F_Y = np.array([[0, 1j, 0], [-1j, 0, 1j], [0, -1j, 0]], dtype=complex) / SQ2
+F_Z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
+
+def spin1_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return F_X, F_Y, F_Z
+
+
+def rotation_step(fields: np.ndarray, dt: float) -> np.ndarray:
+    """Rotation operators exp(-i dt Omega.F) for (n, 3) field vectors in gauss.
+
+    Uses the spin-1 Rodrigues form U = I - i sin(th) A + (cos(th)-1) A^2
+    with A = n.F, valid because A has eigenvalues (-1, 0, 1).
+    """
+    b = np.atleast_2d(np.asarray(fields, dtype=float))
+    omega = OMEGA_PER_GAUSS * b          # (n, 3) rad/s
+    theta = np.linalg.norm(omega, axis=1) * dt
+    n = omega.shape[0]
+    out = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
+    active = theta > 0.0
+    if not np.any(active):
+        return out
+    axis = np.zeros_like(omega)
+    axis[active] = omega[active] / np.linalg.norm(omega[active], axis=1)[:, None]
+    a = (
+        axis[:, 0, None, None] * F_X
+        + axis[:, 1, None, None] * F_Y
+        + axis[:, 2, None, None] * F_Z
+    )
+    a2 = a @ a
+    s = np.sin(theta)[:, None, None]
+    c = np.cos(theta)[:, None, None]
+    rot = np.eye(3, dtype=complex) - 1j * s * a + (c - 1.0) * a2
+    out[active] = rot[active]
+    return out
+
+
+@dataclass(frozen=True)
+class SpinTrajectoryResult:
+    """Spinor evolution along one trajectory with per-time expectations."""
+
+    times: np.ndarray
+    spin_states: np.ndarray        # (n+1, 3) complex spinors
+    populations: np.ndarray        # (n+1, 3) |amplitude|^2 in (m=-1, 0, +1)
+    f_expectations: np.ndarray     # (n+1, 3) <Fx>, <Fy>, <Fz>
+
+    def norm_deviation(self) -> float:
+        return float(np.max(np.abs(np.linalg.norm(self.spin_states, axis=1) - 1.0)))
+
+
+def evolve_spin1(initial, field_along_trajectory: np.ndarray, dt: float) -> SpinTrajectoryResult:
+    """Propagate a normalized 3-spinor through a sequence of field samples.
+
+    ``field_along_trajectory`` holds one (3,) gauss vector per step; the
+    field is taken constant within each step.
+    """
+    psi = np.asarray(initial, dtype=complex)
+    if psi.shape != (3,):
+        raise ValueError("initial spinor must have 3 components")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError("initial spinor must be normalized")
+    fields = np.atleast_2d(np.asarray(field_along_trajectory, dtype=float))
+    steps = rotation_step(fields, dt)
+    n = fields.shape[0]
+    states = np.empty((n + 1, 3), dtype=complex)
+    states[0] = psi / norm
+    for i in range(n):
+        states[i + 1] = steps[i] @ states[i]
+    pops = np.abs(states) ** 2
+    f_exp = np.stack(
+        [np.real(np.einsum("ti,ij,tj->t", states.conj(), f, states)) for f in (F_X, F_Y, F_Z)],
+        axis=1,
+    )
+    times = np.arange(n + 1) * dt
+    return SpinTrajectoryResult(times, states, pops, f_exp)
+
+
+@dataclass(frozen=True)
+class AtomInitialCondition:
+    position: np.ndarray
+    velocity: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.position, dtype=float)
+        v = np.asarray(self.velocity, dtype=float)
+        if p.shape != (3,) or v.shape != (3,):
+            raise ValueError("position and velocity must be 3-vectors")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+            raise ValueError("initial conditions must be finite")
+        object.__setattr__(self, "position", p)
+        object.__setattr__(self, "velocity", v)
+
+
+def sample_initial_conditions(trap: TrapParams, temperature: float,
+                              rng_seed) -> AtomInitialCondition:
+    """Draw a starting position and velocity from the thermal trap distribution."""
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    sig_pos, sig_v = thermal_sigmas(trap, temperature)
+    return AtomInitialCondition(
+        rng.normal(0.0, 1.0, size=3) * sig_pos,
+        rng.normal(0.0, sig_v, size=3),
+    )
+
+
+def sample_initial_conditions_batch(trap: TrapParams, temperature: float, n: int,
+                                    rng: np.random.Generator):
+    sig_pos, sig_v = thermal_sigmas(trap, temperature)
+    pos = rng.normal(0.0, 1.0, size=(n, 3)) * sig_pos
+    vel = rng.normal(0.0, sig_v, size=(n, 3))
+    return pos, vel
+
+
+def internal_substeps(trap: TrapParams, dt: float) -> int:
+    """Substep count keeping omega_r * h small enough for ~1e-7 energy error."""
+    h_target = (2.0 * np.pi / trap.omega_radial) / 250.0
+    return max(1, int(np.ceil(dt / h_target)))
+
+
+def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
+                         t_max: float):
+    """Integrate the motion in the full Gaussian potential.
+
+    Returns (times, positions, velocities, escaped).  ``dt`` is the sampling
+    grid; it must not exceed 1/(50 nu_radial).  The symplectic integrator
+    subdivides each dt internally to hold the energy drift below 1e-6
+    relative.  A positive total energy flags escape and truncates the
+    trajectory at that sample.
+    """
+    if dt <= 0 or t_max <= 0:
+        raise ValueError("dt and t_max must be positive")
+    if dt > 1.0 / (50.0 * trap.nu_radial) * (1.0 + 1e-9):
+        raise ValueError("dt must satisfy dt <= 1/(50 nu_radial)")
+    n_steps = int(np.round(t_max / dt))
+    n_sub = internal_substeps(trap, dt)
+    h = dt / n_sub
+
+    pos = ic.position.reshape(1, 3).astype(float)
+    vel = ic.velocity.reshape(1, 3).astype(float)
+    acc = trap.acceleration(pos)
+    times = np.arange(n_steps + 1) * dt
+    positions = np.empty((n_steps + 1, 3))
+    velocities = np.empty((n_steps + 1, 3))
+    positions[0] = pos[0]
+    velocities[0] = vel[0]
+    escaped = bool(trap.total_energy(pos, vel)[0] >= 0.0)
+    last = n_steps
+    for i in range(1, n_steps + 1):
+        if escaped:
+            last = i - 1
+            break
+        for _ in range(n_sub):
+            pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
+        positions[i] = pos[0]
+        velocities[i] = vel[0]
+        if trap.total_energy(pos, vel)[0] >= 0.0:
+            escaped = True
+            last = i
+    if escaped:
+        times = times[: last + 1]
+        positions = positions[: last + 1]
+        velocities = velocities[: last + 1]
+    return times, positions, velocities, escaped
+
+
+def _brute_trap_acceleration(trap, x, y, z):
+    """-grad U / m of U = -U0 (w0/w)^2 exp(-2 rho^2 / w^2), differentiated by hand."""
+    u0 = K_B * trap.trap_depth_u0
+    w02 = trap.beam_waist_w0 ** 2
+    zr = math.pi * w02 / trap.wavelength
+    w2 = w02 * (1.0 + (z / zr) ** 2)
+    rho2 = x * x + y * y
+    intensity = w02 / w2 * math.exp(-2.0 * rho2 / w2)
+    dw2_dz = 2.0 * w02 * z / zr ** 2
+    grad = (-4.0 * x / w2 * intensity,
+            -4.0 * y / w2 * intensity,
+            (2.0 * rho2 / w2 ** 2 - 1.0 / w2) * dw2_dz * intensity)
+    return [u0 * g / trap.atom_mass for g in grad]
+
+
+def _brute_vector_shift(trap, scale, x, y, z):
+    """Fictitious field (gauss, along the bias axis) of the vector light shift."""
+    w02 = trap.beam_waist_w0 ** 2
+    zr = math.pi * w02 / trap.wavelength
+    w2 = w02 * (1.0 + (z / zr) ** 2)
+    intensity = w02 / w2 * math.exp(-2.0 * (x * x + y * y) / w2)
+    k = 2.0 * math.pi / trap.wavelength
+    depth_gauss = K_B * trap.trap_depth_u0 / MU_B / GAUSS_TO_TESLA
+    return scale * depth_gauss * 4.0 * x / (k * w2) * intensity
+
+
+def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
+                            spin_dt=1e-7, motion_substeps=2):
+    """(T, 3, 3) coherence matrices of the memory channel, one trajectory at a time.
+
+    Trajectory k draws six normals from Philox(seed, k) for its thermal start
+    and precesses in the stratified static field b + sigma z_k plus the
+    vector shift at its position.  Each spin step of ``spin_dt`` moves the
+    atom by ``motion_substeps`` Yoshida-4 steps (three velocity-Verlet
+    substeps each) and samples the field at the position after substep
+    (substeps - 1) // 2.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
+    """
+    omega = G_F * MU_B * GAUSS_TO_TESLA / HBAR
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    weights = (w1, 1.0 - 2.0 * w1, w1)
+    u0 = K_B * trap.trap_depth_u0
+    zr = math.pi * trap.beam_waist_w0 ** 2 / trap.wavelength
+    omega_r = math.sqrt(4.0 * u0 / (trap.atom_mass * trap.beam_waist_w0 ** 2))
+    omega_z = math.sqrt(2.0 * u0 / (trap.atom_mass * zr ** 2))
+    sig_v = math.sqrt(K_B * temperature / trap.atom_mass)
+    sig_pos = [sig_v / omega_r, sig_v / omega_r, sig_v / omega_z]
+    sample_steps = [int(round(t / spin_dt)) for t in times]
+    m = [-1, 0, 1]
+    out = np.zeros((len(times), 3, 3), dtype=complex)
+    for k in range(n_trajectories):
+        gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)]))
+        z = gen.normal(size=6)
+        pos = [float(z[i]) * sig_pos[i] for i in range(3)]
+        vel = [float(z[3 + i]) * sig_v for i in range(3)]
+        b = env.bias_field + env.shot_noise_sigma * float(ndtri((k + 0.5) / n_trajectories))
+        acc = _brute_trap_acceleration(trap, *pos)
+        phases = {0: 0.0}
+        phi = 0.0
+        h = spin_dt / motion_substeps
+        for step in range(1, max(sample_steps) + 1):
+            for sub in range(motion_substeps):
+                for w in weights:
+                    vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
+                    pos = [pos[i] + w * h * vel[i] for i in range(3)]
+                    acc = _brute_trap_acceleration(trap, *pos)
+                    vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
+                if sub == (motion_substeps - 1) // 2:
+                    mid = list(pos)
+            shift = _brute_vector_shift(trap, env.fictitious_field_scale, *mid)
+            phi += omega * (b + shift) * spin_dt
+            phases[step] = phi
+        for t_idx, s in enumerate(sample_steps):
+            for i in range(3):
+                for j in range(3):
+                    out[t_idx, i, j] += np.exp(-1j * (m[i] - m[j]) * phases[s])
+    return out / n_trajectories

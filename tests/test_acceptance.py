@@ -137,8 +137,7 @@ class TestCriterion5MemoryPhysics:
         trap = TrapParams(trap_depth_u0=2.32e-3, beam_waist_w0=2.05e-6)
         env = FieldEnvironment(bias_field=75.5e-3, shot_noise_sigma=0.5e-3)
         times = np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12)
-        fam = dephasing_channel_family(trap, env, 50e-6, times, 10_000,
-                                       seed=2026, n_jobs=4)
+        fam = dephasing_channel_family(trap, env, 50e-6, times, 10_000, seed=2026)
         ce = coherence_envelope(fam)
         freqs = np.fft.rfftfreq(len(times), 1e-6)
         win = np.hanning(len(times))
@@ -180,7 +179,7 @@ class TestCriterion6FidelityVsLength:
         names = ("l6", "l11", "l23", "l33")
         tolerances = {"l6": 0.020, "l11": 0.022, "l23": 0.024, "l33": 0.030}
         rows = fidelity_vs_length([preset(n) for n in names],
-                                  n_trajectories=4000, seed=1000, n_jobs=4)
+                                  n_trajectories=4000, seed=1000)
         details = []
         for row in rows:
             target = preset(row["name"]).published_values["fidelity"]
@@ -202,10 +201,10 @@ class TestCriterion7SamplingSelfConsistency:
             s = preset(name)
             dm = run_sequence(s, schedule="three-basis", target_events=n,
                               seed=500, mode="density-matrix",
-                              n_trajectories=2000, collect_clicks=False, n_jobs=4)
+                              n_trajectories=2000, collect_clicks=False)
             sp = run_sequence(s, schedule="three-basis", target_events=n,
                               seed=500, mode="sampled-clicks",
-                              n_trajectories=2000, collect_clicks=False, n_jobs=4)
+                              n_trajectories=2000, collect_clicks=False)
             f_dm = three_basis_summary(dm.dataset)["fidelity"]
             f_sp = three_basis_summary(sp.dataset)["fidelity"]
             assert abs(f_dm - f_sp) < tol
@@ -240,7 +239,7 @@ class TestCriterion8Interference:
         s = preset("l6")
         res0 = run_sequence(s, schedule="chsh", target_events=9000, seed=81,
                             mode="sampled-clicks", n_trajectories=400,
-                            collect_clicks=False, n_jobs=4)
+                            collect_clicks=False)
         c0 = interference_contrast(res0.summary["n_dnull_accepted"],
                                    *(res0.summary["herald_counts"][k] *
                                      res0.summary["accepted_fraction"]
@@ -249,7 +248,7 @@ class TestCriterion8Interference:
         far = replace(s, wavepacket_delay=150e-9)
         res1 = run_sequence(far, schedule="chsh", target_events=4000, seed=82,
                             mode="sampled-clicks", n_trajectories=400,
-                            collect_clicks=False, n_jobs=4)
+                            collect_clicks=False)
         c1 = interference_contrast(res1.summary["n_dnull_accepted"],
                                    *(res1.summary["herald_counts"][k] *
                                      res1.summary["accepted_fraction"]
@@ -291,12 +290,12 @@ class TestCriterion9PolarizationControl:
 class TestCriterion10PropertySuites:
     def test_sentinel_properties(self):
         t0 = time.time()
-        # determinism of the memory channel under parallel execution
+        # determinism of the memory channel: a same-seed repeat is identical
         env = FieldEnvironment()
         trap = TrapParams()
         times = np.round([0.0, 20e-6], 12)
-        a = dephasing_channel_family(trap, env, 50e-6, times, 512, seed=3, n_jobs=1)
-        b = dephasing_channel_family(trap, env, 50e-6, times, 512, seed=3, n_jobs=4)
+        a = dephasing_channel_family(trap, env, 50e-6, times, 512, seed=3)
+        b = dephasing_channel_family(trap, env, 50e-6, times, 512, seed=3)
         assert np.array_equal(a.coherences, b.coherences)
 
         # density-matrix validity through the composed pipeline
@@ -320,5 +319,5 @@ class TestCriterion10PropertySuites:
         coverage = covered / reps
         assert abs(coverage - 0.68) <= 0.03
         report("criterion 10 property suites",
-               f"parallel determinism, state validity, coverage {coverage:.3f} "
+               f"channel determinism, state validity, coverage {coverage:.3f} "
                "(full property tests run in the unit suite)", t0)

@@ -1,11 +1,14 @@
 """End-to-end command-line interface tests."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import atomlink.cli
 from atomlink.analysis import interference_contrast
-from atomlink.cli import main
+from atomlink.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -60,6 +63,12 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--preset", "nope", "--out", str(tmp_path))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--trajectories=-5", "--events=-3"])
+    def test_bad_counts_write_nothing(self, tmp_path, flag):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--preset", "l6", flag, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_bad_scenario_file(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -188,6 +197,15 @@ class TestRates:
         assert run_cli("rates", "--presets", presets, "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_missing_fidelity_dir_fails_before_work(self, tmp_path, monkeypatch):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("the fidelity Monte Carlo ran")
+
+        monkeypatch.setattr(atomlink.cli, "fidelity_vs_length", no_monte_carlo)
+        assert run_cli("rates", "--fidelity-out", "sub/f.csv", "--trajectories", "100",
+                       "--out", str(tmp_path)) == 4
+        assert not (tmp_path / "rates.csv").exists()
+
 
 class TestCalibrate:
     def test_default_targets_converge(self, tmp_path):
@@ -215,6 +233,11 @@ class TestCalibrate:
     def test_refuses_overwrite(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path)) == 0
         assert run_cli("calibrate", "--out", str(tmp_path)) == 4
+
+    def test_os_error_is_exit_4(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        assert run_cli("calibrate", "--out", str(tmp_path), "--output", "taken",
+                       "--force") == 4
 
 
 class TestDephasing:
@@ -249,6 +272,12 @@ class TestDephasing:
         assert run_cli("dephasing", "--preset", "l6", f"--dt={dt}", "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_negative_t_max_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "dephasing"
+        assert run_cli("dephasing", "--preset", "l6", "--t-max=-1e-6", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "--t-max" in capsys.readouterr().err
+
 
 class TestExportScenario:
     def test_round_trip(self, tmp_path):
@@ -257,3 +286,21 @@ class TestExportScenario:
         from atomlink.protocol import load_scenario, preset, config_hash
         loaded = load_scenario(tmp_path / "scenario.ini")
         assert config_hash(loaded) == config_hash(preset("l33"))
+
+
+class TestBenchmarkCommandLines:
+    def test_parser_accepts_benchmark_arguments(self):
+        # the benchmark's command lines pass --jobs, which must stay accepted
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        argvs = [bench.main_args(w, 1, "out") for w in bench.WORKLOADS.values()]
+        assert {argv[0] for argv in argvs} == {"simulate", "dephasing"}
+        assert any(argv[argv.index("--jobs") + 1] == "2" for argv in argvs)
+        parser = build_parser()
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
+            assert args.jobs == int(argv[argv.index("--jobs") + 1])
+        assert parser.parse_args(bench.analyze_args("out")).command == "analyze"

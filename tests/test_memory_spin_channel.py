@@ -11,13 +11,16 @@ from atomlink.memory import (
     coherence_envelope,
     dephasing_channel,
     dephasing_channel_family,
-    evolve_spin1,
-    spin1_matrices,
 )
 from atomlink.memory.fields import fictitious_field_y
 from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_state, fidelity
 
-from oracles import random_density_matrix
+from oracles import (
+    brute_channel_coherence,
+    evolve_spin1,
+    random_density_matrix,
+    spin1_matrices,
+)
 
 TRAP = TrapParams()
 QUIET = FieldEnvironment(shot_noise_sigma=0.0, fictitious_field_scale=0.0)
@@ -193,14 +196,21 @@ class TestDephasingChannel:
         t_e = np.sqrt(2.0) / (C.GAMMA_2 * sigma)
         assert t_e == pytest.approx(321.6e-6, rel=0.01)
 
-    def test_determinism_and_parallel_identity(self):
+    def test_determinism(self):
         env = FieldEnvironment()
         times = np.round([0.0, 10e-6, 25e-6], 12)
-        a = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=1)
-        b = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=3)
+        a = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11)
+        b = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11)
         assert np.array_equal(a.coherences, b.coherences)
-        c = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11, n_jobs=1)
-        assert np.array_equal(a.coherences, c.coherences)
+
+    def test_moving_atom_matches_brute_force(self):
+        # thermal motion and the vector-shift field together, against a
+        # per-trajectory loop with its own integrator and field formulas
+        env = FieldEnvironment()
+        times = np.round([0.0, 7.3e-6, 10e-6], 12)
+        fam = dephasing_channel_family(TRAP, env, 50e-6, times, 120, seed=17)
+        expected = brute_channel_coherence(TRAP, env, 50e-6, times, 120, seed=17)
+        assert np.max(np.abs(fam.coherences - expected)) < 1e-12
 
     def test_monte_carlo_convergence(self):
         env = FieldEnvironment()
@@ -219,6 +229,10 @@ class TestDephasingChannel:
     def test_off_grid_time_rejected(self):
         with pytest.raises(ValueError):
             dephasing_channel(TRAP, QUIET, 50e-6, 1.23e-7, 200, seed=1)
+
+    def test_empty_time_grid_rejected(self):
+        with pytest.raises(ValueError, match="sample time"):
+            dephasing_channel_family(TRAP, QUIET, 50e-6, [], 200, seed=1)
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from atomlink.constants import K_B
-from atomlink.memory import (
+from atomlink.memory import TrapParams
+from atomlink.memory.trap import thermal_sigmas
+
+from oracles import (
     AtomInitialCondition,
-    TrapParams,
     propagate_trajectory,
     sample_initial_conditions,
+    sample_initial_conditions_batch,
 )
-from atomlink.memory.trap import sample_initial_conditions_batch, thermal_sigmas
 
 TRAP = TrapParams()
 
