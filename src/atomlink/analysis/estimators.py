@@ -4,9 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..quantum import chsh_s
-
-OUTCOME_KEYS = ("uu", "ud", "du", "dd")
+from ..quantum import OUTCOME_KEYS, chsh_s
 
 
 @dataclass(frozen=True)

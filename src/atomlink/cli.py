@@ -139,10 +139,8 @@ def cmd_simulate(args) -> int:
         header = {"type": "header", "config_hash": chash, "scenario": scenario.name,
                   "mode": args.mode, "seed": args.seed, "schedule": args.schedule}
         fh.write(json.dumps(header) + "\n")
-        for e in result.events:
-            rec = e.readout_record()
-            rec["config_hash"] = chash
-            fh.write(json.dumps(rec) + "\n")
+        for rec in result.events:
+            fh.write(json.dumps({**rec, "config_hash": chash}) + "\n")
     with _open_output(summary_path) as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True, default=float)
     with _open_output(clicks_path) as fh:
@@ -382,11 +380,12 @@ def cmd_rates(args) -> int:
         raise CliError(str(exc), EXIT_CONFIG)
     out = _out_dir(args)
     path = os.path.join(out, args.output)
-    _check_output(path, out, args.force)
-    fpath = None
-    if args.fidelity_out:
-        fpath = os.path.join(out, args.fidelity_out)
-        _check_output(fpath, out, args.force)
+    fpath = os.path.join(out, args.fidelity_out) if args.fidelity_out else None
+    for p in filter(None, (path, fpath)):
+        _check_output(p, out, args.force)
+    # the Monte Carlo runs first, so that a bad argument leaves nothing on disk
+    table = fidelity_vs_length(scenarios, n_trajectories=args.trajectories,
+                               seed=args.seed) if fpath else None
     rows = []
     for name, s in zip(names, scenarios):
         rep = repetition_rate(s)
@@ -414,22 +413,19 @@ def cmd_rates(args) -> int:
             "sbr_coincidence_model": sb["coincidence"],
             "acceptance_fraction_model": window_capture(s, 0) * window_capture(s, 1),
         })
+    _write_rows(path, rows)
+    print(f"wrote rate budget to {path}")
+    if fpath:
+        _write_rows(fpath, table)
+        print(f"wrote fidelity-vs-length table to {fpath}")
+    return EXIT_OK
+
+
+def _write_rows(path, rows):
     with _open_output(path) as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    print(f"wrote rate budget to {path}")
-    if fpath:
-        table = fidelity_vs_length(scenarios,
-                                   n_trajectories=args.trajectories, seed=args.seed)
-        with _open_output(fpath) as fh:
-            w = csv.DictWriter(fh, fieldnames=list(table[0]))
-            w.writeheader()
-            for r in table:
-                w.writerow(r)
-        print(f"wrote fidelity-vs-length table to {fpath}")
-    return EXIT_OK
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

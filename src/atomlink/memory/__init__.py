@@ -5,12 +5,11 @@ from .channel import (
     DephasingChannelFamily,
     QutritChannel,
     coherence_envelope,
-    dephasing_channel,
     dephasing_channel_family,
 )
 
 __all__ = [
     "TrapParams", "FieldEnvironment",
     "CoherenceEnvelope", "DephasingChannelFamily", "QutritChannel",
-    "coherence_envelope", "dephasing_channel", "dephasing_channel_family",
+    "coherence_envelope", "dephasing_channel_family",
 ]

@@ -26,6 +26,9 @@ from .fields import FieldEnvironment, fictitious_field_y
 from .spin import OMEGA_PER_GAUSS
 from .trap import TrapParams, thermal_sigmas, yoshida4_step
 
+SPIN_DT = 1e-7         # spin step (s); sample times must sit on its grid
+MOTION_SUBSTEPS = 2    # Yoshida-4 motion steps per spin step
+
 _UP, _ZERO, _DOWN = 2, 1, 0   # qutrit indices of m = +1, 0, -1
 _M = np.array([-1, 0, 1])      # magnetic quantum number of each qutrit index
 
@@ -150,11 +153,10 @@ class CoherenceEnvelope:
 
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
                              temperature: float, times, n_trajectories: int,
-                             seed: int, spin_dt: float = 1e-7,
-                             motion_substeps: int = 2) -> DephasingChannelFamily:
+                             seed: int) -> DephasingChannelFamily:
     """Build the averaged memory channel at each requested time.
 
-    ``times`` must sit on the spin-step grid.  All trajectories are
+    ``times`` must sit on the ``SPIN_DT`` grid.  All trajectories are
     integrated as one array, so the result is a function of the arguments
     alone.
     """
@@ -167,9 +169,9 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         raise ValueError("at least one sample time is needed")
     if np.any(times < 0):
         raise ValueError("sample times must be >= 0")
-    steps = np.round(times / spin_dt).astype(int)
-    if np.max(np.abs(steps * spin_dt - times)) > 1e-12:
-        raise ValueError("every sample time must be a multiple of spin_dt")
+    steps = np.round(times / SPIN_DT).astype(int)
+    if np.max(np.abs(steps * SPIN_DT - times)) > 1e-12:
+        raise ValueError("every sample time must be a multiple of SPIN_DT")
     sample_steps: dict[int, list[int]] = {}
     for t_idx, s in enumerate(steps):
         sample_steps.setdefault(int(s), []).append(t_idx)
@@ -198,15 +200,15 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
 
     record(0)
     acc = trap.acceleration(pos)
-    h = spin_dt / motion_substeps
-    mid_idx = (motion_substeps - 1) // 2
+    h = SPIN_DT / MOTION_SUBSTEPS
+    mid_idx = (MOTION_SUBSTEPS - 1) // 2
     for step in range(n_steps):
         mid = pos
-        for s in range(motion_substeps):
+        for s in range(MOTION_SUBSTEPS):
             pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
             if s == mid_idx:
                 mid = pos
-        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * spin_dt
+        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * SPIN_DT
         record(step + 1)
 
     e1, e2 = (sums / n_trajectories).T
@@ -217,21 +219,11 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "temperature": temperature,
         "n_trajectories": n_trajectories,
         "seed": seed,
-        "spin_dt": spin_dt,
-        "motion_substeps": motion_substeps,
+        "spin_dt": SPIN_DT,
+        "motion_substeps": MOTION_SUBSTEPS,
         "bias_field": env.bias_field,
     }
     return DephasingChannelFamily(times, coherences, meta)
-
-
-def dephasing_channel(trap: TrapParams, env: FieldEnvironment, temperature: float,
-                      readout_time: float, n_trajectories: int, seed: int,
-                      **kwargs) -> QutritChannel:
-    """Averaged memory channel at a single readout time."""
-    family = dephasing_channel_family(
-        trap, env, temperature, [readout_time], n_trajectories, seed, **kwargs
-    )
-    return family.channel_at(readout_time)
 
 
 def coherence_envelope(family: DephasingChannelFamily,

@@ -18,8 +18,6 @@ _PAULI = (SIGMA_Z, SIGMA_X, SIGMA_Y)
 STOKES_V = np.array([-1.0, 0.0, 0.0])
 STOKES_D = np.array([0.0, 1.0, 0.0])
 
-UNITARY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PolarizationState:
@@ -68,12 +66,24 @@ class FibreUnitary:
         return float(2.0 * np.arccos(half))
 
 
-def rotation_su2(axis, angle: float) -> np.ndarray:
-    """exp(-i angle/2 n.sigma) for a Stokes-space axis n."""
+def rotation_su2(axis, angle) -> np.ndarray:
+    """exp(-i angle/2 n.sigma) for a Stokes-space axis n, or for a stack of them.
+
+    ``axis`` is (3,) or (n, 3) and need not be normalized; ``angle`` is a
+    scalar or (n,).  In the (S1, S2, S3) order,
+    n.sigma = [[n1, n2 - i n3], [n2 + i n3, -n1]].
+    """
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    n_dot_sigma = sum(ni * si for ni, si in zip(n, _PAULI))
-    return np.cos(angle / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(angle / 2.0) * n_dot_sigma
+    n = n / np.sqrt((n * n).sum(axis=-1, keepdims=True))
+    half = np.asarray(angle, dtype=float) / 2.0
+    c = np.cos(half)
+    s = -1j * np.sin(half)
+    u = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = c + s * n[..., 0]
+    u[..., 0, 1] = s * (n[..., 1] - 1j * n[..., 2])
+    u[..., 1, 0] = s * (n[..., 1] + 1j * n[..., 2])
+    u[..., 1, 1] = c - s * n[..., 0]
+    return u
 
 
 def stokes_rotation(u: np.ndarray | FibreUnitary) -> np.ndarray:

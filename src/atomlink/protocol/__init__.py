@@ -19,7 +19,7 @@ from .rates import (
     simulate_occupancy,
 )
 from .model import fidelity_vs_length
-from .sequence import HeraldedEvent, RunResult, run_sequence
+from .sequence import RunResult, run_sequence
 
 __all__ = [
     "LinkScenario", "NodeConfig", "SequenceConfig", "PRESETS", "config_hash",
@@ -27,5 +27,5 @@ __all__ = [
     "duty_cycle", "event_rate", "heralding_delay", "repetition_rate",
     "sbr_model", "success_probability",
     "success_probability_report", "simulate_occupancy",
-    "fidelity_vs_length", "HeraldedEvent", "RunResult", "run_sequence",
+    "fidelity_vs_length", "RunResult", "run_sequence",
 ]

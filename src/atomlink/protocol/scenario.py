@@ -22,7 +22,6 @@ CAL_COLLECTION_EFFICIENCY = 6.637e-3
 CAL_T_OVERHEAD = 17.0e-6
 CAL_XI_MAX = 0.955
 CAL_SIGMA_SHOT_EFF = 0.358e-3      # gauss, fits the fidelity-vs-length falloff
-CAL_AP_VISIBILITY = (0.941, 0.911)
 # measured atom-photon fidelities fold in backgrounds the event pipeline
 # applies explicitly; the bare source visibility is scaled up accordingly
 CAL_AP_SCALE = 1.009

@@ -25,15 +25,13 @@ from ..photonics import (
 from ..photonics.bsm import sample_pair
 from ..photonics.polarization import rotation_su2
 from ..quantum import (
+    OUTCOME_KEYS,
     AtomBasisSetting,
     BellOutcome,
     DensityMatrix,
-    HilbertSpec,
     MeasurementPlane,
     atom_bell_state,
     atom_photon_state,
-    fidelity,
-    joint_outcome_probabilities,
     tensor,
 )
 from .model import _memory_env
@@ -74,50 +72,10 @@ SCHEDULES = {
 }
 
 
-@dataclass(frozen=True)
-class HeraldedEvent:
-    """One successful entanglement-generation event."""
-
-    index: int
-    try_index: int
-    wall_time: float
-    bell_outcome: str
-    detectors: tuple[str, str]
-    click_offsets: tuple[float, float]    # seconds, relative to nominal arrival
-    accepted: bool
-    origin: str                           # "signal" or "background" (truth)
-    alpha: float
-    beta: float
-    plane: str
-    state: DensityMatrix | None = None
-    probabilities: dict | None = None
-    state_fidelity: float | None = None
-    outcome1: str | None = None
-    outcome2: str | None = None
-
-    def readout_record(self):
-        return {
-            "wall_time_s": self.wall_time,
-            "try_index": self.try_index,
-            "bell_outcome": self.bell_outcome,
-            "detector1": self.detectors[0],
-            "detector2": self.detectors[1],
-            "click1_ns": self.click_offsets[0] * 1e9,
-            "click2_ns": self.click_offsets[1] * 1e9,
-            "accepted": self.accepted,
-            "origin": self.origin,
-            "alpha_rad": self.alpha,
-            "beta_rad": self.beta,
-            "plane": self.plane,
-            "fidelity": self.state_fidelity,
-            "probabilities": self.probabilities,
-            "outcome1": self.outcome1,
-            "outcome2": self.outcome2,
-        }
-
-
 @dataclass
 class RunResult:
+    """A run's events as ``events.jsonl`` records, plus its states in density-matrix mode."""
+
     scenario_name: str
     config_hash: str
     mode: str
@@ -126,6 +84,7 @@ class RunResult:
     dataset: CorrelationDataset
     summary: dict
     clicks: list = field(default_factory=list)
+    states: np.ndarray | None = None     # (n, 9, 9), density-matrix mode only
 
 
 class _SequenceClock:
@@ -178,18 +137,51 @@ def _werner_atom_photon(visibility: float) -> DensityMatrix:
     return DensityMatrix(pure.spec, visibility * pure.matrix + (1 - visibility) * mixed)
 
 
-def _random_small_rotation(rng: np.random.Generator, mean_error: float) -> np.ndarray:
-    if mean_error <= 0:
-        return np.eye(2, dtype=complex)
-    theta = rng.normal(0.0, 2.0 * np.sqrt(mean_error))
-    axis = rng.normal(size=3)
-    return rotation_su2(axis, theta)
+# background heralds carry the maximally mixed qubit pair, which no memory changes
+_MIXED_PAIR = np.kron(np.diag([0.5, 0.0, 0.5]), np.diag([0.5, 0.0, 0.5])).astype(complex)
+
+# (angle, axis) of each photon when no residual rotation is drawn
+_NO_RESIDUAL = [(0.0, (0.0, 0.0, 1.0))] * 2
+
+_READOUTS = (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
 
 
-def _mixed_qubit_pair() -> DensityMatrix:
-    """Maximally mixed two-qubit state embedded in the qutrit pair."""
-    qubit = np.diag([0.5, 0.0, 0.5]).astype(complex)
-    return DensityMatrix(HilbertSpec([3, 3]), np.kron(qubit, qubit))
+def heralded_states(signal_in: DensityMatrix, channels, xi: float, outcomes,
+                    u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(n, 9, 9) atom-atom states of n signal heralds after both memories.
+
+    Each state is linear in its herald's photon-pair operator (see
+    ``quantum.interference_pair_operators``, with residuals u1, u2 of shape
+    (n, 2, 2)).  The two memory channels act on the [3,2,3,2] input as one
+    Schur multiplier kron(c1, c2); its unit diagonal leaves every herald
+    probability unchanged.
+    """
+    c1, c2 = (ch.coherence for ch in channels)
+    inputs = quantum.herald_input(signal_in.matrix) * np.kron(c1, c2).ravel()
+    _, states = quantum.herald(inputs, quantum.interference_pair_operators(outcomes, xi, u1, u2))
+    return states
+
+
+def event_readout(states: np.ndarray, settings, setting_index,
+                  outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Readout probabilities (n, 4) and Bell fidelities (n,) of (n, 9, 9) states.
+
+    State h is read out at the (alpha, beta, plane) schedule entry
+    ``settings[setting_index[h]]`` (outcomes in ``OUTCOME_KEYS`` order) and
+    compared with the atomic Bell state of ``outcomes[h]``.
+    """
+    flat = states.reshape(-1, 81)
+    rows = np.arange(len(flat))
+    ops = quantum.readout_operators(*zip(*(
+        (AtomBasisSetting(a, MeasurementPlane(p)), AtomBasisSetting(b, MeasurementPlane(p)))
+        for a, b, p in settings))).reshape(-1, 81)
+    probs = (flat @ ops.T).real.reshape(len(flat), len(settings), 4)[rows, setting_index]
+    kinds = list(BellOutcome)
+    # <v|rho|v> is the dot product of conj(v) (x) v with the flattened state
+    bell = np.array([np.outer(v.conj(), v).ravel()
+                     for v in (atom_bell_state(o).amplitudes for o in kinds)])
+    fids = (flat @ bell.T).real[rows, np.array([kinds.index(o) for o in outcomes], dtype=int)]
+    return probs, fids
 
 
 def run_sequence(scenario: LinkScenario, schedule="three-basis",
@@ -199,9 +191,11 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                  collect_clicks: bool = True, max_singles: int = 20000) -> RunResult:
     """Simulate heralded entanglement generation events.
 
-    ``mode`` "density-matrix" attaches the exact atom-atom state and readout
-    probabilities to every event; "sampled-clicks" additionally samples
-    binary readout outcomes.  Both are deterministic given the seed.
+    The event loop only draws random numbers; one batched pass after it
+    builds every herald's atom-atom state, readout probabilities and Bell
+    fidelity.  ``mode`` "density-matrix" also returns the states;
+    "sampled-clicks" samples binary readout outcomes.  Both are
+    deterministic given the seed.
     """
     if mode not in ("density-matrix", "sampled-clicks"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -213,6 +207,8 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         schedule_name = "custom"
     if target_events < 0:
         raise ValueError("target_events must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     rng = np.random.default_rng(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     clock = _SequenceClock(scenario, rng)
@@ -251,36 +247,27 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                                        seed=seed * 2 + i + 1)
         channels.append(fam.rotating_channel_at(round(t, 12)))
 
-    # per-run constants of the event loop; none of them draws random numbers
-    bell_targets = {o: atom_bell_state(o) for o in BellOutcome}
-    signal_in = tensor(*(
-        _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
-        for node in scenario.nodes()))
-    mixed_pair = _mixed_qubit_pair()
-    settings = []
-    for alpha, beta, plane in settings_cycle:
-        plane_enum = MeasurementPlane.EQUATOR if plane == "equator" else MeasurementPlane.Z
-        settings.append((alpha, beta, plane,
-                         AtomBasisSetting(alpha, plane_enum), AtomBasisSetting(beta, plane_enum)))
     lo = scenario.acceptance_offset
     hi = lo + scenario.acceptance_window
+    polarization_sigma = 2.0 * np.sqrt(scenario.polarization_error_mean)
 
     # click times relative to each photon's nominal arrival
     def signal_offset(node):
         return (node.wavepacket.sample_emission_times(1, rng)[0]
                 + rng.normal(0.0, node.sync_jitter_sigma))
 
-    events = []
+    # per-herald draws; states and readout come from one pass after the loop
+    heralds = []           # (try index, wall time, outcome, detector pair, offsets, signal)
+    residual_draws = []    # (angle, axis) of each photon's fibre residual
+    uniforms = []          # sampled-clicks readout draws
     clicks = []
     n_dnull = 0
     n_dnull_accepted = 0
     n_heralds_by_class = {"DPlus": 0, "DMinus": 0}
     try_index = 0
-    herald_count = 0
     wall_time = 0.0
-    setting_idx = 0
 
-    while herald_count < target_events:
+    while len(heralds) < target_events:
         gap = int(rng.geometric(p_event))
         try_index += gap
         wall_time = clock.advance(gap)
@@ -289,14 +276,14 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         if branch == "dnull":
             pair = sample_pair(CoincidenceClass.D_NULL, rng)
             offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
-            accepted = all(lo <= t <= hi for t in offs)
             n_dnull += 1
-            n_dnull_accepted += int(accepted)
+            n_dnull_accepted += int(all(lo <= t <= hi for t in offs))
             if collect_clicks:
                 clicks.append(("node1", pair[0], offs[0], "signal"))
                 clicks.append(("node2", pair[1], offs[1], "signal"))
             continue
 
+        residual = _NO_RESIDUAL
         if branch == "background":
             cls = CoincidenceClass.D_PLUS if rng.random() < 0.5 else CoincidenceClass.D_MINUS
             pair = sample_pair(cls, rng)
@@ -305,60 +292,69 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             offs = [0.0, 0.0]
             offs[sig_node] = signal_offset(scenario.nodes()[sig_node])
             offs[1 - sig_node] = rng.uniform(hw0, hw1)
-            origin = "background"
-            rho = mixed_pair
-            outcome = _CLASS_TO_OUTCOME[cls]
+            is_signal = False
         else:
             cls = CoincidenceClass.D_PLUS if branch == "dplus" else CoincidenceClass.D_MINUS
-            outcome = _CLASS_TO_OUTCOME[cls]
             pair = sample_pair(cls, rng)
             offs = [signal_offset(scenario.node1), signal_offset(scenario.node2)]
-            origin = "signal"
-            u1 = _random_small_rotation(rng, scenario.polarization_error_mean)
-            u2 = _random_small_rotation(rng, scenario.polarization_error_mean)
-            _, rho = quantum.swap_with_interference(signal_in, outcome, xi, (u1, u2))
-            rho = channels[0].apply_to_subsystem(rho, 0)
-            rho = channels[1].apply_to_subsystem(rho, 1)
-
-        accepted = all(lo <= t <= hi for t in offs)
-        alpha, beta, plane, s1, s2 = settings[setting_idx % len(settings)]
-        setting_idx += 1
-        probs = joint_outcome_probabilities(rho, s1, s2)
-        state_fid = fidelity(rho, bell_targets[outcome])
-
-        outcome1 = outcome2 = None
+            is_signal = True
+            if scenario.polarization_error_mean > 0:
+                residual = [(rng.normal(0.0, polarization_sigma), rng.normal(size=3))
+                            for _ in (0, 1)]
         if mode == "sampled-clicks":
-            r = rng.random()
-            if r < probs["uu"]:
-                outcome1, outcome2 = "up", "up"
-            elif r < probs["uu"] + probs["ud"]:
-                outcome1, outcome2 = "up", "down"
-            elif r < probs["uu"] + probs["ud"] + probs["du"]:
-                outcome1, outcome2 = "down", "up"
-            else:
-                outcome1, outcome2 = "down", "down"
+            uniforms.append(rng.random())
 
-        events.append(HeraldedEvent(
-            index=herald_count, try_index=try_index, wall_time=wall_time,
-            bell_outcome=outcome.value, detectors=tuple(pair),
-            click_offsets=(offs[0], offs[1]), accepted=accepted, origin=origin,
-            alpha=alpha, beta=beta, plane=plane,
-            state=rho if mode == "density-matrix" else None,
-            probabilities=probs, state_fidelity=state_fid,
-            outcome1=outcome1, outcome2=outcome2,
-        ))
+        heralds.append((try_index, wall_time, _CLASS_TO_OUTCOME[cls], pair, offs, is_signal))
+        residual_draws += residual
         n_heralds_by_class[cls.value] += 1
         if collect_clicks:
-            clicks.append(("node1", pair[0], offs[0],
-                           "signal" if origin == "signal" else "mixed"))
-            clicks.append(("node2", pair[1], offs[1],
-                           "signal" if origin == "signal" else "mixed"))
-        herald_count += 1
+            origin = "signal" if is_signal else "mixed"
+            clicks.append(("node1", pair[0], offs[0], origin))
+            clicks.append(("node2", pair[1], offs[1], origin))
+    herald_count = len(heralds)
+    try_indices, wall_times, outcomes, pairs, offsets, signal = list(zip(*heralds)) or [()] * 6
+
+    # one batched pass: residuals, states, readout probabilities, fidelities
+    residuals = rotation_su2(np.array([axis for _, axis in residual_draws]).reshape(-1, 3),
+                             np.array([angle for angle, _ in residual_draws])).reshape(-1, 2, 2, 2)
+    states = np.tile(_MIXED_PAIR, (herald_count, 1, 1))
+    sig = np.flatnonzero(signal)
+    signal_in = tensor(*(
+        _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
+        for node in scenario.nodes()))
+    states[sig] = heralded_states(signal_in, channels, xi, [outcomes[h] for h in sig],
+                                  residuals[sig, 0], residuals[sig, 1])
+    quantum.check_density_matrices(states)
+    setting_index = np.arange(herald_count) % len(settings_cycle)
+    probs, fids = event_readout(states, settings_cycle, setting_index, outcomes)
+    # free what the result does not keep before the singles stream is drawn
+    del residual_draws, residuals
+    if mode == "sampled-clicks":
+        states = None
+        # the first cumulative threshold above r picks uu, ud, du or dd
+        above = np.asarray(uniforms)[:, None] < np.cumsum(probs[:, :3], axis=1)
+        readouts = [_READOUTS[k] for k in
+                    np.argmax(np.column_stack([above, np.ones(herald_count, bool)]), axis=1)]
+    else:
+        readouts = [(None, None)] * herald_count
+    offsets = np.asarray(offsets, dtype=float).reshape(herald_count, 2)
+    accepted = np.all((lo <= offsets) & (offsets <= hi), axis=1)
+
+    events = [
+        {"wall_time_s": w, "try_index": t, "bell_outcome": o.value,
+         "detector1": pair[0], "detector2": pair[1], "click1_ns": c1, "click2_ns": c2,
+         "accepted": a, "origin": "signal" if s else "background",
+         "alpha_rad": settings_cycle[k][0], "beta_rad": settings_cycle[k][1],
+         "plane": settings_cycle[k][2], "fidelity": f,
+         "probabilities": dict(zip(OUTCOME_KEYS, p)), "outcome1": r1, "outcome2": r2}
+        for w, t, o, pair, (c1, c2), a, s, k, f, p, (r1, r2) in zip(
+            wall_times, try_indices, outcomes, pairs, (offsets * 1e9).tolist(),
+            accepted.tolist(), signal, setting_index.tolist(), fids.tolist(),
+            probs.tolist(), readouts)]
 
     # subsampled singles stream for detection-time histograms; the flat
     # background is continuous, so it is recorded over a wide span around
     # the arrival window to give the estimator clean side bands
-    singles = {}
     hist_lo, hist_hi = HISTOGRAM_SPAN
     if collect_clicks and try_index > 0:
         for i, label in enumerate(("node1", "node2")):
@@ -371,18 +367,11 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             k_bg = int(round(n_bg * factor))
             t_sig = node.wavepacket.sample_emission_times(k_sig, rng)
             t_bg = rng.uniform(hist_lo, hist_hi, size=k_bg)
-            singles[label] = {
-                "subsample_factor": factor,
-                "signal_times": t_sig,
-                "background_times": t_bg,
-            }
             for t in t_sig:
                 clicks.append((label, "single", float(t), "signal"))
             for t in t_bg:
                 clicks.append((label, "single", float(t), "background"))
 
-    n_accepted = sum(1 for e in events if e.accepted)
-    sbr = sbr_model(scenario)
     summary = {
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
@@ -394,22 +383,20 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         "wall_time_s": wall_time,
         "measured_event_rate_hz": herald_count / wall_time if wall_time > 0 else 0.0,
         "measured_success_probability": herald_count / try_index if try_index else 0.0,
-        "accepted_fraction": n_accepted / herald_count if herald_count else 0.0,
+        "accepted_fraction": int(accepted.sum()) / herald_count if herald_count else 0.0,
         "n_dnull": n_dnull,
         "n_dnull_accepted": n_dnull_accepted,
         "herald_counts": n_heralds_by_class,
         "xi": xi,
-        "sbr_model": sbr,
+        "sbr_model": sbr_model(scenario),
         "model": {
             "success_probability": success_probability(scenario),
             "repetition_rate_hz": repetition_rate(scenario),
             "duty_cycle_nominal": scenario.duty_cycle_nominal,
             "event_rate_hz": event_rate(scenario),
         },
-        "mean_state_fidelity": float(np.mean([e.state_fidelity for e in events]))
-        if events else None,
+        "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": clock.dead_time,
     }
-    dataset = dataset_from_records([e.readout_record() for e in events], mode)
     return RunResult(scenario.name, config_hash(scenario), mode, seed, events,
-                     dataset, summary, clicks)
+                     dataset_from_records(events, mode), summary, clicks, states)

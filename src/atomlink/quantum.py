@@ -17,6 +17,7 @@ Under these choices ``(|down_z>|L> + |up_z>|R>)/sqrt2`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -85,14 +86,6 @@ class StateVector:
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.spec, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            self.spec.concat(other.spec), np.kron(self.amplitudes, other.amplitudes)
-        )
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -106,28 +99,30 @@ class DensityMatrix:
         d = self.spec.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {d}")
-        herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if eigs.min() < PSD_TOL:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {eigs.min():.3e})")
+        check_density_matrices(mat[None])
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.spec.total_dim
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def expectation(self, operator: np.ndarray) -> float:
-        return float(np.trace(operator @ self.matrix).real)
+
+def check_density_matrices(mats: np.ndarray) -> None:
+    """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD."""
+    herm = mats.conj().swapaxes(-1, -2)
+    herm_err = np.max(np.abs(mats - herm), initial=0.0)
+    if herm_err > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
+    herm += mats
+    herm /= 2.0
+    eig_min = np.linalg.eigvalsh(herm).min(initial=np.inf)
+    if eig_min < PSD_TOL:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
 
 
 def _as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
@@ -182,17 +177,12 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 # Fixed basis vectors
 # ---------------------------------------------------------------------------
 
-QUTRIT = HilbertSpec([3])
-PHOTON = HilbertSpec([2])
-
 ATOM_DOWN_Z = np.array([1.0, 0.0, 0.0], dtype=complex)   # m = -1
 ATOM_ZERO = np.array([0.0, 1.0, 0.0], dtype=complex)     # m = 0
 ATOM_UP_Z = np.array([0.0, 0.0, 1.0], dtype=complex)     # m = +1
 
 ATOM_UP_X = (ATOM_UP_Z + ATOM_DOWN_Z) / np.sqrt(2.0)
 ATOM_DOWN_X = -1j * (ATOM_UP_Z - ATOM_DOWN_Z) / np.sqrt(2.0)
-ATOM_UP_Y = (ATOM_UP_Z + 1j * ATOM_DOWN_Z) / np.sqrt(2.0)
-ATOM_DOWN_Y = (ATOM_UP_Z - 1j * ATOM_DOWN_Z) / np.sqrt(2.0)
 
 PHOTON_H = np.array([1.0, 0.0], dtype=complex)
 PHOTON_V = np.array([0.0, 1.0], dtype=complex)
@@ -271,26 +261,72 @@ _PHOTON_BELL = {
 }
 
 
-def _herald(rho: DensityMatrix, kets: np.ndarray,
-            weights: np.ndarray) -> tuple[float, DensityMatrix]:
-    """Weighted sum of photon-pair projections of a [3,2,3,2] state.
+def herald_input(matrix: np.ndarray) -> np.ndarray:
+    """A [3,2,3,2] operator as the (16, 81) input of ``herald``.
 
-    Contracts the photon pair with every ket k_n of ``kets`` (shape
-    (n, 2, 2)) at weight w_n, which traces the photons out.  Returns the
-    total probability sum_n w_n <k_n|rho|k_n> and the normalized atom-atom
-    state; raises if that probability is zero.
+    Rows are the photon indices (j, l, J, L) and columns the atom indices
+    (i, k, I, K) of ``matrix[(i, j, k, l), (I, J, K, L)]``, so a column is a
+    row-major 9x9 atom-atom operator.  A Schur multiplier on both qutrits,
+    rho[(i,k),(I,K)] -> c1[i,I] c2[k,K] rho[(i,k),(I,K)], acts on this form
+    as an entrywise product with ``np.kron(c1, c2).ravel()``.
+    """
+    t = np.asarray(matrix).reshape(3, 2, 3, 2, 3, 2, 3, 2)
+    return t.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(16, 81)
+
+
+def interference_pair_operators(outcomes: Sequence[BellOutcome], xi: float,
+                                u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(n, 16) photon-pair operators sum_m w_m conj(k_m) (x) k_m of n heralds.
+
+    With weight xi the herald projects onto the photonic Bell ket of its
+    outcome; with weight (1-xi) the photons are distinguishable and an
+    unordered (H, V) pair lands in the heralding detector group half the
+    time.  The residual Jones matrices u1, u2 (n, 2, 2) are folded into the
+    kets: projecting (u1 x u2) rho (u1 x u2)^dagger onto a ket k (indexed
+    [photon1, photon2]) is projecting rho onto k' = u1^dagger k conj(u2).
+    """
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError("xi must be in [0, 1]")
+    bell = np.array([_PHOTON_BELL[o] for o in outcomes]).reshape(-1, 1, 2, 2)
+    kets = np.concatenate([bell, np.broadcast_to([_HV, _VH], (len(bell), 2, 2, 2))], axis=1)
+    # distinguishable (H,V) pairs split evenly between the D+ and D- groups
+    weights = np.array([xi, 0.5 * (1.0 - xi), 0.5 * (1.0 - xi)])
+    folded = u1.conj().swapaxes(1, 2)[:, None] @ kets @ u2.conj()[:, None]
+    return np.einsum("m,nmjl,nmJL->njlJL", weights, folded.conj(), folded).reshape(-1, 16)
+
+
+def herald(inputs: np.ndarray, pair_ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Herald probabilities (n,) and normalized atom-atom states (n, 9, 9).
+
+    Contracting the photon pair of the (16, 81) ``inputs`` with each row of
+    ``pair_ops`` traces the photons out; the probability is
+    sum_m w_m <k_m|rho|k_m>.  Raises if any herald has zero probability.
+    """
+    mat = (pair_ops @ inputs).reshape(-1, 9, 9)
+    prob = np.trace(mat, axis1=1, axis2=2).real
+    if np.any(prob < 1e-15):
+        raise ValueError("the herald has zero probability on this input")
+    # in place, so that a batch holds one extra copy at most
+    mat /= prob[:, None, None]
+    mat += mat.conj().swapaxes(1, 2)
+    mat /= 2.0
+    return prob, mat
+
+
+def swap_with_interference(rho: DensityMatrix, outcome: BellOutcome, xi: float,
+                           residuals: tuple[np.ndarray, np.ndarray]
+                           ) -> tuple[float, DensityMatrix]:
+    """Herald probability and state of one [3,2,3,2] input, photons folded as above.
+
+    ``residuals`` are the Jones matrices (u1, u2) the two photons pick up
+    before the BSM (see ``interference_pair_operators``).
     """
     if rho.spec.subsystem_dims != (3, 2, 3, 2):
         raise ValueError("expected subsystem dims (3, 2, 3, 2)")
-    t = rho.matrix.reshape(3, 2, 3, 2, 3, 2, 3, 2)
-    # indices: atom1 p1 atom2 p2 (ket) ; atom1' p1' atom2' p2' (bra)
-    raw = np.einsum("n,njl,ijklIJKL,nJL->ikIK", weights, kets.conj(), t, kets)
-    raw = raw.reshape(9, 9)
-    prob = float(np.trace(raw).real)
-    if prob < 1e-15:
-        raise ValueError("the herald has zero probability on this input")
-    mat = raw / prob
-    return prob, DensityMatrix(_AA_SPEC, (mat + mat.conj().T) / 2.0)
+    u1, u2 = (np.asarray(u)[None] for u in residuals)
+    prob, states = herald(herald_input(rho.matrix),
+                          interference_pair_operators([outcome], xi, u1, u2))
+    return float(prob[0]), DensityMatrix(_AA_SPEC, states[0])
 
 
 def bell_project(rho: DensityMatrix, outcome: BellOutcome) -> tuple[float, DensityMatrix]:
@@ -299,33 +335,8 @@ def bell_project(rho: DensityMatrix, outcome: BellOutcome) -> tuple[float, Densi
     Returns the outcome probability and the normalized heralded atom-atom
     state.  Raises if the outcome has no support on the input.
     """
-    return _herald(rho, _PHOTON_BELL[outcome][None], np.ones(1))
-
-
-def swap_with_interference(rho: DensityMatrix, outcome: BellOutcome, xi: float,
-                           residuals: tuple[np.ndarray, np.ndarray]
-                           ) -> tuple[float, DensityMatrix]:
-    """Heralded atom-atom state for partial photon indistinguishability xi.
-
-    With probability weight xi the herald projects onto the photonic Bell
-    state; with weight (1-xi) the photons are distinguishable and an
-    unordered (H, V) pair lands in the heralding detector group half the
-    time.  Returns the herald probability and the heralded state.
-
-    ``residuals`` are the Jones matrices (u1, u2) the two photons pick up
-    before the BSM.  They are folded into the photon-pair kets instead of
-    acting on ``rho``: projecting (u1 x u2) rho (u1 x u2)^dagger onto a ket
-    k (indexed [photon1, photon2]) is projecting rho onto
-    k' = u1^dagger k conj(u2).  Raises only if the herald has zero
-    probability.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must be in [0, 1]")
-    u1, u2 = residuals
-    kets = np.stack([_PHOTON_BELL[outcome], _HV, _VH])
-    # distinguishable (H,V) pairs split evenly between the D+ and D- groups
-    weights = np.array([xi, 0.5 * (1.0 - xi), 0.5 * (1.0 - xi)])
-    return _herald(rho, u1.conj().T @ kets @ u2.conj(), weights)
+    identity = np.eye(2, dtype=complex)
+    return swap_with_interference(rho, outcome, 1.0, (identity, identity))
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +359,8 @@ class AtomMeasurement:
 
 
 def _lift(op: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[subsystem] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return functools.reduce(np.kron, [op if i == subsystem else np.eye(d, dtype=complex)
+                                      for i, d in enumerate(dims)])
 
 
 def measure_atom(rho: DensityMatrix, setting: AtomBasisSetting,
@@ -379,25 +386,36 @@ def measure_atom(rho: DensityMatrix, setting: AtomBasisSetting,
     return AtomMeasurement(probs[0], probs[1], p_zero, posts[0], posts[1])
 
 
-def joint_outcome_probabilities(rho: DensityMatrix, setting1: AtomBasisSetting,
-                                setting2: AtomBasisSetting) -> dict[str, float]:
-    """Binary joint readout probabilities on a [3,3] state.
+OUTCOME_KEYS = ("uu", "ud", "du", "dd")
+
+
+def readout_operators(settings1: Sequence[AtomBasisSetting],
+                      settings2: Sequence[AtomBasisSetting]) -> np.ndarray:
+    """(s, 4, 81) joint readout rows of s setting pairs, outcomes in OUTCOME_KEYS order.
 
     The m=0 population of each atom is folded into its dark (down) outcome,
-    mirroring the state-selective ionization readout.
+    mirroring the state-selective ionization readout.  Each row is conj(A)
+    flattened for the Hermitian operator A = kron(a, b), so the probability
+    Tr(A rho) is its dot product with the flattened [3,3] state.
     """
+    ops = []
+    for setting1, setting2 in zip(settings1, settings2):
+        u1, d1, z1 = setting1.projectors()
+        u2, d2, z2 = setting2.projectors()
+        dark1 = d1 + z1
+        dark2 = d2 + z2
+        ops.append([np.kron(a, b) for a, b in
+                    ((u1, u2), (u1, dark2), (dark1, u2), (dark1, dark2))])
+    return np.array(ops, dtype=complex).conj().reshape(-1, 4, 81)
+
+
+def joint_outcome_probabilities(rho: DensityMatrix, setting1: AtomBasisSetting,
+                                setting2: AtomBasisSetting) -> dict[str, float]:
+    """Binary joint readout probabilities on a [3,3] state (see ``readout_operators``)."""
     if rho.spec.subsystem_dims != (3, 3):
         raise ValueError("expected a two-qutrit state")
-    u1, d1, z1 = setting1.projectors()
-    u2, d2, z2 = setting2.projectors()
-    dark1 = d1 + z1
-    dark2 = d2 + z2
-    out = {}
-    for key, (a, b) in {
-        "uu": (u1, u2), "ud": (u1, dark2), "du": (dark1, u2), "dd": (dark1, dark2),
-    }.items():
-        out[key] = float(np.trace(np.kron(a, b) @ rho.matrix).real)
-    return out
+    probs = (readout_operators([setting1], [setting2])[0] @ rho.matrix.ravel()).real
+    return dict(zip(OUTCOME_KEYS, probs.tolist()))
 
 
 def correlator(rho: DensityMatrix, setting1: AtomBasisSetting,

@@ -302,8 +302,7 @@ class TestCriterion10PropertySuites:
         res = run_sequence(preset("l6"), target_events=10, seed=1,
                            mode="density-matrix", n_trajectories=300,
                            collect_clicks=False)
-        for e in res.events:
-            mat = e.state.matrix
+        for mat in res.states:
             assert abs(np.trace(mat).real - 1.0) < 1e-9
             assert np.min(np.linalg.eigvalsh(mat)) > -1e-10
 

@@ -64,7 +64,7 @@ class TestSimulate:
             run_cli("simulate", "--preset", "nope", "--out", str(tmp_path))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--trajectories=-5", "--events=-3"])
+    @pytest.mark.parametrize("flag", ["--trajectories=-5", "--events=-3", "--seed=-1"])
     def test_bad_counts_write_nothing(self, tmp_path, flag):
         out = tmp_path / "run"
         assert run_cli("simulate", "--preset", "l6", flag, "--out", str(out)) == 2
@@ -191,10 +191,15 @@ class TestRates:
         assert float(l6["repetition_rate_hz"]) == pytest.approx(30.8e3, rel=0.05)
         assert float(l6["success_probability_model"]) == pytest.approx(3.66e-6, rel=0.01)
 
-    @pytest.mark.parametrize("presets", [",", "l6,nope"])
-    def test_bad_presets_write_nothing(self, tmp_path, presets):
+    @pytest.mark.parametrize("args", [
+        ["--presets", ","],
+        ["--presets", "l6,nope"],
+        # the fidelity table is computed, and fails, before rates.csv is written
+        ["--presets", "l6", "--fidelity-out", "f.csv", "--trajectories", "50"],
+    ], ids=[",", "l6,nope", "few-trajectories"])
+    def test_bad_presets_write_nothing(self, tmp_path, args):
         out = tmp_path / "rates"
-        assert run_cli("rates", "--presets", presets, "--out", str(out)) == 2
+        assert run_cli("rates", *args, "--out", str(out)) == 2
         assert not out.exists()
 
     def test_missing_fidelity_dir_fails_before_work(self, tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from atomlink.memory import (
     FieldEnvironment,
     TrapParams,
     coherence_envelope,
-    dephasing_channel,
     dephasing_channel_family,
 )
 from atomlink.memory.fields import fictitious_field_y
@@ -129,12 +128,12 @@ class TestLocalField:
 
 class TestDephasingChannel:
     def test_zero_time_is_identity(self):
-        ch = dephasing_channel(TRAP, QUIET, 50e-6, 0.0, 200, seed=4)
+        ch = dephasing_channel_family(TRAP, QUIET, 50e-6, [0.0], 200, seed=4).channel_at(0.0)
         assert np.allclose(ch.coherence, np.ones((3, 3)), atol=1e-12)
 
     def test_trace_preserving_and_cp(self):
         env = FieldEnvironment()
-        ch = dephasing_channel(TRAP, env, 50e-6, 20e-6, 300, seed=8)
+        ch = dephasing_channel_family(TRAP, env, 50e-6, [20e-6], 300, seed=8).channel_at(20e-6)
         # a Schur multiplier preserves the trace iff its diagonal is one, and
         # it is CP iff its coherence matrix (its Choi matrix) is PSD
         assert np.max(np.abs(np.diag(ch.coherence) - 1.0)) < 1e-9
@@ -154,7 +153,7 @@ class TestDephasingChannel:
         t = 20e-6
         n_traj = 150
         env = FieldEnvironment(shot_noise_sigma=sigma, fictitious_field_scale=0.0)
-        ch = dephasing_channel(TRAP, env, 1e-15, t, n_traj, seed=2)
+        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], n_traj, seed=2).channel_at(t)
         s4 = np.mean([np.einsum("ij,kl->ikjl", u, u.conj())
                       for u in _pinned_unitaries(env, t, n_traj)], axis=0)
         i, k = np.indices((3, 3))
@@ -170,7 +169,7 @@ class TestDephasingChannel:
         t = 20e-6
         n_traj = 120
         env = FieldEnvironment(shot_noise_sigma=0.5e-3, fictitious_field_scale=0.0)
-        ch = dephasing_channel(TRAP, env, 1e-15, t, n_traj, seed=5)
+        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], n_traj, seed=5).channel_at(t)
         rho = random_density_matrix(np.random.default_rng(13), 18)
         expected = np.zeros((18, 18), dtype=complex)
         for u in _pinned_unitaries(env, t, n_traj):
@@ -222,13 +221,13 @@ class TestDephasingChannel:
 
     def test_seed_required_and_trajectory_floor(self):
         with pytest.raises(ValueError):
-            dephasing_channel(TRAP, QUIET, 50e-6, 1e-6, 50, seed=1)
+            dephasing_channel_family(TRAP, QUIET, 50e-6, [1e-6], 50, seed=1).channel_at(1e-6)
         with pytest.raises(ValueError):
-            dephasing_channel(TRAP, QUIET, 50e-6, 1e-6, 200, seed=-2)
+            dephasing_channel_family(TRAP, QUIET, 50e-6, [1e-6], 200, seed=-2).channel_at(1e-6)
 
     def test_off_grid_time_rejected(self):
         with pytest.raises(ValueError):
-            dephasing_channel(TRAP, QUIET, 50e-6, 1.23e-7, 200, seed=1)
+            dephasing_channel_family(TRAP, QUIET, 50e-6, [1.23e-7], 200, seed=1)
 
     def test_empty_time_grid_rejected(self):
         with pytest.raises(ValueError, match="sample time"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from atomlink.photonics import (
     FibreUnitary,
@@ -13,6 +14,9 @@ from atomlink.photonics import (
     stokes_rotation,
 )
 from atomlink.photonics.polarization import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     PolarizationState,
     _probe_cost,
     invert_rotation_settings,
@@ -71,6 +75,24 @@ class TestDrift:
         for _ in range(2000):
             u = drift_step(u, 1.0, 0.05, rng)
         assert np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(2))) < 1e-12
+
+
+class TestRotationSu2:
+    def test_stacked_matches_per_axis(self):
+        rng = np.random.default_rng(5)
+        # random axes of any length, plus a non-unit axis on each Stokes direction
+        axes = np.vstack([rng.normal(size=(20, 3)) * rng.uniform(0.1, 5.0, size=(20, 1)),
+                          [[2.0, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 7.0], [0.3, -0.5, 0.8]]])
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=len(axes))
+        stacked = rotation_su2(axes, angles)
+        assert stacked.shape == (len(axes), 2, 2)
+        for u, axis, angle in zip(stacked, axes, angles):
+            single = rotation_su2(axis, angle)
+            assert np.max(np.abs(u - single)) < 1e-15
+            # exp(-i angle/2 n.sigma) with n.sigma from the Pauli matrices
+            n = axis / np.linalg.norm(axis)
+            n_sigma = n[0] * SIGMA_Z + n[1] * SIGMA_X + n[2] * SIGMA_Y
+            assert np.max(np.abs(single - expm(-0.5j * angle * n_sigma))) < 1e-14
 
 
 class TestController:
