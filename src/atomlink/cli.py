@@ -355,11 +355,12 @@ def cmd_dephasing(args) -> int:
     with _open_output(path) as fh:
         fh.write(f"# config_hash={config_hash(scenario)}\n")
         w = csv.writer(fh)
-        w.writerow(["time_us", "basis", "expectation", "envelope"])
+        w.writerow(["time_us", "basis", "expectation", "envelope", "envelope_stderr"])
+        stderr = family.stderr()
         for basis in ("X", "Y", "Z"):
             curve = ce.curves[basis]
-            for t, x, v in zip(ce.times, curve, ce.visibility):
-                w.writerow([f"{t * 1e6:.3f}", basis, f"{x:.6f}", f"{v:.6f}"])
+            for t, x, v, se in zip(ce.times, curve, ce.visibility, stderr):
+                w.writerow([f"{t * 1e6:.3f}", basis, f"{x:.6f}", f"{v:.6f}", f"{se:.6f}"])
     one_over_e = ce.one_over_e_time()
     print(f"wrote envelope to {path}; 1/e time {one_over_e * 1e6:.1f} us")
     _write_manifest(out, args, scenario, {"one_over_e_us": one_over_e * 1e6})

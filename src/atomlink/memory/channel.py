@@ -14,6 +14,13 @@ Reproducibility contract: trajectory k draws from a Philox stream keyed by
 (seed, k), the quasi-static noise is a deterministic stratified normal grid
 over the trajectory index, and all trajectories are integrated and summed as
 one array in a single pass, so the same arguments give bit-identical results.
+
+Time step: the atoms move by ``MOTION_SUBSTEPS`` Yoshida-4 steps per spin
+step of ``SPIN_DT`` and the phase takes the field at the mid-step position.
+Sample times sit on the finer ``SAMPLE_DT`` grid; a time between two spin
+steps is reached by one short step of the same form from the last grid
+point, taken on a copy of the state, so c(t) does not depend on which other
+times are requested.
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +29,12 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..quantum import DensityMatrix
-from .fields import FieldEnvironment, fictitious_field_y
+from .fields import FieldEnvironment, vector_shift_gauss
 from .spin import OMEGA_PER_GAUSS
-from .trap import TrapParams, thermal_sigmas, yoshida4_step
+from .trap import MotionKernel, TrapParams, thermal_sigmas
 
-SPIN_DT = 1e-7         # spin step (s); sample times must sit on its grid
+SAMPLE_DT = 1e-7       # grid of the sample times (s)
+SPIN_DT = 5e-7         # spin step (s), a whole multiple of SAMPLE_DT
 MOTION_SUBSTEPS = 2    # Yoshida-4 motion steps per spin step
 
 _UP, _ZERO, _DOWN = 2, 1, 0   # qutrit indices of m = +1, 0, -1
@@ -114,6 +122,16 @@ class DephasingChannelFamily:
     def envelope(self) -> np.ndarray:
         return np.abs(self.coherences[:, _UP, _DOWN])
 
+    def stderr(self) -> np.ndarray:
+        """Monte-Carlo standard error of the |up><down| coherence at each time.
+
+        The coherence is a mean of n unit-modulus samples, so its standard
+        error is at most sqrt((1 - |c|^2) / n); the stratified noise grid
+        only makes this bound conservative.
+        """
+        spread = np.maximum(1.0 - self.envelope() ** 2, 0.0)
+        return np.sqrt(spread / self.meta["n_trajectories"])
+
     def expectation_curve(self, basis: str) -> np.ndarray:
         rho0, op = {
             "X": (np.outer(_UP_X, _UP_X.conj()), _SIGMA_X),
@@ -156,7 +174,7 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
                              seed: int) -> DephasingChannelFamily:
     """Build the averaged memory channel at each requested time.
 
-    ``times`` must sit on the ``SPIN_DT`` grid.  All trajectories are
+    ``times`` must sit on the ``SAMPLE_DT`` grid.  All trajectories are
     integrated as one array, so the result is a function of the arguments
     alone.
     """
@@ -169,47 +187,53 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         raise ValueError("at least one sample time is needed")
     if np.any(times < 0):
         raise ValueError("sample times must be >= 0")
-    steps = np.round(times / SPIN_DT).astype(int)
-    if np.max(np.abs(steps * SPIN_DT - times)) > 1e-12:
-        raise ValueError("every sample time must be a multiple of SPIN_DT")
-    sample_steps: dict[int, list[int]] = {}
-    for t_idx, s in enumerate(steps):
-        sample_steps.setdefault(int(s), []).append(t_idx)
-    n_steps = int(steps.max())
+    ticks = np.round(times / SAMPLE_DT).astype(int)
+    if np.max(np.abs(ticks * SAMPLE_DT - times)) > 1e-12:
+        raise ValueError("every sample time must be a multiple of SAMPLE_DT")
+    # t = step * SPIN_DT + rest * SAMPLE_DT, keyed by step and then by rest
+    samples: dict[int, dict[int, list[int]]] = {}
+    for t_idx, tick in enumerate(ticks):
+        step, rest = divmod(int(tick), round(SPIN_DT / SAMPLE_DT))
+        samples.setdefault(step, {}).setdefault(rest, []).append(t_idx)
 
     sig_pos, sig_v = thermal_sigmas(trap, temperature)
-    pos = np.empty((n_trajectories, 3))
-    vel = np.empty((n_trajectories, 3))
-    for k in range(n_trajectories):
-        gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)]))
-        z = gen.normal(size=6)
-        pos[k] = z[:3] * sig_pos
-        vel[k] = z[3:] * sig_v
+    draws = np.array([
+        np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)])).normal(size=6)
+        for k in range(n_trajectories)])
+    pos = np.ascontiguousarray((draws[:, :3] * sig_pos).T)
+    vel = np.ascontiguousarray((draws[:, 3:] * sig_v).T)
     # stratified quasi-static noise over the trajectory index
     field = env.bias_field + env.shot_noise_sigma * ndtri(
         (np.arange(n_trajectories) + 0.5) / n_trajectories)
+    shift_gauss = vector_shift_gauss(trap, env)
 
+    kernel = MotionKernel(trap, n_trajectories)
+    acc = np.empty_like(pos)
+    kernel.force(pos, acc)
+    phi = np.zeros(n_trajectories)
+    rate = np.empty(n_trajectories)
     # sums of exp(-i phi) and exp(-2i phi) over the trajectories at every sample
     sums = np.zeros((len(times), 2), dtype=complex)
-    phi = np.zeros(n_trajectories)
 
-    def record(step):
-        if step in sample_steps:
-            rot = np.exp(-1j * phi)
-            sums[sample_steps[step]] += (rot.sum(), (rot * rot).sum())
+    def advance(pos, vel, acc, phi, dt):
+        mid = kernel.step(pos, vel, acc, dt, MOTION_SUBSTEPS)
+        np.multiply(mid, shift_gauss, out=rate)
+        np.add(rate, field, out=rate)
+        np.multiply(rate, OMEGA_PER_GAUSS * dt, out=rate)
+        phi += rate
 
-    record(0)
-    acc = trap.acceleration(pos)
-    h = SPIN_DT / MOTION_SUBSTEPS
-    mid_idx = (MOTION_SUBSTEPS - 1) // 2
-    for step in range(n_steps):
-        mid = pos
-        for s in range(MOTION_SUBSTEPS):
-            pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
-            if s == mid_idx:
-                mid = pos
-        phi += OMEGA_PER_GAUSS * (field + fictitious_field_y(trap, env, mid)) * SPIN_DT
-        record(step + 1)
+    last = max(samples)
+    for step in range(last + 1):
+        for rest, t_idx in samples.get(step, {}).items():
+            if rest == 0:
+                rot = np.exp(-1j * phi)
+            else:
+                branch = [a.copy() for a in (pos, vel, acc, phi)]
+                advance(*branch, rest * SAMPLE_DT)
+                rot = np.exp(-1j * branch[3])
+            sums[t_idx] += (rot.sum(), (rot * rot).sum())
+        if step < last:
+            advance(pos, vel, acc, phi, SPIN_DT)
 
     e1, e2 = (sums / n_trajectories).T
     # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]

@@ -47,11 +47,17 @@ class FieldEnvironment:
         return dataclasses.replace(self, **kwargs)
 
 
+def vector_shift_gauss(trap: TrapParams, env: FieldEnvironment) -> float:
+    """Fictitious field (gauss) per unit of ``TrapParams.vector_shift_profile``.
+
+    The field is the scale times the trap depth in gauss times the
+    longitudinal fraction 4 x / (k w(z)^2) of the local intensity.
+    """
+    return (env.fictitious_field_scale * trap.depth_gauss
+            * 4.0 / (trap.wavenumber * trap.beam_waist_w0**2))
+
+
 def fictitious_field_y(trap: TrapParams, env: FieldEnvironment,
                        positions: np.ndarray) -> np.ndarray:
     """y component of the vector-light-shift field at (n, 3) positions."""
-    pos = np.atleast_2d(positions)
-    w2 = trap.beam_width_sq(pos[:, 2])
-    intensity = trap.intensity_fraction(pos)
-    longitudinal_fraction = 4.0 * pos[:, 0] / (trap.wavenumber * w2)
-    return env.fictitious_field_scale * trap.depth_gauss * longitudinal_fraction * intensity
+    return vector_shift_gauss(trap, env) * trap.vector_shift_profile(positions)

@@ -63,16 +63,13 @@ class TrapParams:
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
-    def beam_width_sq(self, z):
-        """w(z)^2 of the Gaussian beam."""
-        return self.beam_waist_w0**2 * (1.0 + (z / self.rayleigh_range) ** 2)
-
     def intensity_fraction(self, positions: np.ndarray) -> np.ndarray:
         """Local intensity relative to the focus, I(r)/I0, for (n, 3) positions."""
-        pos = np.atleast_2d(positions)
-        w2 = self.beam_width_sq(pos[:, 2])
-        rho2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
-        return (self.beam_waist_w0**2 / w2) * np.exp(-2.0 * rho2 / w2)
+        return _evaluate(self, positions)[0].intensity
+
+    def vector_shift_profile(self, positions: np.ndarray) -> np.ndarray:
+        """x I(r)/I0 w0^2/w(z)^2 for (n, 3) positions; the vector shift scales with it."""
+        return _evaluate(self, positions)[0].shift
 
     def potential(self, positions: np.ndarray) -> np.ndarray:
         """U(r) in joules, (n,) for (n, 3) positions."""
@@ -80,21 +77,7 @@ class TrapParams:
 
     def acceleration(self, positions: np.ndarray) -> np.ndarray:
         """-grad U / m for (n, 3) positions."""
-        pos = np.atleast_2d(positions)
-        x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
-        zr2 = self.rayleigh_range**2
-        w2 = self.beam_width_sq(z)
-        s = self.beam_waist_w0**2 / w2
-        rho2 = x**2 + y**2
-        intensity = s * np.exp(-2.0 * rho2 / w2)
-        u0 = self.depth_joule
-        common = -4.0 * u0 * intensity * s / self.beam_waist_w0**2
-        ax = common * x
-        ay = common * y
-        az = -2.0 * u0 * intensity * s * (z / zr2) * (
-            1.0 - 2.0 * rho2 * s / self.beam_waist_w0**2
-        )
-        return np.stack([ax, ay, az], axis=1) / self.atom_mass
+        return _evaluate(self, positions)[1].T
 
     def total_energy(self, positions: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         kin = 0.5 * self.atom_mass * np.sum(np.atleast_2d(velocities) ** 2, axis=1)
@@ -110,17 +93,87 @@ def thermal_sigmas(trap: TrapParams, temperature: float) -> tuple[np.ndarray, fl
     return sig_pos, thermal_velocity_sigma(temperature, trap.atom_mass)
 
 
-def _leapfrog(trap: TrapParams, pos, vel, h, acc):
-    """Velocity-Verlet substep; returns updated (pos, vel, acc at new pos)."""
-    vel = vel + 0.5 * h * acc
-    pos = pos + h * vel
-    acc = trap.acceleration(pos)
-    vel = vel + 0.5 * h * acc
-    return pos, vel, acc
+class MotionKernel:
+    """Motion of n atoms in the trap, on (3, n) position and velocity arrays.
+
+    ``force`` evaluates -grad U / m and, from the same intensity, the
+    vector-shift profile ``shift`` = x I(r)/I0 w0^2/w(z)^2, to which the
+    fictitious field is proportional.  ``step`` advances by Yoshida-4 steps
+    with adjacent half-kicks merged.  All work buffers are allocated once,
+    so neither allocates.
+    """
+
+    def __init__(self, trap: TrapParams, n: int):
+        w02 = trap.beam_waist_w0**2
+        zr2 = trap.rayleigh_range**2
+        self._inv_zr2 = 1.0 / zr2
+        self._two_over_w02 = 2.0 / w02
+        self._radial = -4.0 * trap.depth_joule / (trap.atom_mass * w02)
+        self._axial = -2.0 * trap.depth_joule / (trap.atom_mass * zr2)
+        self.intensity = np.empty(n)
+        self.shift = np.empty(n)
+        self.mid_shift = np.empty(n)
+        self._s = np.empty(n)
+        self._g = np.empty(n)
+        self._kick = np.empty((3, n))
+
+    def force(self, pos: np.ndarray, acc: np.ndarray) -> None:
+        """Write -grad U / m at (3, n) ``pos`` into ``acc``; refresh the profiles."""
+        x, y, z = pos
+        s, g, i_s = self._s, self._g, self.shift
+        # s = w0^2 / w(z)^2, g = 2 rho^2 / w(z)^2, I/I0 = s exp(-g)
+        np.multiply(z, z, out=s)
+        s *= self._inv_zr2
+        s += 1.0
+        np.reciprocal(s, out=s)
+        np.multiply(x, x, out=g)
+        np.multiply(y, y, out=i_s)
+        g += i_s
+        g *= s
+        g *= self._two_over_w02
+        np.negative(g, out=self.intensity)
+        np.exp(self.intensity, out=self.intensity)
+        self.intensity *= s
+        np.multiply(self.intensity, s, out=i_s)
+        np.multiply(i_s, self._radial, out=acc[2])
+        np.multiply(acc[2], y, out=acc[1])
+        np.multiply(acc[2], x, out=acc[0])
+        np.subtract(1.0, g, out=g)
+        g *= z
+        g *= i_s
+        np.multiply(g, self._axial, out=acc[2])
+        i_s *= x
+
+    def step(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray,
+             dt: float, substeps: int) -> np.ndarray:
+        """Advance (pos, vel, acc) in place by ``substeps`` Yoshida-4 steps spanning dt.
+
+        Returns ``mid_shift``, the vector-shift profile at the position
+        after substep (substeps - 1) // 2.
+        """
+        h = dt / substeps
+        kick = self._kick
+        mid = (substeps - 1) // 2
+        carry = 0.0    # pending half-kick weight of the previous leapfrog
+        for sub in range(substeps):
+            for w in (_Y4_W1, _Y4_W0, _Y4_W1):
+                np.multiply(acc, (carry + 0.5 * w) * h, out=kick)
+                vel += kick
+                np.multiply(vel, w * h, out=kick)
+                pos += kick
+                self.force(pos, acc)
+                carry = 0.5 * w
+            if sub == mid:
+                np.copyto(self.mid_shift, self.shift)
+        np.multiply(acc, carry * h, out=kick)
+        vel += kick
+        return self.mid_shift
 
 
-def yoshida4_step(trap: TrapParams, pos, vel, h, acc):
-    """One 4th-order symplectic step of size h (three leapfrog substeps)."""
-    for w in (_Y4_W1, _Y4_W0, _Y4_W1):
-        pos, vel, acc = _leapfrog(trap, pos, vel, w * h, acc)
-    return pos, vel, acc
+def _evaluate(trap: TrapParams, positions: np.ndarray):
+    """(kernel, (3, n) acceleration) after one force evaluation at (n, 3) positions."""
+    pos = np.atleast_2d(positions)
+    kernel = MotionKernel(trap, len(pos))
+    acc = np.empty((3, len(pos)))
+    kernel.force(np.ascontiguousarray(pos.T, dtype=float), acc)
+    return kernel, acc

@@ -53,6 +53,8 @@ _CLASS_TO_OUTCOME = {
 
 # recording span of the singles histogram around the nominal arrival
 HISTOGRAM_SPAN = (-500e-9, 500e-9)
+# singles kept per node for that histogram; beyond it the stream is subsampled
+MAX_SINGLES = 20000
 
 SCHEDULES = {
     "three-basis": (
@@ -188,7 +190,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
                  target_events: int = 1000, seed: int = 0,
                  mode: str = "density-matrix", n_trajectories: int = 2000,
                  memory_noise_sigma=CAL_SIGMA_SHOT_EFF,
-                 collect_clicks: bool = True, max_singles: int = 20000) -> RunResult:
+                 collect_clicks: bool = True) -> RunResult:
     """Simulate heralded entanglement generation events.
 
     The event loop only draws random numbers; one batched pass after it
@@ -362,7 +364,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             n_signal = int(rng.binomial(try_index, eta[i]))
             n_bg = int(rng.poisson(try_index * background_rate_at_station(scenario)["total"]
                                    * (hist_hi - hist_lo)))
-            factor = min(1.0, max_singles / max(n_signal + n_bg, 1))
+            factor = min(1.0, MAX_SINGLES / max(n_signal + n_bg, 1))
             k_sig = int(round(n_signal * factor))
             k_bg = int(round(n_bg * factor))
             t_sig = node.wavepacket.sample_emission_times(k_sig, rng)

@@ -13,7 +13,7 @@ from scipy.special import ndtri
 
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
-from atomlink.memory.trap import TrapParams, thermal_sigmas, yoshida4_step
+from atomlink.memory.trap import TrapParams, thermal_sigmas
 
 SQ2 = np.sqrt(2.0)
 
@@ -184,10 +184,32 @@ def brute_block_clock(gaps, period: float, sequence) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # Spin-1 evolution and single-atom motion used by the memory tests.  The
-# motion helpers step with the package's Yoshida integrator, whose energy
-# conservation and oscillation period the trap tests check;
-# brute_channel_coherence below has its own integrator and field formulas.
+# motion helpers step with the Yoshida integrator below on the package's
+# trap acceleration, and the trap tests check their energy conservation and
+# oscillation period; brute_channel_coherence has its own integrator and
+# field formulas.
 # ---------------------------------------------------------------------------
+
+# Yoshida 4th-order composition coefficients
+_Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_Y4_W0 = 1.0 - 2.0 * _Y4_W1
+
+
+def _leapfrog(trap: TrapParams, pos, vel, h, acc):
+    """Velocity-Verlet substep; returns updated (pos, vel, acc at new pos)."""
+    vel = vel + 0.5 * h * acc
+    pos = pos + h * vel
+    acc = trap.acceleration(pos)
+    vel = vel + 0.5 * h * acc
+    return pos, vel, acc
+
+
+def yoshida4_step(trap: TrapParams, pos, vel, h, acc):
+    """One 4th-order symplectic step of size h (three leapfrog substeps)."""
+    for w in (_Y4_W1, _Y4_W0, _Y4_W1):
+        pos, vel, acc = _leapfrog(trap, pos, vel, w * h, acc)
+    return pos, vel, acc
+
 
 SQ2 = np.sqrt(2.0)
 
@@ -391,7 +413,10 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
     vector shift at its position.  Each spin step of ``spin_dt`` moves the
     atom by ``motion_substeps`` Yoshida-4 steps (three velocity-Verlet
     substeps each) and samples the field at the position after substep
-    (substeps - 1) // 2.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
+    (substeps - 1) // 2.  A sample time t on the 100 ns grid but off the
+    ``spin_dt`` grid is reached from the last spin-step grid point by one
+    step of the same form spanning the rest of t, taken on a copy of the
+    state.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
     """
     omega = G_F * MU_B * GAUSS_TO_TESLA / HBAR
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -402,8 +427,26 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
     omega_z = math.sqrt(2.0 * u0 / (trap.atom_mass * zr ** 2))
     sig_v = math.sqrt(K_B * temperature / trap.atom_mass)
     sig_pos = [sig_v / omega_r, sig_v / omega_r, sig_v / omega_z]
-    sample_steps = [int(round(t / spin_dt)) for t in times]
+    sample_dt = 1e-7
+    ticks_per_step = int(round(spin_dt / sample_dt))
+    # (grid point, rest in sample_dt ticks) of every sample time
+    grid = [divmod(int(round(t / sample_dt)), ticks_per_step) for t in times]
+    last = max(step for step, _ in grid)
     m = [-1, 0, 1]
+
+    def spin_step(pos, vel, acc, phi, b, dt):
+        h = dt / motion_substeps
+        for sub in range(motion_substeps):
+            for w in weights:
+                vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
+                pos = [pos[i] + w * h * vel[i] for i in range(3)]
+                acc = _brute_trap_acceleration(trap, *pos)
+                vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
+            if sub == (motion_substeps - 1) // 2:
+                mid = list(pos)
+        shift = _brute_vector_shift(trap, env.fictitious_field_scale, *mid)
+        return pos, vel, acc, phi + omega * (b + shift) * dt
+
     out = np.zeros((len(times), 3, 3), dtype=complex)
     for k in range(n_trajectories):
         gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)]))
@@ -411,24 +454,18 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
         pos = [float(z[i]) * sig_pos[i] for i in range(3)]
         vel = [float(z[3 + i]) * sig_v for i in range(3)]
         b = env.bias_field + env.shot_noise_sigma * float(ndtri((k + 0.5) / n_trajectories))
-        acc = _brute_trap_acceleration(trap, *pos)
-        phases = {0: 0.0}
-        phi = 0.0
-        h = spin_dt / motion_substeps
-        for step in range(1, max(sample_steps) + 1):
-            for sub in range(motion_substeps):
-                for w in weights:
-                    vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
-                    pos = [pos[i] + w * h * vel[i] for i in range(3)]
-                    acc = _brute_trap_acceleration(trap, *pos)
-                    vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
-                if sub == (motion_substeps - 1) // 2:
-                    mid = list(pos)
-            shift = _brute_vector_shift(trap, env.fictitious_field_scale, *mid)
-            phi += omega * (b + shift) * spin_dt
-            phases[step] = phi
-        for t_idx, s in enumerate(sample_steps):
+        state = (pos, vel, _brute_trap_acceleration(trap, *pos), 0.0)
+        phases = [0.0] * len(times)
+        for step in range(last + 1):
+            for t_idx, (t_step, rest) in enumerate(grid):
+                if t_step == step and rest == 0:
+                    phases[t_idx] = state[3]
+                elif t_step == step:
+                    phases[t_idx] = spin_step(*state, b, rest * sample_dt)[3]
+            if step < last:
+                state = spin_step(*state, b, spin_dt)
+        for t_idx, phase in enumerate(phases):
             for i in range(3):
                 for j in range(3):
-                    out[t_idx, i, j] += np.exp(-1j * (m[i] - m[j]) * phases[s])
+                    out[t_idx, i, j] += np.exp(-1j * (m[i] - m[j]) * phase)
     return out / n_trajectories

@@ -254,9 +254,13 @@ class TestDephasing:
         assert code == 0
         lines = (tmp_path / "envelope.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
-        assert lines[1] == "time_us,basis,expectation,envelope"
+        assert lines[1] == "time_us,basis,expectation,envelope,envelope_stderr"
         # 16 times x 3 bases
         assert len(lines) == 2 + 16 * 3
+        # sqrt((1 - |c|^2) / n) lies in [0, 1/sqrt(n)], printed to 1e-6
+        stderr = [float(line.split(",")[4]) for line in lines[2:]]
+        assert all(0.0 <= se <= 300 ** -0.5 + 5e-7 for se in stderr)
+        assert max(stderr) > 0.0
 
     def test_flat_envelope_without_noise(self, tmp_path):
         code = run_cli("dephasing", "--preset", "l6", "--node", "1",

@@ -11,7 +11,9 @@ from atomlink.memory import (
     coherence_envelope,
     dephasing_channel_family,
 )
+from atomlink.memory import channel
 from atomlink.memory.fields import fictitious_field_y
+from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF, PRESETS, preset
 from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_state, fidelity
 
 from oracles import (
@@ -204,11 +206,13 @@ class TestDephasingChannel:
 
     def test_moving_atom_matches_brute_force(self):
         # thermal motion and the vector-shift field together, against a
-        # per-trajectory loop with its own integrator and field formulas
+        # per-trajectory loop with its own integrator and field formulas;
+        # 7.3 us is off the spin-step grid, so it takes the partial step
         env = FieldEnvironment()
         times = np.round([0.0, 7.3e-6, 10e-6], 12)
         fam = dephasing_channel_family(TRAP, env, 50e-6, times, 120, seed=17)
-        expected = brute_channel_coherence(TRAP, env, 50e-6, times, 120, seed=17)
+        expected = brute_channel_coherence(TRAP, env, 50e-6, times, 120, seed=17,
+                                           spin_dt=channel.SPIN_DT)
         assert np.max(np.abs(fam.coherences - expected)) < 1e-12
 
     def test_monte_carlo_convergence(self):
@@ -232,6 +236,35 @@ class TestDephasingChannel:
     def test_empty_time_grid_rejected(self):
         with pytest.raises(ValueError, match="sample time"):
             dephasing_channel_family(TRAP, QUIET, 50e-6, [], 200, seed=1)
+
+
+class TestStepConvergence:
+    def test_shipped_step_within_monte_carlo_budget(self, monkeypatch):
+        # the shipped spin step against a 100 ns reference with the same
+        # seed, on criterion 5's grid and at every preset's readout times
+        # (the link's calibrated noise): the discretization error must stay
+        # below a tenth of the Monte-Carlo standard error at n = 10 000
+        n = 2000
+        node = preset("l6").node1
+        jobs = {(node.trap, node.field_env, node.temperature):
+                set(np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12))}
+        for name in PRESETS:
+            s = preset(name)
+            for node, t in zip(s.nodes(), s.readout_times()):
+                env = node.field_env.replace(shot_noise_sigma=CAL_SIGMA_SHOT_EFF)
+                jobs.setdefault((node.trap, env, node.temperature), set()).add(round(t, 12))
+        assert len(jobs) == 3
+        for (trap, env, temperature), times in jobs.items():
+            times = np.array(sorted(times))
+            shipped = dephasing_channel_family(trap, env, temperature, times, n, seed=7)
+            with monkeypatch.context() as m:
+                m.setattr(channel, "SPIN_DT", 1e-7)
+                ref = dephasing_channel_family(trap, env, temperature, times, n, seed=7)
+            assert shipped.meta["spin_dt"] > ref.meta["spin_dt"]
+            diff = np.abs(shipped.coherences[:, 2, 0] - ref.coherences[:, 2, 0])
+            budget = 0.1 * ref.stderr() * np.sqrt(n / 10_000)
+            late = times > 0
+            assert np.all(diff[late] <= budget[late])
 
 
 @pytest.fixture(scope="module")
