@@ -5,13 +5,13 @@ unless a name says otherwise.
 """
 
 import numpy as np
-from scipy import constants as _const
 
-K_B = _const.Boltzmann            # J/K
-HBAR = _const.hbar                # J s
-MU_B = _const.physical_constants["Bohr magneton"][0]  # J/T
-C_LIGHT = _const.c                # m/s
-ATOMIC_MASS = _const.atomic_mass  # kg
+# CODATA 2022, as scipy.constants gives them from scipy 1.15 on
+K_B = 1.380649e-23                # J/K
+HBAR = 1.0545718176461565e-34     # J s
+MU_B = 9.2740100657e-24           # J/T
+C_LIGHT = 299792458.0             # m/s
+ATOMIC_MASS = 1.66053906892e-27   # kg
 
 M_RB87 = 86.909180527 * ATOMIC_MASS   # kg
 

@@ -24,9 +24,9 @@ times are requested.
 """
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..quantum import DensityMatrix
 from .fields import FieldEnvironment, vector_shift_gauss
@@ -169,6 +169,12 @@ class CoherenceEnvelope:
         return float(t0 + (v0 - target) / (v0 - v1) * (t1 - t0))
 
 
+def _normal_grid(n: int) -> np.ndarray:
+    """Standard normal quantiles at the midpoints (k + 0.5) / n of n equal strata."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf((k + 0.5) / n) for k in range(n)])
+
+
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
                              temperature: float, times, n_trajectories: int,
                              seed: int) -> DephasingChannelFamily:
@@ -203,8 +209,7 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     pos = np.ascontiguousarray((draws[:, :3] * sig_pos).T)
     vel = np.ascontiguousarray((draws[:, 3:] * sig_v).T)
     # stratified quasi-static noise over the trajectory index
-    field = env.bias_field + env.shot_noise_sigma * ndtri(
-        (np.arange(n_trajectories) + 0.5) / n_trajectories)
+    field = env.bias_field + env.shot_noise_sigma * _normal_grid(n_trajectories)
     shift_gauss = vector_shift_gauss(trap, env)
 
     kernel = MotionKernel(trap, n_trajectories)

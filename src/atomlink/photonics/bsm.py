@@ -68,6 +68,12 @@ DETECTOR_PAIRS = tuple(
     for p in _PAIR_CLASS
 )
 
+# the detector pairs of each coincidence class, in DETECTOR_PAIRS order
+CLASS_PAIRS = {
+    cls: tuple(pair for pair, c in zip(DETECTOR_PAIRS, _PAIR_CLASS.values()) if c is cls)
+    for cls in CoincidenceClass
+}
+
 # per-pair probabilities for fully distinguishable / perfectly interfering photons
 _P_NONE = {
     pair: (1.0 / 16.0 if cls is CoincidenceClass.NOT_DETECTED else 1.0 / 8.0)
@@ -110,22 +116,6 @@ def pair_distribution(xi: float) -> dict[tuple[str, str], float]:
     """Per-detector-pair probabilities, linear in xi between the two columns."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
-    out = {}
-    for pair_set in _PAIR_CLASS:
-        pair = (
-            tuple(sorted(pair_set))
-            if len(pair_set) == 2
-            else (next(iter(pair_set)), next(iter(pair_set)))
-        )
-        out[pair] = xi * _P_PERFECT[pair_set] + (1.0 - xi) * _P_NONE[pair_set]
-    return out
+    return {pair: xi * _P_PERFECT[pair_set] + (1.0 - xi) * _P_NONE[pair_set]
+            for pair_set, pair in zip(_PAIR_CLASS, DETECTOR_PAIRS)}
 
-
-def sample_pair(cls: CoincidenceClass, rng: np.random.Generator) -> tuple[str, str]:
-    """Uniformly pick a detector pair within a coincidence class."""
-    options = [
-        tuple(sorted(p)) if len(p) == 2 else (next(iter(p)),) * 2
-        for p, c in _PAIR_CLASS.items()
-        if c is cls
-    ]
-    return options[rng.integers(0, len(options))]

@@ -1,9 +1,9 @@
 """Photon wavepackets and two-photon temporal indistinguishability."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -81,5 +81,10 @@ def _emg_cdf(x: float, w: PhotonWavepacket) -> float:
         return 1.0 - np.exp(-(x - mu) / tau) if x > mu else 0.0
     u = sigma / tau
     arg = sigma**2 / (2.0 * tau**2) - (x - mu) / tau
-    tail = np.exp(arg) * ndtr(z - u) if arg < 700.0 else 0.0
-    return float(np.clip(ndtr(z) - tail, 0.0, 1.0))
+    tail = np.exp(arg) * _ndtr(z - u) if arg < 700.0 else 0.0
+    return float(np.clip(_ndtr(z) - tail, 0.0, 1.0))
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))

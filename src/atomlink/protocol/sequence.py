@@ -22,7 +22,7 @@ from ..photonics import (
     indistinguishability,
     window_capture_probability,
 )
-from ..photonics.bsm import sample_pair
+from ..photonics.bsm import CLASS_PAIRS
 from ..photonics.polarization import rotation_su2
 from ..quantum import (
     OUTCOME_KEYS,
@@ -186,11 +186,10 @@ def event_readout(states: np.ndarray, settings, setting_index,
     return probs, fids
 
 
-def run_sequence(scenario: LinkScenario, schedule="three-basis",
+def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
                  target_events: int = 1000, seed: int = 0,
                  mode: str = "density-matrix", n_trajectories: int = 2000,
-                 memory_noise_sigma=CAL_SIGMA_SHOT_EFF,
-                 collect_clicks: bool = True) -> RunResult:
+                 memory_noise_sigma=CAL_SIGMA_SHOT_EFF) -> RunResult:
     """Simulate heralded entanglement generation events.
 
     The event loop only draws random numbers; one batched pass after it
@@ -201,12 +200,9 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
     """
     if mode not in ("density-matrix", "sampled-clicks"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(schedule, str):
-        settings_cycle = SCHEDULES[schedule]
-        schedule_name = schedule
-    else:
-        settings_cycle = list(schedule)
-        schedule_name = "custom"
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
+    settings_cycle = SCHEDULES[schedule]
     if target_events < 0:
         raise ValueError("target_events must be >= 0")
     if seed < 0:
@@ -230,15 +226,12 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
     bg_mean_hw = background_rate_at_station(scenario)["total"] * scenario.hardware_window
     p_bg_herald = 0.5 * (eta[0] * (1 - eta[1]) + eta[1] * (1 - eta[0])) * bg_mean_hw \
         + 0.25 * bg_mean_hw**2
-    branch_probs = {
-        "dplus": p_pair * dist[CoincidenceClass.D_PLUS],
-        "dminus": p_pair * dist[CoincidenceClass.D_MINUS],
-        "dnull": p_pair * dist[CoincidenceClass.D_NULL],
-        "background": p_bg_herald,
-    }
-    p_event = sum(branch_probs.values())
-    branch_names = list(branch_probs)
-    branch_weights = np.array([branch_probs[k] for k in branch_names]) / p_event
+    # a branch is the class of a signal coincidence, or a background-assisted herald
+    branches = [CoincidenceClass.D_PLUS, CoincidenceClass.D_MINUS, CoincidenceClass.D_NULL,
+                "background"]
+    branch_weights = np.array([p_pair * dist[b] for b in branches[:3]] + [p_bg_herald])
+    p_event = branch_weights.sum()
+    branch_weights /= p_event
 
     # memory channels at the two readout times (analyzer frame)
     channels = []
@@ -273,22 +266,24 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         gap = int(rng.geometric(p_event))
         try_index += gap
         wall_time = clock.advance(gap)
-        branch = branch_names[rng.choice(len(branch_names), p=branch_weights)]
+        branch = branches[rng.choice(len(branches), p=branch_weights)]
+        if branch == "background":
+            cls = CoincidenceClass.D_PLUS if rng.random() < 0.5 else CoincidenceClass.D_MINUS
+        else:
+            cls = branch
+        options = CLASS_PAIRS[cls]
+        pair = options[rng.integers(0, len(options))]
 
-        if branch == "dnull":
-            pair = sample_pair(CoincidenceClass.D_NULL, rng)
+        if cls is CoincidenceClass.D_NULL:
             offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
             n_dnull += 1
             n_dnull_accepted += int(all(lo <= t <= hi for t in offs))
-            if collect_clicks:
-                clicks.append(("node1", pair[0], offs[0], "signal"))
-                clicks.append(("node2", pair[1], offs[1], "signal"))
+            clicks.append(("node1", pair[0], offs[0], "signal"))
+            clicks.append(("node2", pair[1], offs[1], "signal"))
             continue
 
         residual = _NO_RESIDUAL
         if branch == "background":
-            cls = CoincidenceClass.D_PLUS if rng.random() < 0.5 else CoincidenceClass.D_MINUS
-            pair = sample_pair(cls, rng)
             # one signal photon plus one background click (dominant term)
             sig_node = 0 if rng.random() < eta[0] / (eta[0] + eta[1]) else 1
             offs = [0.0, 0.0]
@@ -296,8 +291,6 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
             offs[1 - sig_node] = rng.uniform(hw0, hw1)
             is_signal = False
         else:
-            cls = CoincidenceClass.D_PLUS if branch == "dplus" else CoincidenceClass.D_MINUS
-            pair = sample_pair(cls, rng)
             offs = [signal_offset(scenario.node1), signal_offset(scenario.node2)]
             is_signal = True
             if scenario.polarization_error_mean > 0:
@@ -309,10 +302,9 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         heralds.append((try_index, wall_time, _CLASS_TO_OUTCOME[cls], pair, offs, is_signal))
         residual_draws += residual
         n_heralds_by_class[cls.value] += 1
-        if collect_clicks:
-            origin = "signal" if is_signal else "mixed"
-            clicks.append(("node1", pair[0], offs[0], origin))
-            clicks.append(("node2", pair[1], offs[1], origin))
+        origin = "signal" if is_signal else "mixed"
+        clicks.append(("node1", pair[0], offs[0], origin))
+        clicks.append(("node2", pair[1], offs[1], origin))
     herald_count = len(heralds)
     try_indices, wall_times, outcomes, pairs, offsets, signal = list(zip(*heralds)) or [()] * 6
 
@@ -358,7 +350,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
     # background is continuous, so it is recorded over a wide span around
     # the arrival window to give the estimator clean side bands
     hist_lo, hist_hi = HISTOGRAM_SPAN
-    if collect_clicks and try_index > 0:
+    if try_index > 0:
         for i, label in enumerate(("node1", "node2")):
             node = scenario.nodes()[i]
             n_signal = int(rng.binomial(try_index, eta[i]))
@@ -378,7 +370,7 @@ def run_sequence(scenario: LinkScenario, schedule="three-basis",
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
         "mode": mode,
-        "schedule": schedule_name,
+        "schedule": schedule,
         "seed": seed,
         "n_events": herald_count,
         "n_tries": try_index,

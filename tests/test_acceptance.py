@@ -201,10 +201,10 @@ class TestCriterion7SamplingSelfConsistency:
             s = preset(name)
             dm = run_sequence(s, schedule="three-basis", target_events=n,
                               seed=500, mode="density-matrix",
-                              n_trajectories=2000, collect_clicks=False)
+                              n_trajectories=2000)
             sp = run_sequence(s, schedule="three-basis", target_events=n,
                               seed=500, mode="sampled-clicks",
-                              n_trajectories=2000, collect_clicks=False)
+                              n_trajectories=2000)
             f_dm = three_basis_summary(dm.dataset)["fidelity"]
             f_sp = three_basis_summary(sp.dataset)["fidelity"]
             assert abs(f_dm - f_sp) < tol
@@ -238,8 +238,7 @@ class TestCriterion8Interference:
         from dataclasses import replace
         s = preset("l6")
         res0 = run_sequence(s, schedule="chsh", target_events=9000, seed=81,
-                            mode="sampled-clicks", n_trajectories=400,
-                            collect_clicks=False)
+                            mode="sampled-clicks", n_trajectories=400)
         c0 = interference_contrast(res0.summary["n_dnull_accepted"],
                                    *(res0.summary["herald_counts"][k] *
                                      res0.summary["accepted_fraction"]
@@ -247,8 +246,7 @@ class TestCriterion8Interference:
         assert abs(c0 - 0.955) < 0.01
         far = replace(s, wavepacket_delay=150e-9)
         res1 = run_sequence(far, schedule="chsh", target_events=4000, seed=82,
-                            mode="sampled-clicks", n_trajectories=400,
-                            collect_clicks=False)
+                            mode="sampled-clicks", n_trajectories=400)
         c1 = interference_contrast(res1.summary["n_dnull_accepted"],
                                    *(res1.summary["herald_counts"][k] *
                                      res1.summary["accepted_fraction"]
@@ -300,8 +298,7 @@ class TestCriterion10PropertySuites:
 
         # density-matrix validity through the composed pipeline
         res = run_sequence(preset("l6"), target_events=10, seed=1,
-                           mode="density-matrix", n_trajectories=300,
-                           collect_clicks=False)
+                           mode="density-matrix", n_trajectories=300)
         for mat in res.states:
             assert abs(np.trace(mat).real - 1.0) < 1e-9
             assert np.min(np.linalg.eigvalsh(mat)) > -1e-10

@@ -291,6 +291,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_sequence(preset("l6"), mode="exact", target_events=1, seed=0)
 
+    def test_unknown_schedule_named(self):
+        with pytest.raises(ValueError, match="'bell'"):
+            run_sequence(preset("l6"), schedule="bell", target_events=1, seed=0)
+
     def test_negative_target(self):
         with pytest.raises(ValueError):
             run_sequence(preset("l6"), target_events=-5, seed=0)
