@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..quantum import OUTCOME_KEYS, chsh_s
+from .tables import BELL_OUTCOMES, PLANES, EventTable
 
 
 @dataclass(frozen=True)
@@ -70,29 +71,51 @@ class CorrelationDataset:
         return out
 
 
-def dataset_from_records(records, mode: str) -> CorrelationDataset:
-    """Dataset of the window-accepted heralds among event readout records.
+def _setting_codes(angles: np.ndarray) -> np.ndarray:
+    """Index of each angle, rounded to 12 digits, among the distinct rounded angles."""
+    distinct, inverse = np.unique(angles, return_inverse=True)
+    # Python's round, which is correctly rounded, on the few distinct values
+    rounded = np.array([round(a, 12) for a in distinct.tolist()])
+    _, merged = np.unique(rounded, return_inverse=True)
+    return merged[inverse]
+
+
+def dataset_from_events(events: EventTable, mode: str) -> CorrelationDataset:
+    """Dataset of the window-accepted heralds of an event table.
 
     "sampled-clicks" counts each sampled outcome pair; "density-matrix" sums
-    the expected outcome probabilities of each setting.
+    the expected outcome probabilities of each setting.  A setting is keyed
+    on its angles rounded to 12 digits, plane and Bell outcome; settings
+    appear in the order of their first counted herald, and each sum runs in
+    event order.
     """
+    keep = events.accepted
+    if mode == "sampled-clicks":
+        keep = keep & (events.readout >= 0)
+    idx = np.flatnonzero(keep)
     ds = CorrelationDataset()
-    expected = {}
-    for rec in records:
-        if not rec.get("accepted"):
-            continue
-        key = (round(rec["alpha_rad"], 12), round(rec["beta_rad"], 12),
-               rec["plane"], rec["bell_outcome"])
-        if mode == "sampled-clicks":
-            if rec.get("outcome1") is not None:
-                ds.add_event(*key, rec["outcome1"], rec["outcome2"])
-        elif rec.get("probabilities"):
-            agg = expected.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
-            for k in OUTCOME_KEYS:
-                agg[k] += rec["probabilities"][k]
-    for (alpha, beta, plane, outcome), agg in expected.items():
-        ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
-                        "outcome": outcome, **agg})
+    if not len(idx):
+        return ds
+    alpha = events.alpha_rad[idx]
+    beta = events.beta_rad[idx]
+    a_code, b_code = _setting_codes(alpha), _setting_codes(beta)
+    key = ((a_code * (b_code.max() + 1) + b_code) * len(PLANES)
+           + events.plane[idx]) * len(BELL_OUTCOMES) + events.outcome[idx]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse]
+    n = len(order)
+    if mode == "sampled-clicks":
+        counts = np.bincount(group * 4 + events.readout[idx], minlength=4 * n).reshape(n, 4)
+    else:
+        # bincount adds the weights one by one in event order
+        counts = np.stack([np.bincount(group, weights=events.probabilities[idx, k], minlength=n)
+                           for k in range(4)], axis=1)
+    for h, row in zip(first[order].tolist(), counts.tolist()):
+        ds.rows.append({"alpha": round(float(alpha[h]), 12), "beta": round(float(beta[h]), 12),
+                        "plane": PLANES[events.plane[idx[h]]],
+                        "outcome": BELL_OUTCOMES[events.outcome[idx[h]]],
+                        **dict(zip(OUTCOME_KEYS, row))})
     return ds
 
 

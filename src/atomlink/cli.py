@@ -23,8 +23,19 @@ from .analysis import (
     statistical_error,
     three_basis_summary,
 )
-from .analysis import dataset_from_records as _dataset_from_records
+# the dataset builder keeps the name that perfbench/traced_cli.py wraps
+from .analysis import dataset_from_events as _dataset_from_records
 from .analysis.estimators import contrast_sigma
+from .analysis.tables import (
+    BELL_OUTCOMES,
+    CLICK_ORIGINS,
+    DETECTORS,
+    PLANES,
+    READOUTS,
+    WINDOWS,
+    ClickTable,
+    EventTable,
+)
 from .calibration import DEFAULT_TARGETS, calibrate
 from .memory import coherence_envelope, dephasing_channel_family
 from .protocol import (
@@ -42,6 +53,7 @@ from .protocol import (
 )
 from .protocol.rates import window_capture
 from .protocol.scenario import save_scenario
+from .quantum import OUTCOME_KEYS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,37 +147,115 @@ def cmd_simulate(args) -> int:
         seed=args.seed, mode=args.mode, n_trajectories=args.trajectories,
     )
     chash = result.config_hash
+    header = {"type": "header", "config_hash": chash, "scenario": scenario.name,
+              "mode": args.mode, "seed": args.seed, "schedule": args.schedule}
     with _open_output(events_path) as fh:
-        header = {"type": "header", "config_hash": chash, "scenario": scenario.name,
-                  "mode": args.mode, "seed": args.seed, "schedule": args.schedule}
-        fh.write(json.dumps(header) + "\n")
-        for rec in result.events:
-            fh.write(json.dumps({**rec, "config_hash": chash}) + "\n")
+        _write_events(fh, header, result.events)
     with _open_output(summary_path) as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True, default=float)
     with _open_output(clicks_path) as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["window", "detector", "timestamp_ns", "origin"])
-        for window, det, t_rel, origin in result.clicks:
-            writer.writerow([window, det, f"{t_rel * 1e9:.3f}", origin])
+        _write_clicks(fh, chash, result.clicks)
     _write_manifest(out, args, scenario)
     print(f"wrote {len(result.events)} events to {events_path}")
     return EXIT_OK
+
+
+# The events.jsonl record of one event, as json.dumps writes it; every
+# string is written already quoted.
+_EVENT_LINE = (
+    '{"wall_time_s": %r, "try_index": %d, "bell_outcome": %s, "detector1": %s, '
+    '"detector2": %s, "click1_ns": %r, "click2_ns": %r, "accepted": %s, "origin": %s, '
+    '"alpha_rad": %r, "beta_rad": %r, "plane": %s, "fidelity": %r, "probabilities": '
+    '{"uu": %r, "ud": %r, "du": %r, "dd": %r}, "outcome1": %s, "outcome2": %s, '
+    '"config_hash": %s}\n')
+_CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
+
+
+def _quoted(vocabulary, codes):
+    """JSON strings of the vocabulary entries that ``codes`` index."""
+    return np.array([json.dumps(v) for v in vocabulary], dtype=object)[codes].tolist()
+
+
+def _write_events(fh, header, events: EventTable):
+    """The header line, then one JSON record per event."""
+    fh.write(json.dumps(header) + "\n")
+    # readout code -1 (none sampled) picks the trailing null
+    node_readouts = [_quoted([r[node] for r in READOUTS] + [None], events.readout)
+                     for node in (0, 1)]
+    columns = (
+        events.wall_time_s.tolist(), events.try_index.tolist(),
+        _quoted(BELL_OUTCOMES, events.outcome),
+        _quoted(DETECTORS, events.detectors[:, 0]), _quoted(DETECTORS, events.detectors[:, 1]),
+        events.click_ns[:, 0].tolist(), events.click_ns[:, 1].tolist(),
+        _quoted((False, True), events.accepted.astype(int)),
+        _quoted(("background", "signal"), events.signal.astype(int)),
+        events.alpha_rad.tolist(), events.beta_rad.tolist(), _quoted(PLANES, events.plane),
+        events.fidelity.tolist(), *events.probabilities.T.tolist(), *node_readouts,
+        [json.dumps(header["config_hash"])] * len(events))
+    fh.writelines(_EVENT_LINE % row for row in zip(*columns))
+
+
+def _write_clicks(fh, chash, clicks: ClickTable):
+    """The hash line and the CSV header, then each run of equal codes in one format call."""
+    fh.write(f"# config_hash={chash}\n")
+    fh.write(",".join(_CLICK_HEADER) + "\r\n")
+    stamps = (clicks.time_s * 1e9).tolist()
+    for window, detector, origin, start, stop in clicks.blocks():
+        row = f"{WINDOWS[window]},{DETECTORS[detector]},%.3f,{CLICK_ORIGINS[origin]}\r\n"
+        fh.write(row * (stop - start) % tuple(stamps[start:stop]))
 
 
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
+def _codes(vocabulary):
+    return {v: i for i, v in enumerate(vocabulary)}
+
+
+_OUTCOME_CODES = _codes(BELL_OUTCOMES)
+_DETECTOR_CODES = _codes(DETECTORS)
+_PLANE_CODES = _codes(PLANES)
+_READOUT_CODES = {**_codes(READOUTS), (None, None): -1}
+_ORIGIN_SIGNAL = {"signal": True, "background": False}
+
+
+def _event_row(rec):
+    """The numbers of one events.jsonl record, in _event_table's column order."""
+    probs = rec["probabilities"]
+    return (rec["wall_time_s"], rec["try_index"], _OUTCOME_CODES[rec["bell_outcome"]],
+            _DETECTOR_CODES[rec["detector1"]], _DETECTOR_CODES[rec["detector2"]],
+            rec["click1_ns"], rec["click2_ns"], rec["accepted"], _ORIGIN_SIGNAL[rec["origin"]],
+            rec["alpha_rad"], rec["beta_rad"], _PLANE_CODES[rec["plane"]], rec["fidelity"],
+            *(probs[k] for k in OUTCOME_KEYS),
+            _READOUT_CODES[rec["outcome1"], rec["outcome2"]])
+
+
+_EVENT_WIDTH = 18    # numbers per _event_row
+
+
+def _event_table(rows: np.ndarray) -> EventTable:
+    """EventTable of the (n, _EVENT_WIDTH) numbers of n _event_row calls."""
+    def code(j):
+        return rows[:, j].astype(np.int8)
+
+    return EventTable(
+        wall_time_s=rows[:, 0].copy(), try_index=rows[:, 1].astype(np.int64), outcome=code(2),
+        detectors=rows[:, 3:5].astype(np.int8), click_ns=rows[:, 5:7].copy(),
+        accepted=rows[:, 7] != 0, signal=rows[:, 8] != 0, alpha_rad=rows[:, 9].copy(),
+        beta_rad=rows[:, 10].copy(), plane=code(11), fidelity=rows[:, 12].copy(),
+        probabilities=rows[:, 13:17].copy(), readout=code(17))
+
+
 def _load_events(path):
-    events = []
-    header = None
+    """Header record and EventTable of an events.jsonl file."""
     try:
         fh = open(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
-    with fh:
+    headers = []
+
+    def numbers():
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -174,16 +264,41 @@ def _load_events(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{path}:{lineno}: malformed JSON line ({exc})", EXIT_IO)
-            if rec.get("type") == "header":
-                header = rec
+            if isinstance(rec, dict) and rec.get("type") == "header":
+                headers.append(rec)
                 continue
-            events.append(rec)
-    if header is None:
+            try:
+                yield from map(float, _event_row(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliError(f"{path}:{lineno}: malformed event record ({exc!r})", EXIT_IO)
+
+    with fh:
+        flat = np.fromiter(numbers(), dtype=float)
+    if not headers:
         raise CliError(f"{path}: missing header line", EXIT_IO)
-    return header, events
+    return headers[-1], _event_table(flat.reshape(-1, _EVENT_WIDTH))
+
+
+# strings longer than every label, so that a truncated field cannot match one
+_LABEL_DTYPE = f"U{max(map(len, WINDOWS + DETECTORS + CLICK_ORIGINS)) + 1}"
+_CLICK_DTYPE = [(name, "f8" if name == "timestamp_ns" else _LABEL_DTYPE)
+                for name in _CLICK_HEADER]
+
+
+def _click_row_ok(line):
+    fields = line.split(",")
+    if len(fields) != len(_CLICK_HEADER):
+        return False
+    window, detector, stamp, origin = fields
+    try:
+        float(stamp)
+    except ValueError:
+        return False
+    return window in WINDOWS and detector in DETECTORS and origin in CLICK_ORIGINS
 
 
 def _load_clicks(path):
+    """Config hash (None without a hash line) and ClickTable of a clicks.csv file."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -191,21 +306,33 @@ def _load_clicks(path):
     with fh:
         first = fh.readline()
         chash = None
+        header_lineno = 1
         if first.startswith("# config_hash="):
             chash = first.strip().split("=", 1)[1]
-            header_line = fh.readline()
-        else:
-            header_line = first
-        reader = csv.reader(fh)
-        cols = [c.strip() for c in header_line.strip().split(",")]
-        rows = []
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != len(cols):
-                raise CliError(f"{path}:{lineno}: malformed CSV row", EXIT_IO)
-            rows.append(dict(zip(cols, row)))
-    return chash, rows
+            first = fh.readline()
+            header_lineno = 2
+        lines = fh.read().splitlines()
+    if tuple(c.strip() for c in first.strip().split(",")) != _CLICK_HEADER:
+        raise CliError(f"{path}:{header_lineno}: expected the CSV header "
+                       f"{','.join(_CLICK_HEADER)}", EXIT_IO)
+    rows = np.empty(0, dtype=_CLICK_DTYPE)
+    codes = []
+    try:
+        if any(lines):
+            rows = np.loadtxt(lines, delimiter=",", dtype=_CLICK_DTYPE, comments=None, ndmin=1)
+        for name, vocabulary in zip(("window", "detector", "origin"),
+                                    (WINDOWS, DETECTORS, CLICK_ORIGINS)):
+            code = np.full(len(rows), -1, dtype=np.int8)
+            for i, label in enumerate(vocabulary):
+                code[rows[name] == label] = i
+            if np.any(code < 0):
+                raise ValueError(f"unknown {name}")
+            codes.append(code)
+    except ValueError:
+        bad = next((i for i, line in enumerate(lines) if line and not _click_row_ok(line)), None)
+        where = path if bad is None else f"{path}:{header_lineno + 1 + bad}"
+        raise CliError(f"{where}: malformed CSV row", EXIT_IO)
+    return chash, ClickTable(*codes, rows["timestamp_ns"] * 1e-9)
 
 
 def _load_summary(path):
@@ -236,10 +363,10 @@ def cmd_analyze(args) -> int:
     if args.fringe_csv and "fringe" in estimators:
         _check_output(args.fringe_csv, out, args.force)
 
-    header, records = _load_events(args.events)
+    header, events = _load_events(args.events)
     chash = header.get("config_hash")
     mode = header.get("mode", "sampled-clicks")
-    report = {"config_hash": chash, "mode": mode, "n_events": len(records),
+    report = {"config_hash": chash, "mode": mode, "n_events": len(events),
               "estimators": {}}
 
     clicks = summary = None
@@ -250,9 +377,9 @@ def cmd_analyze(args) -> int:
         summary_hash, summary = _load_summary(args.summary)
         _check_hash("summary", summary_hash, chash, args.force)
 
-    dataset = _dataset_from_records(records, mode)
-    accepted = [r for r in records if r.get("accepted")]
-    report["accepted_fraction"] = len(accepted) / len(records) if records else 0.0
+    dataset = _dataset_from_records(events, mode)
+    n_accepted = int(np.count_nonzero(events.accepted))
+    report["accepted_fraction"] = n_accepted / len(events) if len(events) else 0.0
 
     for name in estimators:
         try:
@@ -282,8 +409,10 @@ def cmd_analyze(args) -> int:
                 if summary is None:
                     raise CliError("contrast estimator needs --summary", EXIT_CONFIG)
                 n_null = summary["n_dnull_accepted"]
-                n_plus = sum(1 for r in accepted if r["bell_outcome"] == "PsiPlus")
-                n_minus = sum(1 for r in accepted if r["bell_outcome"] == "PsiMinus")
+                n_plus, n_minus = (
+                    int(np.count_nonzero(events.accepted
+                                         & (events.outcome == BELL_OUTCOMES.index(o))))
+                    for o in ("PsiPlus", "PsiMinus"))
                 c = interference_contrast(n_null, n_plus, n_minus)
                 report["estimators"]["contrast"] = {
                     "contrast": c, "sigma": contrast_sigma(max(n_null, 0.5), n_plus, n_minus),
@@ -292,11 +421,8 @@ def cmd_analyze(args) -> int:
             elif name == "sbr":
                 if clicks is None:
                     raise CliError("sbr estimator needs --clicks", EXIT_CONFIG)
-                times = {}
-                for row in clicks:
-                    times.setdefault(row["window"], []).append(float(row["timestamp_ns"]) * 1e-9)
                 edges = np.arange(-500e-9, 500e-9 + 1e-12, 2e-9)
-                hist = DetectionHistogram.from_click_times(times, edges)
+                hist = DetectionHistogram.from_click_times(clicks.times_by_window(), edges)
                 # side bands start where the wavepacket tail is negligible
                 est = sbr(hist, window=(0.0, 70e-9), exclusion=(-100e-9, 250e-9))
                 report["estimators"]["sbr"] = {

@@ -175,6 +175,27 @@ def _normal_grid(n: int) -> np.ndarray:
     return np.array([inv_cdf((k + 0.5) / n) for k in range(n)])
 
 
+def _thermal_draws(seed: int, n: int) -> np.ndarray:
+    """(n, 6) standard normals; row k is the start of the Philox stream keyed by (seed, k).
+
+    One generator is re-keyed per trajectory through its state, which is
+    what ``Generator(Philox(key=[seed, k]))`` starts from, without the
+    entropy draw of a new Philox's seed sequence.
+    """
+    bit_gen = np.random.Philox(key=[0, 0])
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    zeros = (0, 0, 0, 0)
+    # an empty output buffer, so the next draw starts a new Philox block
+    state.update(buffer=zeros, buffer_pos=4, has_uint32=0, uinteger=0)
+    out = np.empty((n, 6))
+    for k in range(n):
+        state["state"] = {"counter": zeros, "key": (seed, k)}
+        bit_gen.state = state
+        out[k] = gen.normal(size=6)
+    return out
+
+
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
                              temperature: float, times, n_trajectories: int,
                              seed: int) -> DephasingChannelFamily:
@@ -203,9 +224,7 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         samples.setdefault(step, {}).setdefault(rest, []).append(t_idx)
 
     sig_pos, sig_v = thermal_sigmas(trap, temperature)
-    draws = np.array([
-        np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)])).normal(size=6)
-        for k in range(n_trajectories)])
+    draws = _thermal_draws(seed, n_trajectories)
     pos = np.ascontiguousarray((draws[:, :3] * sig_pos).T)
     vel = np.ascontiguousarray((draws[:, 3:] * sig_v).T)
     # stratified quasi-static noise over the trajectory index

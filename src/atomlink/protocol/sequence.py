@@ -9,12 +9,15 @@ cooling, presence checks and trap-reload dead times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .. import quantum
-from ..analysis import CorrelationDataset, dataset_from_records
+from ..analysis import ClickTable, CorrelationDataset, EventTable, dataset_from_events
+from ..analysis.tables import BELL_OUTCOMES, CLICK_ORIGINS, DETECTORS, PLANES
 from ..memory import dephasing_channel_family
 from ..photonics import (
     CoincidenceClass,
@@ -22,10 +25,9 @@ from ..photonics import (
     indistinguishability,
     window_capture_probability,
 )
-from ..photonics.bsm import CLASS_PAIRS
+from ..photonics.bsm import CLASS_PAIRS, DETECTOR_PAIRS
 from ..photonics.polarization import rotation_su2
 from ..quantum import (
-    OUTCOME_KEYS,
     AtomBasisSetting,
     BellOutcome,
     DensityMatrix,
@@ -76,17 +78,21 @@ SCHEDULES = {
 
 @dataclass
 class RunResult:
-    """A run's events as ``events.jsonl`` records, plus its states in density-matrix mode."""
+    """A run's events and clicks as columns, plus its states in density-matrix mode."""
 
     scenario_name: str
     config_hash: str
     mode: str
     seed: int
-    events: list
-    dataset: CorrelationDataset
+    events: EventTable
     summary: dict
-    clicks: list = field(default_factory=list)
+    clicks: ClickTable
     states: np.ndarray | None = None     # (n, 9, 9), density-matrix mode only
+
+    @cached_property
+    def dataset(self) -> CorrelationDataset:
+        """Correlation counts of the accepted heralds, built on first access."""
+        return dataset_from_events(self.events, self.mode)
 
 
 class _SequenceClock:
@@ -142,10 +148,17 @@ def _werner_atom_photon(visibility: float) -> DensityMatrix:
 # background heralds carry the maximally mixed qubit pair, which no memory changes
 _MIXED_PAIR = np.kron(np.diag([0.5, 0.0, 0.5]), np.diag([0.5, 0.0, 0.5])).astype(complex)
 
-# (angle, axis) of each photon when no residual rotation is drawn
-_NO_RESIDUAL = [(0.0, (0.0, 0.0, 1.0))] * 2
+# (angles, axes) of a herald's two photons when no residual rotation is drawn
+_NO_RESIDUAL = ((0.0, 0.0), (0.0, 0.0, 1.0) * 2)
 
-_READOUTS = (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
+# each coincidence is a signal herald, a background-assisted herald or a D-null pair
+_SIGNAL, _BACKGROUND, _DNULL = range(3)
+_OUTCOME_CODE = {cls: BELL_OUTCOMES.index(o.value) for cls, o in _CLASS_TO_OUTCOME.items()}
+# DETECTORS index of both detectors of each DETECTOR_PAIRS entry
+_PAIR_DETECTORS = np.array([[DETECTORS.index(d) for d in pair] for pair in DETECTOR_PAIRS],
+                           dtype=np.int8)
+_CLASS_PAIR_INDEX = {cls: tuple(DETECTOR_PAIRS.index(p) for p in pairs)
+                     for cls, pairs in CLASS_PAIRS.items()}
 
 
 def heralded_states(signal_in: DensityMatrix, channels, xi: float, outcomes,
@@ -231,7 +244,10 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
                 "background"]
     branch_weights = np.array([p_pair * dist[b] for b in branches[:3]] + [p_bg_herald])
     p_event = branch_weights.sum()
-    branch_weights /= p_event
+    # Generator.choice(p=...) draws one uniform and searches this CDF; doing
+    # it here keeps the stream and skips choice's per-call checks
+    branch_cdf = np.cumsum(branch_weights / p_event)
+    branch_cdf /= branch_cdf[-1]
 
     # memory channels at the two readout times (analyzer frame)
     channels = []
@@ -251,67 +267,75 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         return (node.wavepacket.sample_emission_times(1, rng)[0]
                 + rng.normal(0.0, node.sync_jitter_sigma))
 
-    # per-herald draws; states and readout come from one pass after the loop
-    heralds = []           # (try index, wall time, outcome, detector pair, offsets, signal)
-    residual_draws = []    # (angle, axis) of each photon's fibre residual
-    uniforms = []          # sampled-clicks readout draws
-    clicks = []
-    n_dnull = 0
-    n_dnull_accepted = 0
-    n_heralds_by_class = {"DPlus": 0, "DMinus": 0}
+    # the loop only draws; states and readout come from one pass after it.
+    # One row per coincidence (herald or D-null pair), in loop order:
+    kinds = array("b")             # _SIGNAL, _BACKGROUND or _DNULL
+    pair_index = array("b")        # index into DETECTOR_PAIRS
+    offsets = array("d")           # node-1 and node-2 click offsets
+    # one row per herald:
+    try_indices = array("q")
+    wall_times = array("d")
+    outcome_codes = array("b")     # index into BELL_OUTCOMES
+    residual_angles = array("d")   # fibre residual of each photon
+    residual_axes = array("d")
+    uniforms = array("d")          # sampled-clicks readout draws
     try_index = 0
     wall_time = 0.0
 
-    while len(heralds) < target_events:
+    while len(try_indices) < target_events:
         gap = int(rng.geometric(p_event))
         try_index += gap
         wall_time = clock.advance(gap)
-        branch = branches[rng.choice(len(branches), p=branch_weights)]
+        branch = branches[branch_cdf.searchsorted(rng.random(), side="right")]
         if branch == "background":
             cls = CoincidenceClass.D_PLUS if rng.random() < 0.5 else CoincidenceClass.D_MINUS
         else:
             cls = branch
-        options = CLASS_PAIRS[cls]
-        pair = options[rng.integers(0, len(options))]
+        options = _CLASS_PAIR_INDEX[cls]
+        pair_index.append(options[rng.integers(0, len(options))])
 
         if cls is CoincidenceClass.D_NULL:
-            offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
-            n_dnull += 1
-            n_dnull_accepted += int(all(lo <= t <= hi for t in offs))
-            clicks.append(("node1", pair[0], offs[0], "signal"))
-            clicks.append(("node2", pair[1], offs[1], "signal"))
+            kinds.append(_DNULL)
+            offsets.extend((signal_offset(scenario.node1), signal_offset(scenario.node2)))
             continue
 
-        residual = _NO_RESIDUAL
+        angles, axes = _NO_RESIDUAL
         if branch == "background":
             # one signal photon plus one background click (dominant term)
             sig_node = 0 if rng.random() < eta[0] / (eta[0] + eta[1]) else 1
             offs = [0.0, 0.0]
             offs[sig_node] = signal_offset(scenario.nodes()[sig_node])
             offs[1 - sig_node] = rng.uniform(hw0, hw1)
-            is_signal = False
+            kinds.append(_BACKGROUND)
         else:
-            offs = [signal_offset(scenario.node1), signal_offset(scenario.node2)]
-            is_signal = True
+            offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
+            kinds.append(_SIGNAL)
             if scenario.polarization_error_mean > 0:
-                residual = [(rng.normal(0.0, polarization_sigma), rng.normal(size=3))
-                            for _ in (0, 1)]
+                a1, x1, a2, x2 = (rng.normal(0.0, polarization_sigma), rng.normal(size=3),
+                                  rng.normal(0.0, polarization_sigma), rng.normal(size=3))
+                angles, axes = (a1, a2), (*x1, *x2)
         if mode == "sampled-clicks":
             uniforms.append(rng.random())
-
-        heralds.append((try_index, wall_time, _CLASS_TO_OUTCOME[cls], pair, offs, is_signal))
-        residual_draws += residual
-        n_heralds_by_class[cls.value] += 1
-        origin = "signal" if is_signal else "mixed"
-        clicks.append(("node1", pair[0], offs[0], origin))
-        clicks.append(("node2", pair[1], offs[1], origin))
-    herald_count = len(heralds)
-    try_indices, wall_times, outcomes, pairs, offsets, signal = list(zip(*heralds)) or [()] * 6
+        offsets.extend(offs)
+        residual_angles.extend(angles)
+        residual_axes.extend(axes)
+        try_indices.append(try_index)
+        wall_times.append(wall_time)
+        outcome_codes.append(_OUTCOME_CODE[cls])
+    herald_count = len(try_indices)
+    kinds = np.asarray(kinds)
+    pair_index = np.asarray(pair_index)
+    offsets = np.asarray(offsets).reshape(-1, 2)
+    herald = kinds != _DNULL
+    outcome_codes = np.asarray(outcome_codes)
+    bell = list(BellOutcome)
+    outcomes = [bell[c] for c in outcome_codes.tolist()]
 
     # one batched pass: residuals, states, readout probabilities, fidelities
-    residuals = rotation_su2(np.array([axis for _, axis in residual_draws]).reshape(-1, 3),
-                             np.array([angle for angle, _ in residual_draws])).reshape(-1, 2, 2, 2)
+    residuals = rotation_su2(np.asarray(residual_axes).reshape(-1, 3),
+                             np.asarray(residual_angles)).reshape(-1, 2, 2, 2)
     states = np.tile(_MIXED_PAIR, (herald_count, 1, 1))
+    signal = kinds[herald] == _SIGNAL
     sig = np.flatnonzero(signal)
     signal_in = tensor(*(
         _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
@@ -321,37 +345,39 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     quantum.check_density_matrices(states)
     setting_index = np.arange(herald_count) % len(settings_cycle)
     probs, fids = event_readout(states, settings_cycle, setting_index, outcomes)
-    # free what the result does not keep before the singles stream is drawn
-    del residual_draws, residuals
+    del residuals
     if mode == "sampled-clicks":
         states = None
         # the first cumulative threshold above r picks uu, ud, du or dd
         above = np.asarray(uniforms)[:, None] < np.cumsum(probs[:, :3], axis=1)
-        readouts = [_READOUTS[k] for k in
-                    np.argmax(np.column_stack([above, np.ones(herald_count, bool)]), axis=1)]
+        readout = np.argmax(np.column_stack([above, np.ones(herald_count, bool)]), axis=1)
     else:
-        readouts = [(None, None)] * herald_count
-    offsets = np.asarray(offsets, dtype=float).reshape(herald_count, 2)
-    accepted = np.all((lo <= offsets) & (offsets <= hi), axis=1)
+        readout = np.full(herald_count, -1)
+    herald_offsets = offsets[herald]
+    accepted = np.all((lo <= herald_offsets) & (herald_offsets <= hi), axis=1)
+    alphas, betas, planes = zip(*settings_cycle)
+    events = EventTable(
+        wall_time_s=np.asarray(wall_times), try_index=np.asarray(try_indices),
+        outcome=outcome_codes, detectors=_PAIR_DETECTORS[pair_index[herald]],
+        click_ns=herald_offsets * 1e9, accepted=accepted, signal=signal,
+        alpha_rad=np.array(alphas)[setting_index], beta_rad=np.array(betas)[setting_index],
+        plane=np.array([PLANES.index(p) for p in planes], dtype=np.int8)[setting_index],
+        fidelity=fids, probabilities=probs, readout=readout)
+    dnull_offsets = offsets[~herald]
+    n_dnull_accepted = int(np.all((lo <= dnull_offsets) & (dnull_offsets <= hi), axis=1).sum())
 
-    events = [
-        {"wall_time_s": w, "try_index": t, "bell_outcome": o.value,
-         "detector1": pair[0], "detector2": pair[1], "click1_ns": c1, "click2_ns": c2,
-         "accepted": a, "origin": "signal" if s else "background",
-         "alpha_rad": settings_cycle[k][0], "beta_rad": settings_cycle[k][1],
-         "plane": settings_cycle[k][2], "fidelity": f,
-         "probabilities": dict(zip(OUTCOME_KEYS, p)), "outcome1": r1, "outcome2": r2}
-        for w, t, o, pair, (c1, c2), a, s, k, f, p, (r1, r2) in zip(
-            wall_times, try_indices, outcomes, pairs, (offsets * 1e9).tolist(),
-            accepted.tolist(), signal, setting_index.tolist(), fids.tolist(),
-            probs.tolist(), readouts)]
-
-    # subsampled singles stream for detection-time histograms; the flat
-    # background is continuous, so it is recorded over a wide span around
-    # the arrival window to give the estimator clean side bands
+    # both clicks of every coincidence, then a subsampled singles stream per
+    # node for detection-time histograms; the flat background is continuous,
+    # so it is recorded over a wide span around the arrival window to give
+    # the estimator clean side bands
+    signal_code, mixed_code, background_code = range(len(CLICK_ORIGINS))
+    single = DETECTORS.index("single")
+    blocks = [(np.tile([0, 1], len(kinds)), _PAIR_DETECTORS[pair_index].ravel(),
+               np.repeat(np.where(kinds == _BACKGROUND, mixed_code, signal_code), 2),
+               offsets.ravel())]
     hist_lo, hist_hi = HISTOGRAM_SPAN
     if try_index > 0:
-        for i, label in enumerate(("node1", "node2")):
+        for i in (0, 1):
             node = scenario.nodes()[i]
             n_signal = int(rng.binomial(try_index, eta[i]))
             n_bg = int(rng.poisson(try_index * background_rate_at_station(scenario)["total"]
@@ -361,10 +387,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
             k_bg = int(round(n_bg * factor))
             t_sig = node.wavepacket.sample_emission_times(k_sig, rng)
             t_bg = rng.uniform(hist_lo, hist_hi, size=k_bg)
-            for t in t_sig:
-                clicks.append((label, "single", float(t), "signal"))
-            for t in t_bg:
-                clicks.append((label, "single", float(t), "background"))
+            blocks += [(i, single, signal_code, t_sig), (i, single, background_code, t_bg)]
+    clicks = ClickTable.from_blocks(blocks)
 
     summary = {
         "scenario": scenario.name,
@@ -378,9 +402,10 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "measured_event_rate_hz": herald_count / wall_time if wall_time > 0 else 0.0,
         "measured_success_probability": herald_count / try_index if try_index else 0.0,
         "accepted_fraction": int(accepted.sum()) / herald_count if herald_count else 0.0,
-        "n_dnull": n_dnull,
+        "n_dnull": int(np.count_nonzero(~herald)),
         "n_dnull_accepted": n_dnull_accepted,
-        "herald_counts": n_heralds_by_class,
+        "herald_counts": {cls.value: int(np.count_nonzero(outcome_codes == code))
+                          for cls, code in _OUTCOME_CODE.items()},
         "xi": xi,
         "sbr_model": sbr_model(scenario),
         "model": {
@@ -392,5 +417,5 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": clock.dead_time,
     }
-    return RunResult(scenario.name, config_hash(scenario), mode, seed, events,
-                     dataset_from_records(events, mode), summary, clicks, states)
+    return RunResult(scenario.name, config_hash(scenario), mode, seed, events, summary,
+                     clicks, states)

@@ -5,15 +5,36 @@ textbook formulas) and shares no code path with the package internals it
 checks.
 """
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from atomlink.analysis import (
+    CorrelationDataset,
+    DetectionHistogram,
+    chsh_from_dataset,
+    fringe_visibility_summary,
+    interference_contrast,
+    sbr,
+    three_basis_summary,
+)
+from atomlink.analysis.estimators import contrast_sigma
+from atomlink.analysis.tables import (
+    BELL_OUTCOMES,
+    CLICK_ORIGINS,
+    DETECTORS,
+    PLANES,
+    READOUTS,
+    WINDOWS,
+)
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
 from atomlink.memory.trap import TrapParams, thermal_sigmas
+from atomlink.quantum import OUTCOME_KEYS
 
 SQ2 = np.sqrt(2.0)
 
@@ -448,9 +469,7 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
         return pos, vel, acc, phi + omega * (b + shift) * dt
 
     out = np.zeros((len(times), 3, 3), dtype=complex)
-    for k in range(n_trajectories):
-        gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)]))
-        z = gen.normal(size=6)
+    for k, z in enumerate(philox_thermal_draws(seed, n_trajectories)):
         pos = [float(z[i]) * sig_pos[i] for i in range(3)]
         vel = [float(z[3 + i]) * sig_v for i in range(3)]
         b = env.bias_field + env.shot_noise_sigma * float(ndtri((k + 0.5) / n_trajectories))
@@ -469,3 +488,175 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
                 for j in range(3):
                     out[t_idx, i, j] += np.exp(-1j * (m[i] - m[j]) * phase)
     return out / n_trajectories
+
+
+def philox_thermal_draws(seed: int, n: int) -> np.ndarray:
+    """(n, 6) normals, one new Generator(Philox(key=[seed, k])) per trajectory k."""
+    return np.array([
+        np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)])).normal(size=6)
+        for k in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# Per-record run files: one dict per event and one tuple per click, written
+# with json.dumps and csv.writer and read back as dicts.  These are the
+# references for the package's columnar writers, readers and dataset builder.
+# ---------------------------------------------------------------------------
+
+def event_records(events) -> list[dict]:
+    """The events.jsonl record of each row of an EventTable, in file key order."""
+    records = []
+    for h in range(len(events)):
+        readout = READOUTS[events.readout[h]] if events.readout[h] >= 0 else (None, None)
+        records.append({
+            "wall_time_s": float(events.wall_time_s[h]), "try_index": int(events.try_index[h]),
+            "bell_outcome": BELL_OUTCOMES[events.outcome[h]],
+            "detector1": DETECTORS[events.detectors[h, 0]],
+            "detector2": DETECTORS[events.detectors[h, 1]],
+            "click1_ns": float(events.click_ns[h, 0]), "click2_ns": float(events.click_ns[h, 1]),
+            "accepted": bool(events.accepted[h]),
+            "origin": "signal" if events.signal[h] else "background",
+            "alpha_rad": float(events.alpha_rad[h]), "beta_rad": float(events.beta_rad[h]),
+            "plane": PLANES[events.plane[h]], "fidelity": float(events.fidelity[h]),
+            "probabilities": dict(zip(OUTCOME_KEYS, events.probabilities[h].tolist())),
+            "outcome1": readout[0], "outcome2": readout[1]})
+    return records
+
+
+def click_tuples(clicks) -> list[tuple]:
+    """(window, detector, time in s, origin) of each row of a ClickTable."""
+    return [(WINDOWS[w], DETECTORS[d], float(t), CLICK_ORIGINS[o]) for w, d, t, o in
+            zip(clicks.window, clicks.detector, clicks.time_s, clicks.origin)]
+
+
+def write_event_records(fh, header: dict, records: list[dict]):
+    fh.write(json.dumps(header) + "\n")
+    for rec in records:
+        fh.write(json.dumps({**rec, "config_hash": header["config_hash"]}) + "\n")
+
+
+def write_click_tuples(fh, chash: str, clicks: list[tuple]):
+    fh.write(f"# config_hash={chash}\n")
+    writer = csv.writer(fh)
+    writer.writerow(["window", "detector", "timestamp_ns", "origin"])
+    for window, det, t_rel, origin in clicks:
+        writer.writerow([window, det, f"{t_rel * 1e9:.3f}", origin])
+
+
+def load_event_records(path):
+    """(header, records) of an events.jsonl file; the last header line wins."""
+    events = []
+    header = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if rec.get("type") == "header":
+                header = rec
+                continue
+            events.append(rec)
+    return header, events
+
+
+def load_click_rows(path):
+    """(config hash or None, one dict per row keyed by the CSV header) of a clicks.csv."""
+    with open(path) as fh:
+        first = fh.readline()
+        chash = None
+        if first.startswith("# config_hash="):
+            chash = first.strip().split("=", 1)[1]
+            header_line = fh.readline()
+        else:
+            header_line = first
+        cols = [c.strip() for c in header_line.strip().split(",")]
+        rows = [dict(zip(cols, row)) for row in csv.reader(fh) if row]
+    return chash, rows
+
+
+def dataset_from_records(records, mode: str):
+    """Dataset of the window-accepted heralds among event readout records.
+
+    "sampled-clicks" counts each sampled outcome pair; "density-matrix" sums
+    the expected outcome probabilities of each setting.
+    """
+    ds = CorrelationDataset()
+    expected = {}
+    for rec in records:
+        if not rec.get("accepted"):
+            continue
+        key = (round(rec["alpha_rad"], 12), round(rec["beta_rad"], 12),
+               rec["plane"], rec["bell_outcome"])
+        if mode == "sampled-clicks":
+            if rec.get("outcome1") is not None:
+                ds.add_event(*key, rec["outcome1"], rec["outcome2"])
+        elif rec.get("probabilities"):
+            agg = expected.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
+            for k in OUTCOME_KEYS:
+                agg[k] += rec["probabilities"][k]
+    for (alpha, beta, plane, outcome), agg in expected.items():
+        ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
+                        "outcome": outcome, **agg})
+    return ds
+
+
+def reference_report(events_path, clicks_path, summary_path, estimators) -> dict:
+    """report.json of ``analyze`` from the per-record readers and dataset builder."""
+    header, records = load_event_records(events_path)
+    mode = header.get("mode", "sampled-clicks")
+    report = {"config_hash": header.get("config_hash"), "mode": mode,
+              "n_events": len(records), "estimators": {}}
+    _, clicks = load_click_rows(clicks_path)
+    with open(summary_path) as fh:
+        summary = json.load(fh)
+    dataset = dataset_from_records(records, mode)
+    accepted = [r for r in records if r.get("accepted")]
+    report["accepted_fraction"] = len(accepted) / len(records) if records else 0.0
+    for name in estimators:
+        try:
+            if name == "fidelity":
+                report["estimators"]["fidelity"] = three_basis_summary(dataset)
+            elif name == "fringe":
+                per = {}
+                for outcome in ("PsiMinus", "PsiPlus"):
+                    try:
+                        v, sig, fits = fringe_visibility_summary(dataset, outcome)
+                    except ValueError:
+                        continue
+                    per[outcome] = {
+                        "visibility": v, "visibility_sigma": sig,
+                        "fits": {f"{np.degrees(b):.1f}": {
+                            "visibility": f.visibility, "phase_deg": float(np.degrees(f.phase)),
+                            "offset": f.offset, "visibility_sigma": f.visibility_sigma,
+                        } for b, f in fits.items()},
+                    }
+                report["estimators"]["fringe"] = per
+            elif name == "chsh":
+                s, sig = chsh_from_dataset(dataset)
+                report["estimators"]["chsh"] = {"s": s, "sigma": sig}
+            elif name == "contrast":
+                n_null = summary["n_dnull_accepted"]
+                n_plus = sum(1 for r in accepted if r["bell_outcome"] == "PsiPlus")
+                n_minus = sum(1 for r in accepted if r["bell_outcome"] == "PsiMinus")
+                c = interference_contrast(n_null, n_plus, n_minus)
+                report["estimators"]["contrast"] = {
+                    "contrast": c, "sigma": contrast_sigma(max(n_null, 0.5), n_plus, n_minus),
+                    "n_null": n_null, "n_plus": n_plus, "n_minus": n_minus,
+                }
+            elif name == "sbr":
+                times = {}
+                for row in clicks:
+                    times.setdefault(row["window"], []).append(float(row["timestamp_ns"]) * 1e-9)
+                edges = np.arange(-500e-9, 500e-9 + 1e-12, 2e-9)
+                hist = DetectionHistogram.from_click_times(times, edges)
+                est = sbr(hist, window=(0.0, 70e-9), exclusion=(-100e-9, 250e-9))
+                report["estimators"]["sbr"] = {
+                    "per_channel": {k: (None if np.isinf(v) else v)
+                                    for k, v in est.per_channel.items()},
+                    "coincidence": None if np.isinf(est.coincidence) else est.coincidence,
+                    "unbounded": est.unbounded,
+                }
+        except (ValueError, KeyError) as exc:
+            report["estimators"][name] = {"error": str(exc)}
+    return report

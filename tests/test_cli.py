@@ -2,13 +2,18 @@
 
 import importlib.util
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import atomlink.cli
 from atomlink.analysis import interference_contrast
-from atomlink.cli import build_parser, main
+from atomlink.cli import _load_events, build_parser, main
+from atomlink.protocol import preset, save_scenario
+
+import oracles
 
 
 def run_cli(*argv):
@@ -179,6 +184,71 @@ class TestAnalyze:
                            "--clicks", str(clicks),
                            "--out", str(tmp_path / sub), "--force")
             assert code == 0
+
+
+ALL_ESTIMATORS = ["fidelity", "fringe", "chsh", "contrast", "sbr"]
+
+
+class TestRunFiles:
+    """The columnar writers and readers against the per-record references."""
+
+    @pytest.mark.parametrize("case", ["l6-sampled", "l33-dm", "l6-150ns", "zero"])
+    def test_files_match_reference(self, case, tmp_path, monkeypatch):
+        argv = {
+            "l6-sampled": ["--preset", "l6", "--mode", "sampled-clicks", "--events", "300"],
+            "l33-dm": ["--preset", "l33", "--mode", "density-matrix", "--events", "150"],
+            # about a third of all coincidences are D-null at a 150 ns delay
+            "l6-150ns": ["--scenario", str(tmp_path / "far.ini"), "--mode", "sampled-clicks",
+                         "--events", "200", "--schedule", "chsh"],
+            "zero": ["--preset", "l6", "--events", "0"],
+        }[case]
+        save_scenario(replace(preset("l6"), wavepacket_delay=150e-9), tmp_path / "far.ini")
+        real, runs = atomlink.cli.run_sequence, []
+        monkeypatch.setattr(atomlink.cli, "run_sequence",
+                            lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
+        run = tmp_path / "run"
+        assert run_cli("simulate", *argv, "--seed", "5", "--trajectories", "300",
+                       "--out", str(run)) == 0
+        (result,) = runs
+        if case == "l6-150ns":
+            assert result.summary["n_dnull"] > 0
+        header = json.loads((run / "events.jsonl").read_text().splitlines()[0])
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        with open(ref / "events.jsonl", "w", newline="") as fh:
+            oracles.write_event_records(fh, header, oracles.event_records(result.events))
+        with open(ref / "clicks.csv", "w", newline="") as fh:
+            oracles.write_click_tuples(fh, result.config_hash,
+                                       oracles.click_tuples(result.clicks))
+        (ref / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True,
+                                                     default=float))
+        for name in ("events.jsonl", "clicks.csv", "summary.json"):
+            assert (run / name).read_bytes() == (ref / name).read_bytes(), name
+
+        _, events = _load_events(run / "events.jsonl")
+        for f in fields(events):
+            assert np.array_equal(getattr(events, f.name), getattr(result.events, f.name)), f.name
+        assert run_cli("analyze", "--events", str(run / "events.jsonl"),
+                       "--clicks", str(run / "clicks.csv"), "--summary", str(run / "summary.json"),
+                       "--estimators", ",".join(ALL_ESTIMATORS), "--out", str(run)) == 0
+        expected = oracles.reference_report(run / "events.jsonl", run / "clicks.csv",
+                                            run / "summary.json", ALL_ESTIMATORS)
+        assert (run / "report.json").read_text() == json.dumps(
+            expected, indent=2, sort_keys=True, default=float)
+
+    @pytest.mark.parametrize("edit", ["short", "label", "number"])
+    def test_malformed_click_row_names_line(self, small_run, tmp_path, capsys, edit):
+        lines = (small_run / "clicks.csv").read_text().splitlines()
+        window, detector, stamp, origin = lines[4].split(",")
+        lines[4] = {"short": f"{window},{detector},{stamp}",
+                    "label": f"node3,{detector},{stamp},{origin}",
+                    "number": f"{window},{detector},x{stamp},{origin}"}[edit]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--events", str(small_run / "events.jsonl"),
+                       "--clicks", str(bad), "--estimators", "sbr", "--out", str(tmp_path))
+        assert code == 4
+        assert f"{bad}:5:" in capsys.readouterr().err
 
 
 class TestRates:

@@ -19,6 +19,7 @@ from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_
 from oracles import (
     brute_channel_coherence,
     evolve_spin1,
+    philox_thermal_draws,
     random_density_matrix,
     spin1_matrices,
 )
@@ -203,6 +204,11 @@ class TestDephasingChannel:
         a = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11)
         b = dephasing_channel_family(TRAP, env, 50e-6, times, 600, seed=11)
         assert np.array_equal(a.coherences, b.coherences)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2**31 - 1, 2**40])
+    def test_thermal_draws_match_per_trajectory_generators(self, seed):
+        # one re-keyed generator in place of a new Philox per trajectory
+        assert np.array_equal(channel._thermal_draws(seed, 300), philox_thermal_draws(seed, 300))
 
     def test_moving_atom_matches_brute_force(self):
         # thermal motion and the vector-shift field together, against a

@@ -1,11 +1,12 @@
 """Discrete-event run tests: determinism, statistics, mode consistency."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from atomlink.analysis import correlation_probability, three_basis_summary
+from atomlink.analysis.tables import PLANES
 from atomlink.memory import QutritChannel, dephasing_channel_family
 from atomlink.protocol import event_rate, preset, repetition_rate, run_sequence
 from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
@@ -41,13 +42,18 @@ def l6_run():
                         seed=21, mode="sampled-clicks", n_trajectories=N_TRAJ)
 
 
+def _same_columns(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 class TestDeterminism:
     def test_same_seed_identical(self):
         a = run_sequence(preset("l6"), target_events=40, seed=5,
                          mode="sampled-clicks", n_trajectories=N_TRAJ)
         b = run_sequence(preset("l6"), target_events=40, seed=5,
                          mode="sampled-clicks", n_trajectories=N_TRAJ)
-        assert a.events == b.events
+        assert _same_columns(a.events, b.events)
+        assert _same_columns(a.clicks, b.clicks)
         assert a.summary == b.summary
 
     def test_different_seed_differs(self):
@@ -55,22 +61,22 @@ class TestDeterminism:
                          mode="sampled-clicks", n_trajectories=N_TRAJ)
         b = run_sequence(preset("l6"), target_events=40, seed=6,
                          mode="sampled-clicks", n_trajectories=N_TRAJ)
-        assert a.events[0]["wall_time_s"] != b.events[0]["wall_time_s"]
+        assert a.events.wall_time_s[0] != b.events.wall_time_s[0]
 
     def test_zero_targets(self):
         res = run_sequence(preset("l6"), target_events=0, seed=1,
                            mode="sampled-clicks", n_trajectories=N_TRAJ)
-        assert res.events == []
+        assert len(res.events) == 0
+        assert len(res.clicks) == 0
         assert res.summary["n_events"] == 0
 
 
 class TestEventStatistics:
     def test_wall_times_strictly_increasing(self, l6_run):
-        times = np.array([r["wall_time_s"] for r in l6_run.events])
-        assert np.all(np.diff(times) > 0)
+        assert np.all(np.diff(l6_run.events.wall_time_s) > 0)
 
     def test_gaps_exponential(self, l6_run):
-        gaps = np.diff([r["wall_time_s"] for r in l6_run.events])
+        gaps = np.diff(l6_run.events.wall_time_s)
         n = len(gaps)
         cv = np.std(gaps) / np.mean(gaps)
         assert cv == pytest.approx(1.0, abs=4.0 / np.sqrt(n))
@@ -94,14 +100,14 @@ class TestEventStatistics:
         assert 0.62 <= l6_run.summary["accepted_fraction"] <= 0.72
 
     def test_background_origin_fraction(self, l6_run):
-        n_bg = sum(1 for r in l6_run.events if r["origin"] == "background")
-        frac = n_bg / len(l6_run.events)
+        frac = np.mean(~l6_run.events.signal)
         assert 0.0 < frac < 0.08   # a few percent of heralds
 
     def test_schedule_round_robin(self, l6_run):
         settings = {}
-        for r in l6_run.events:
-            key = (round(r["alpha_rad"], 6), round(r["beta_rad"], 6), r["plane"])
+        ev = l6_run.events
+        for alpha, beta, plane in zip(ev.alpha_rad.tolist(), ev.beta_rad.tolist(), ev.plane):
+            key = (round(alpha, 6), round(beta, 6), plane)
             settings[key] = settings.get(key, 0) + 1
         counts = list(settings.values())
         assert len(counts) == 6
@@ -152,10 +158,10 @@ class TestStateQuality:
     def test_event_states_are_valid(self):
         res = run_sequence(preset("l6"), target_events=25, seed=3,
                            mode="density-matrix", n_trajectories=N_TRAJ)
-        for r, state in zip(res.events, res.states, strict=True):
+        for fid, state in zip(res.events.fidelity, res.states, strict=True):
             # DensityMatrix constructor enforces trace/hermiticity/psd
             assert DensityMatrix(HilbertSpec([3, 3]), state).spec.subsystem_dims == (3, 3)
-            assert r["fidelity"] > 0.2
+            assert fid > 0.2
 
     def test_ideal_configuration_gives_unit_fidelity(self):
         from dataclasses import replace
@@ -176,8 +182,8 @@ class TestStateQuality:
         )
         res = run_sequence(ideal, target_events=20, seed=2, mode="density-matrix",
                            n_trajectories=200, memory_noise_sigma=0.0)
-        for r in res.events:
-            assert r["fidelity"] == pytest.approx(1.0, abs=5e-4)
+        for fid in res.events.fidelity:
+            assert fid == pytest.approx(1.0, abs=5e-4)
 
 
 N_MODES = 1600
@@ -200,6 +206,12 @@ class TestModeConsistency:
             p_sp, _ = correlation_probability(counts)
             tol = 3.5 * 0.5 / np.sqrt(counts.total())   # per-setting binomial bound
             assert abs(p_dm - p_sp) < tol, (row.alpha, row.beta, row.plane, row.outcome)
+
+    def test_dataset_matches_per_record_builder(self, mode_runs):
+        # same settings in the same order, and sums taken in the same order
+        for res in mode_runs:
+            records = oracles.event_records(res.events)
+            assert res.dataset.rows == oracles.dataset_from_records(records, res.mode).rows
 
     def test_estimator_consistency(self, mode_runs):
         dm, sp = mode_runs
@@ -270,20 +282,22 @@ class TestBatchedHerald:
         mixed = np.kron(np.diag([0.5, 0.0, 0.5]), np.diag([0.5, 0.0, 0.5]))
         identity = np.eye(2, dtype=complex)
         assert res.states.shape == (80, 9, 9)
-        assert {r["origin"] for r in res.events} == {"signal", "background"}
-        for r, state in zip(res.events, res.states, strict=True):
-            outcome = BellOutcome(r["bell_outcome"])
-            if r["origin"] == "signal":
+        ev = res.events
+        assert len(ev) == 80
+        assert set(ev.signal.tolist()) == {True, False}
+        for h, state in enumerate(res.states):
+            outcome = list(BellOutcome)[ev.outcome[h]]
+            if ev.signal[h]:
                 _, rho = swap_with_interference(signal_in, outcome, res.summary["xi"],
                                                 (identity, identity))
                 rho = channels[1].apply_to_subsystem(channels[0].apply_to_subsystem(rho, 0), 1)
             else:
                 rho = DensityMatrix(HilbertSpec([3, 3]), mixed)
-            p_ref, f_ref = _scalar_readout(rho, outcome, r["alpha_rad"], r["beta_rad"],
-                                           r["plane"])
+            p_ref, f_ref = _scalar_readout(rho, outcome, ev.alpha_rad[h], ev.beta_rad[h],
+                                           PLANES[ev.plane[h]])
             assert np.max(np.abs(state - rho.matrix)) < 1e-12
-            assert np.max(np.abs([r["probabilities"][k] for k in OUTCOME_KEYS] - p_ref)) < 1e-12
-            assert abs(r["fidelity"] - f_ref) < 1e-12
+            assert np.max(np.abs(ev.probabilities[h] - p_ref)) < 1e-12
+            assert abs(ev.fidelity[h] - f_ref) < 1e-12
 
 
 class TestValidation:
