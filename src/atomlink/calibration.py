@@ -71,9 +71,9 @@ def fit_sigma_fidelity(fidelities: dict, sigmas: dict, k_product: float) -> floa
     """1D least-squares of the Gaussian-envelope noise width on F(L) targets.
 
     Uses the analytic quasi-static envelope exp(-(gamma2 sigma t)^2 / 2) per
-    memory; the Monte-Carlo envelope adds a small rephasing residual on top,
-    so the shipped default is refit against the simulation (see
-    CAL_SIGMA_SHOT_EFF).
+    memory.  The Monte-Carlo envelope adds a small rephasing residual on
+    top, which this fit does not see; the simulation uses the shipped
+    CAL_SIGMA_SHOT_EFF instead, which no code fits.
     """
     rows = []
     for name, f_t in fidelities.items():
@@ -143,8 +143,8 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
         params["sigma_shot_eff_analytic"] = sigma_f
         params["sigma_shot_eff"] = CAL_SIGMA_SHOT_EFF
         notes.append(
-            "sigma_shot_eff is the Monte-Carlo refit of the analytic value; "
-            "the simulation's rephasing residual slightly lowers it"
+            "sigma_shot_eff is the shipped CAL_SIGMA_SHOT_EFF, returned unchanged; "
+            "sigma_shot_eff_analytic fits the analytic envelope and is not used elsewhere"
         )
         for name, f_t in t["fidelities"].items():
             s = preset(name)

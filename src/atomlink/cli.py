@@ -360,7 +360,9 @@ def cmd_analyze(args) -> int:
     _check_output(report_path, out, args.force)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()] \
         if args.estimators else []
-    if args.fringe_csv and "fringe" in estimators:
+    if args.fringe_csv:
+        if "fringe" not in estimators:
+            raise CliError("--fringe-csv needs the fringe estimator", EXIT_CONFIG)
         _check_output(args.fringe_csv, out, args.force)
 
     header, events = _load_events(args.events)

@@ -12,9 +12,8 @@ from .bsm import (
 )
 from .polarization import (
     FibreUnitary,
-    PolarizationState,
     PolarizationController,
-    drift_step,
+    drift_walk,
     polarization_control_cycle,
     rotation_su2,
     simulate_drift_with_control,
@@ -27,7 +26,7 @@ __all__ = [
     "PhotonWavepacket", "indistinguishability", "window_capture_probability",
     "ClickRecord", "CoincidenceClass", "DetectorParams", "classify_coincidence",
     "coincidence_distribution", "pair_distribution", "DETECTOR_PAIRS",
-    "FibreUnitary", "PolarizationState", "PolarizationController",
-    "drift_step", "polarization_control_cycle", "rotation_su2",
+    "FibreUnitary", "PolarizationController",
+    "drift_walk", "polarization_control_cycle", "rotation_su2",
     "simulate_drift_with_control", "stokes_rotation",
 ]

@@ -6,6 +6,7 @@ sees).  Stokes components are ordered (S1, S2, S3) = (H/V, D/A, R/L), i.e.
 expectation values of (sigma_z, sigma_x, sigma_y) on the Jones vector.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,34 +14,7 @@ import numpy as np
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI = (SIGMA_Z, SIGMA_X, SIGMA_Y)
-
-STOKES_V = np.array([-1.0, 0.0, 0.0])
-STOKES_D = np.array([0.0, 1.0, 0.0])
-
-
-@dataclass(frozen=True)
-class PolarizationState:
-    """Point on (or inside) the Poincare sphere."""
-
-    stokes: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.stokes, dtype=float)
-        if s.shape != (3,):
-            raise ValueError("Stokes vector must have 3 components")
-        if np.linalg.norm(s) > 1.0 + 1e-9:
-            raise ValueError("Stokes vector norm must not exceed 1")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "stokes", s)
-
-    @classmethod
-    def from_jones(cls, jones) -> "PolarizationState":
-        return cls(stokes_vector(jones))
-
-    def degree_of_polarization(self) -> float:
-        return float(np.linalg.norm(self.stokes))
+_PAULI = np.stack((SIGMA_Z, SIGMA_X, SIGMA_Y))
 
 
 @dataclass(frozen=True)
@@ -69,8 +43,8 @@ class FibreUnitary:
 def rotation_su2(axis, angle) -> np.ndarray:
     """exp(-i angle/2 n.sigma) for a Stokes-space axis n, or for a stack of them.
 
-    ``axis`` is (3,) or (n, 3) and need not be normalized; ``angle`` is a
-    scalar or (n,).  In the (S1, S2, S3) order,
+    ``axis`` is (..., 3) and need not be normalized; ``angle`` is a scalar
+    or has the axes' leading shape.  In the (S1, S2, S3) order,
     n.sigma = [[n1, n2 - i n3], [n2 + i n3, -n1]].
     """
     n = np.asarray(axis, dtype=float)
@@ -87,71 +61,70 @@ def rotation_su2(axis, angle) -> np.ndarray:
 
 
 def stokes_rotation(u: np.ndarray | FibreUnitary) -> np.ndarray:
-    """SO(3) Stokes rotation matrix of a Jones unitary."""
-    m = u.matrix if isinstance(u, FibreUnitary) else u
-    r = np.empty((3, 3))
-    for i, si in enumerate(_PAULI):
-        for j, sj in enumerate(_PAULI):
-            r[i, j] = 0.5 * np.trace(si @ m @ sj @ m.conj().T).real
-    return r
+    """SO(3) Stokes rotation R[i, j] = tr(s_i U s_j U^dagger) / 2 of a Jones
+    unitary U, or of a (..., 2, 2) stack of them."""
+    m = u.matrix if isinstance(u, FibreUnitary) else np.asarray(u)
+    return 0.5 * np.einsum("iab,...bc,jcd,...ed->...ij", _PAULI, m, _PAULI, m.conj()).real
 
 
-def stokes_vector(jones: np.ndarray) -> np.ndarray:
-    v = np.asarray(jones, dtype=complex)
-    return np.array([np.real(v.conj() @ s @ v) for s in _PAULI])
+def drift_walk(fibres: int, steps: int, dt: float, drift_rate: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Jones matrices of independently drifting fibres, as a (fibres, steps + 1, 2, 2) path.
 
-
-def drift_step(u: FibreUnitary, dt: float, drift_rate: float,
-               rng: np.random.Generator) -> FibreUnitary:
-    """Compose a random small rotation onto u.
-
-    The rotation angle is N(0, drift_rate^2 * dt) about a uniformly random
-    Stokes axis, so accumulated rotation variance grows linearly in time.
+    Every path starts at the identity.  Each step composes a rotation by an
+    N(0, drift_rate^2 * dt) angle about a uniformly random Stokes axis, so
+    the accumulated rotation variance grows linearly in time.  The stream
+    gives one angle normal and then three axis normals per step, step by
+    step and fibre by fibre; nothing is drawn at zero rate or step.
     """
     if drift_rate < 0.0:
         raise ValueError("drift rate must be >= 0")
+    path = np.empty((fibres, steps + 1, 2, 2), dtype=complex)
+    path[:] = np.eye(2)
     if drift_rate == 0.0 or dt == 0.0:
-        return u
-    angle = rng.normal(0.0, drift_rate * np.sqrt(dt))
-    axis = rng.normal(size=3)
-    while np.linalg.norm(axis) < 1e-12:
-        axis = rng.normal(size=3)
-    return FibreUnitary(rotation_su2(axis, angle) @ u.matrix)
+        return path
+    z = rng.standard_normal((fibres, steps, 4))
+    kicks = rotation_su2(z[..., 1:], drift_rate * np.sqrt(dt) * z[..., 0])
+    for k in range(steps):
+        np.matmul(kicks[:, k], path[:, k], out=path[:, k + 1])
+    return path
 
 
 # ---------------------------------------------------------------------------
 # Automated compensation
 # ---------------------------------------------------------------------------
 
-_AXIS_A = np.array([0.0, 0.0, 1.0])   # S3 axis
-_AXIS_B = np.array([1.0, 0.0, 0.0])   # S1 axis
+_COST_TOL = 8e-7         # summed probe cost at which the descent stops
+_RANDOM_RESTARTS = 2     # random starts tried after the current and zero settings
+_RESTART_SEED = 0
+_FD_EPS = 1e-6           # finite-difference step of the probe gradient
+_FD_STEPS = _FD_EPS * np.eye(3)
 
 
-def _so3_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    n = axis / np.linalg.norm(axis)
-    k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) + s * k + (1 - c) * (k @ k)
+def _about_s3(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _compensator_so3(settings) -> np.ndarray:
+def _about_s1(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _probe_cost(settings, r_fibre: np.ndarray):
+    """Summed squared Stokes distance of the V and D probes after fibre and compensator.
+
+    The compensator is Rz(t3) Rx(t2) Rz(t1) about the S3, S1, S3 axes.  For
+    unit probes |R s - s|^2 = 2 - 2 s.R s, and s.R s is R[0, 0] for
+    V = (-1, 0, 0) and R[1, 1] for D = (0, 1, 0).  ``r_fibre`` may be a
+    (..., 3, 3) stack.
+    """
     t1, t2, t3 = settings
-    return _so3_about(_AXIS_A, t3) @ _so3_about(_AXIS_B, t2) @ _so3_about(_AXIS_A, t1)
+    r = _about_s3(t3) @ _about_s1(t2) @ _about_s3(t1) @ r_fibre
+    return 4.0 - 2.0 * (r[..., 0, 0] + r[..., 1, 1])
 
 
-def _probe_cost(settings, r_fibre: np.ndarray, noise: float = 0.0,
-                rng: np.random.Generator | None = None) -> float:
-    r = _compensator_so3(settings) @ r_fibre
-    cost = 0.0
-    for s in (STOKES_V, STOKES_D):
-        out = r @ s
-        if noise > 0.0 and rng is not None:
-            out = out + rng.normal(0.0, noise, size=3)
-        cost += float(np.sum((out - s) ** 2))
-    return cost
-
-
-def residual_error_from_cost(cost: float) -> float:
+def residual_error_from_cost(cost):
     """Mean probe infidelity: 1 - (1 + s_out . s_target)/2 averaged over probes."""
     return cost / 8.0
 
@@ -161,11 +134,7 @@ class PolarizationController:
     """Three-paddle compensator driven by probe-based gradient descent."""
 
     settings: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    probe_noise: float = 0.0
     max_iterations: int = 600
-    cost_tol: float = 8e-7
-    n_restarts: int = 3
-    seed: int = 0
 
     def residual_error(self, u: FibreUnitary) -> float:
         return residual_error_from_cost(_probe_cost(self.settings, stokes_rotation(u)))
@@ -182,25 +151,23 @@ def polarization_control_cycle(u: FibreUnitary, controller: PolarizationControll
     The controller never keeps settings worse than the ones it started with.
     """
     r_fibre = stokes_rotation(u)
-    rng = np.random.default_rng(controller.seed)
 
     def cost(theta):
-        return _probe_cost(theta, r_fibre, controller.probe_noise, rng)
+        return _probe_cost(theta, r_fibre)
 
-    starts = [np.asarray(controller.settings, dtype=float)]
-    starts.append(np.zeros(3))
-    for _ in range(max(0, controller.n_restarts - 1)):
-        starts.append(rng.uniform(-np.pi, np.pi, size=3))
+    rng = np.random.default_rng(_RESTART_SEED)
+    starts = [np.asarray(controller.settings, dtype=float), np.zeros(3),
+              *rng.uniform(-np.pi, np.pi, size=(_RANDOM_RESTARTS, 3))]
 
-    best_theta = np.asarray(controller.settings, dtype=float)
+    best_theta = starts[0]
     best_cost = cost(best_theta)
     budget = controller.max_iterations
     for theta0 in starts:
-        theta, c, used = _gradient_descent(cost, theta0, budget, controller.cost_tol)
+        theta, c, used = _gradient_descent(cost, theta0, budget)
         budget -= used
         if c < best_cost:
             best_theta, best_cost = theta, c
-        if best_cost < controller.cost_tol or budget <= 0:
+        if best_cost < _COST_TOL or budget <= 0:
             break
 
     controller.settings = best_theta
@@ -208,23 +175,17 @@ def polarization_control_cycle(u: FibreUnitary, controller: PolarizationControll
     return best_theta, residual_error_from_cost(best_cost), converged
 
 
-def _gradient_descent(cost, theta0: np.ndarray, max_iter: int, tol: float,
-                      eps: float = 1e-6) -> tuple[np.ndarray, float, int]:
-    theta = theta0.astype(float).copy()
+def _gradient_descent(cost, theta0: np.ndarray, max_iter: int
+                      ) -> tuple[np.ndarray, float, int]:
+    theta = np.array(theta0, dtype=float)
     c = cost(theta)
     step = 0.5
     used = 0
     for _ in range(max(0, max_iter)):
         used += 1
-        grad = np.empty(3)
-        for i in range(3):
-            up = theta.copy()
-            dn = theta.copy()
-            up[i] += eps
-            dn[i] -= eps
-            grad[i] = (cost(up) - cost(dn)) / (2.0 * eps)
+        grad = np.array([cost(theta + e) - cost(theta - e) for e in _FD_STEPS]) / (2.0 * _FD_EPS)
         g_norm = np.linalg.norm(grad)
-        if g_norm < 1e-12 or c < tol:
+        if g_norm < 1e-12 or c < _COST_TOL:
             break
         improved = False
         for _ in range(25):
@@ -268,21 +229,24 @@ def simulate_drift_with_control(drift_rate: float, cadence: float, duration: flo
     """Drifting fibre with periodic compensation; returns (times, errors).
 
     The error trace is the probe residual measured every ``dt`` with the
-    settings held between control runs.
+    settings held between control runs.  The fibre follows one
+    ``drift_walk`` seeded by ``seed``; a control run is due at the first
+    sample at or after each multiple of ``cadence``.
     """
-    rng = np.random.default_rng(seed)
     ctrl = controller if controller is not None else PolarizationController()
-    u = FibreUnitary()
-    times = []
-    errors = []
-    t = 0.0
-    next_control = 0.0
+    times, controls = [], []
+    t = next_control = 0.0
     while t <= duration:
         if t >= next_control:
-            polarization_control_cycle(u, ctrl)
+            controls.append(len(times))
             next_control += cadence
         times.append(t)
-        errors.append(ctrl.residual_error(u))
-        u = drift_step(u, dt, drift_rate, rng)
         t += dt
-    return np.asarray(times), np.asarray(errors)
+    path = drift_walk(1, len(times), dt, drift_rate, np.random.default_rng(seed))[0, :-1]
+    r_fibre = stokes_rotation(path)
+    errors = np.empty(len(times))
+    for start, stop in zip(controls, controls[1:] + [len(times)]):
+        polarization_control_cycle(FibreUnitary(path[start]), ctrl)
+        errors[start:stop] = residual_error_from_cost(_probe_cost(ctrl.settings,
+                                                                  r_fibre[start:stop]))
+    return np.asarray(times), errors

@@ -110,17 +110,18 @@ class DensityMatrix:
 
 def check_density_matrices(mats: np.ndarray) -> None:
     """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD."""
-    herm = mats.conj().swapaxes(-1, -2)
-    herm_err = np.max(np.abs(mats - herm), initial=0.0)
+    diff = mats.conj().swapaxes(-1, -2)
+    diff -= mats
+    herm_err = np.max(np.abs(diff), initial=0.0)
+    del diff
     if herm_err > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
-    herm += mats
-    herm /= 2.0
-    eig_min = np.linalg.eigvalsh(herm).min(initial=np.inf)
+    # eigvalsh reads the lower triangle, held above to HERM_TOL of the upper
+    eig_min = np.linalg.eigvalsh(mats).min(initial=np.inf)
     if eig_min < PSD_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
 

@@ -34,6 +34,12 @@ from atomlink.analysis.tables import (
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
 from atomlink.memory.trap import TrapParams, thermal_sigmas
+from atomlink.photonics import (
+    FibreUnitary,
+    PolarizationController,
+    polarization_control_cycle,
+    rotation_su2,
+)
 from atomlink.quantum import OUTCOME_KEYS
 
 SQ2 = np.sqrt(2.0)
@@ -660,3 +666,79 @@ def reference_report(events_path, clicks_path, summary_path, estimators) -> dict
         except (ValueError, KeyError) as exc:
             report["estimators"][name] = {"error": str(exc)}
     return report
+
+
+# ---------------------------------------------------------------------------
+# Polarization drift and probe cost, one step and one matrix at a time: the
+# references for the package's batched drift walk, its closed-form probe
+# cost and its one-einsum Stokes map.
+# ---------------------------------------------------------------------------
+
+STOKES_V = np.array([-1.0, 0.0, 0.0])
+STOKES_D = np.array([0.0, 1.0, 0.0])
+_PAULI_STOKES = (
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+)
+
+
+def drift_step(u: FibreUnitary, dt: float, drift_rate: float,
+               rng: np.random.Generator) -> FibreUnitary:
+    """Compose one random rotation onto u: an N(0, drift_rate^2 dt) angle,
+    drawn first, about the axis of three further normals."""
+    if drift_rate < 0.0:
+        raise ValueError("drift rate must be >= 0")
+    if drift_rate == 0.0 or dt == 0.0:
+        return u
+    angle = rng.normal(0.0, drift_rate * np.sqrt(dt))
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-12:
+        axis = rng.normal(size=3)
+    return FibreUnitary(rotation_su2(axis, angle) @ u.matrix)
+
+
+def stokes_rotation_traces(m: np.ndarray) -> np.ndarray:
+    """SO(3) Stokes rotation of one Jones matrix from nine traces."""
+    r = np.empty((3, 3))
+    for i, si in enumerate(_PAULI_STOKES):
+        for j, sj in enumerate(_PAULI_STOKES):
+            r[i, j] = 0.5 * np.trace(si @ m @ sj @ m.conj().T).real
+    return r
+
+
+def so3_about(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a Stokes axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
+    return np.eye(3) + s * k + (1 - c) * (k @ k)
+
+
+def probe_cost_loop(settings, r_fibre: np.ndarray) -> float:
+    """Summed squared distance of the V and D probes from their targets
+    after the fibre and the S3-S1-S3 compensator, probe by probe."""
+    t1, t2, t3 = settings
+    comp = so3_about((0, 0, 1), t3) @ so3_about((1, 0, 0), t2) @ so3_about((0, 0, 1), t1)
+    r = comp @ r_fibre
+    return sum(float(np.sum((r @ s - s) ** 2)) for s in (STOKES_V, STOKES_D))
+
+
+def drift_with_control_loop(drift_rate: float, cadence: float, duration: float,
+                            dt: float, seed: int):
+    """Drifting fibre with periodic compensation, one drift step and one
+    probe residual per sample time; returns (times, errors)."""
+    rng = np.random.default_rng(seed)
+    ctrl = PolarizationController()
+    u = FibreUnitary()
+    times, errors = [], []
+    t = next_control = 0.0
+    while t <= duration:
+        if t >= next_control:
+            polarization_control_cycle(u, ctrl)
+            next_control += cadence
+        times.append(t)
+        errors.append(probe_cost_loop(ctrl.settings, stokes_rotation_traces(u.matrix)) / 8.0)
+        u = drift_step(u, dt, drift_rate, rng)
+        t += dt
+    return np.asarray(times), np.asarray(errors)

@@ -281,7 +281,7 @@ class TestCriterion9PolarizationControl:
         runtime = time.time() - t0
         assert runtime < 60.0
         report("criterion 9 polarization control",
-               f"12 unitaries converged, drift {max_rate} rad/sqrt(s): "
+               f"11 unitaries converged, drift {max_rate} rad/sqrt(s): "
                f"time-averaged error {mean_err:.4f}", t0)
 
 

@@ -10,8 +10,10 @@ import pytest
 
 import atomlink.cli
 from atomlink.analysis import interference_contrast
+from atomlink.calibration import calibrate
 from atomlink.cli import _load_events, build_parser, main
 from atomlink.protocol import preset, save_scenario
+from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
 
 import oracles
 
@@ -118,6 +120,14 @@ class TestAnalyze:
     def test_contrast_needs_summary(self, small_run, tmp_path):
         assert run_cli("analyze", "--events", str(small_run / "events.jsonl"),
                        "--estimators", "contrast", "--out", str(tmp_path)) == 2
+
+    def test_fringe_csv_needs_fringe_estimator(self, tmp_path):
+        # checked before anything is read: the events file does not exist
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--events", str(tmp_path / "none.jsonl"),
+                       "--estimators", "fidelity", "--fringe-csv", "fringe.csv",
+                       "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_summary_checked_like_clicks(self, small_run, tmp_path):
         events = str(small_run / "events.jsonl")
@@ -288,6 +298,13 @@ class TestCalibrate:
         payload = json.loads((tmp_path / "calibration.json").read_text())
         assert payload["converged"]
         assert all(abs(r) < 0.10 for r in payload["residuals"].values())
+
+    def test_notes_say_sigma_shot_eff_is_not_fitted(self):
+        result = calibrate()
+        assert result.parameters["sigma_shot_eff"] == CAL_SIGMA_SHOT_EFF
+        note = next(n for n in result.notes if n.startswith("sigma_shot_eff "))
+        assert "CAL_SIGMA_SHOT_EFF, returned unchanged" in note
+        assert "refit" not in note
 
     def test_already_calibrated_noop(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path)) == 0

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from atomlink.photonics import (
     FibreUnitary,
     PolarizationController,
-    drift_step,
+    drift_walk,
     polarization_control_cycle,
     rotation_su2,
     simulate_drift_with_control,
@@ -17,12 +17,13 @@ from atomlink.photonics.polarization import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    PolarizationState,
     _probe_cost,
     invert_rotation_settings,
     residual_error_from_cost,
 )
 from atomlink import quantum as q
+
+import oracles
 
 
 def random_unitary(rng):
@@ -31,50 +32,105 @@ def random_unitary(rng):
     return FibreUnitary(qmat * (np.diag(r) / np.abs(np.diag(r))))
 
 
+def final_angles(path):
+    """Rotation angle of each fibre's last Jones matrix of a drift walk."""
+    return np.array([FibreUnitary(m).rotation_angle() for m in path[:, -1]])
+
+
 class TestDrift:
     def test_zero_rate_identity(self):
         rng = np.random.default_rng(0)
-        u = FibreUnitary()
-        assert drift_step(u, 1.0, 0.0, rng) is u
+        before = rng.bit_generator.state
+        for rate, dt in ((0.0, 1.0), (0.05, 0.0)):
+            path = drift_walk(3, 4, dt, rate, rng)
+            assert path.shape == (3, 5, 2, 2)
+            assert np.array_equal(path, np.broadcast_to(np.eye(2), path.shape))
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError):
+            drift_walk(1, 1, 1.0, -0.1, rng)
 
     def test_mean_square_angle_grows_linearly(self):
         rng = np.random.default_rng(1)
         rate = 0.02
-        angles = {1.0: [], 4.0: []}
-        for t_total in angles:
-            n_steps = int(t_total / 0.1)
-            for _ in range(3000):
-                u = FibreUnitary()
-                for _ in range(n_steps):
-                    u = drift_step(u, 0.1, rate, rng)
-                angles[t_total].append(u.rotation_angle())
+        angles = {t_total: final_angles(drift_walk(3000, int(t_total / 0.1), 0.1, rate, rng))
+                  for t_total in (1.0, 4.0)}
         # the rotation vector performs a 3D random walk, so the mean-square
         # accumulated angle is rate^2 * t
-        m1 = np.mean(np.array(angles[1.0]) ** 2)
-        m4 = np.mean(np.array(angles[4.0]) ** 2)
+        m1 = np.mean(angles[1.0] ** 2)
+        m4 = np.mean(angles[4.0] ** 2)
         assert m1 == pytest.approx(rate**2 * 1.0, rel=0.1)
         assert m4 / m1 == pytest.approx(4.0, rel=0.15)
 
     def test_half_steps_match_full_step(self):
         rng = np.random.default_rng(2)
         rate = 0.05
-        full, half = [], []
-        for _ in range(4000):
-            u = drift_step(FibreUnitary(), 1.0, rate, rng)
-            full.append(u.rotation_angle())
-            u2 = drift_step(drift_step(FibreUnitary(), 0.5, rate, rng), 0.5, rate, rng)
-            half.append(u2.rotation_angle())
+        full = final_angles(drift_walk(4000, 1, 1.0, rate, rng))
+        half = final_angles(drift_walk(4000, 2, 0.5, rate, rng))
         # same distribution: compare second moments (angles are axis-mixed)
-        assert np.mean(np.array(half) ** 2) == pytest.approx(
-            np.mean(np.array(full) ** 2), rel=0.1
-        )
+        assert np.mean(half ** 2) == pytest.approx(np.mean(full ** 2), rel=0.1)
 
     def test_unitary_preserved(self):
-        rng = np.random.default_rng(3)
-        u = FibreUnitary()
-        for _ in range(2000):
-            u = drift_step(u, 1.0, 0.05, rng)
-        assert np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(2))) < 1e-12
+        u = drift_walk(1, 2000, 1.0, 0.05, np.random.default_rng(3))[0, -1]
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+
+    @pytest.mark.parametrize("fibres, steps", [(200, 10), (7, 300)])
+    def test_walk_matches_per_step_oracle(self, fibres, steps):
+        path = drift_walk(fibres, steps, 0.1, 0.02, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for walk in path:
+            u = FibreUnitary()
+            for k in range(steps):
+                u = oracles.drift_step(u, 0.1, 0.02, rng)
+                assert np.array_equal(walk[k + 1], u.matrix)
+
+    def test_drift_test_draws_match_per_step_oracle(self):
+        # the (3000, 10) and (3000, 40) walks of the mean-square test, checked
+        # against per-step draws on their first and last 40 fibres; the
+        # fibres between are skipped by drawing their normals in one call
+        rng_walk = np.random.default_rng(1)
+        rng = np.random.default_rng(1)
+        for steps in (10, 40):
+            ends = drift_walk(3000, steps, 0.1, 0.02, rng_walk)[:, -1]
+            for block in (slice(0, 40), slice(2960, 3000)):
+                if block.start:
+                    rng.standard_normal((block.start - 40) * steps * 4)
+                for end in ends[block]:
+                    u = FibreUnitary()
+                    for _ in range(steps):
+                        u = oracles.drift_step(u, 0.1, 0.02, rng)
+                    assert np.array_equal(end, u.matrix)
+
+
+class TestStokesRotation:
+    def test_matches_nine_traces(self):
+        rng = np.random.default_rng(6)
+        mats = np.array([random_unitary(rng).matrix for _ in range(200)])
+        stacked = stokes_rotation(mats)
+        assert stacked.shape == (200, 3, 3)
+        for m, r in zip(mats, stacked):
+            ref = oracles.stokes_rotation_traces(m)
+            assert np.max(np.abs(r - ref)) <= 1e-15
+            assert np.max(np.abs(stokes_rotation(FibreUnitary(m)) - ref)) <= 1e-15
+
+
+class TestProbeCost:
+    def test_closed_form_matches_probe_loop(self):
+        rng = np.random.default_rng(8)
+        fibres = stokes_rotation(np.array([random_unitary(rng).matrix for _ in range(1000)]))
+        settings = rng.uniform(-np.pi, np.pi, size=(1000, 3))
+        for theta, r_fibre in zip(settings, fibres):
+            assert abs(_probe_cost(theta, r_fibre)
+                       - oracles.probe_cost_loop(theta, r_fibre)) <= 1e-14
+        # a stack of fibre rotations under one setting
+        stacked = _probe_cost(settings[0], fibres)
+        assert np.max(np.abs(stacked - [oracles.probe_cost_loop(settings[0], r)
+                                        for r in fibres])) <= 1e-14
+
+    def test_direct_inverse_costs_nothing(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            u = random_unitary(rng)
+            assert _probe_cost(invert_rotation_settings(u), stokes_rotation(u)) < 1e-12
 
 
 class TestRotationSu2:
@@ -138,6 +194,16 @@ class TestController:
         )
         assert np.mean(errors) < 0.01
 
+    def test_drift_with_control_matches_per_step_loop(self):
+        times, errors = simulate_drift_with_control(
+            drift_rate=0.012, cadence=420.0, duration=1800.0, dt=5.0, seed=77
+        )
+        ref_times, ref_errors = oracles.drift_with_control_loop(
+            drift_rate=0.012, cadence=420.0, duration=1800.0, dt=5.0, seed=77
+        )
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(errors - ref_errors)) <= 1e-9
+
 
 class TestApplyError:
     """Residual Jones matrices folded into the Bell-measurement kets."""
@@ -183,16 +249,3 @@ class TestApplyError:
                         assert q.fidelity(out, q.atom_bell_state(outcome)) == pytest.approx(
                             np.cos(theta / 2.0) ** 2, abs=1e-12
                         )
-
-
-class TestPolarizationState:
-    def test_from_jones(self):
-        h = PolarizationState.from_jones([1.0, 0.0])
-        assert np.allclose(h.stokes, [1.0, 0.0, 0.0])
-        d = PolarizationState.from_jones(np.array([1.0, 1.0]) / np.sqrt(2))
-        assert np.allclose(d.stokes, [0.0, 1.0, 0.0], atol=1e-12)
-        assert d.degree_of_polarization() == pytest.approx(1.0)
-
-    def test_norm_bound(self):
-        with pytest.raises(ValueError):
-            PolarizationState(np.array([1.0, 1.0, 0.0]))
