@@ -21,9 +21,6 @@ class SettingCounts:
     n_du: int = 0
     n_dd: int = 0
 
-    def total(self) -> int:
-        return self.n_uu + self.n_ud + self.n_du + self.n_dd
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_uu, self.n_ud, self.n_du, self.n_dd)
 
@@ -33,16 +30,6 @@ class CorrelationDataset:
     """Counts N_uu, N_ud, N_du, N_dd per analyzer-setting pair."""
 
     rows: list = field(default_factory=list)
-
-    def add_event(self, alpha: float, beta: float, plane: str, outcome: str,
-                  result1: str, result2: str):
-        key = ("u" if result1 == "up" else "d") + ("u" if result2 == "up" else "d")
-        row = self._find(alpha, beta, plane, outcome)
-        if row is None:
-            row = {"alpha": alpha, "beta": beta, "plane": plane, "outcome": outcome,
-                   "uu": 0, "ud": 0, "du": 0, "dd": 0}
-            self.rows.append(row)
-        row[key] += 1
 
     def _find(self, alpha, beta, plane, outcome):
         for row in self.rows:
@@ -170,9 +157,6 @@ class FringeFit:
             raise ValueError(
                 f"fitted visibility {self.visibility:.4f} exceeds 1 beyond 3 sigma"
             )
-
-    def model(self, alpha):
-        return self.offset + (self.visibility / 2.0) * np.cos(2.0 * (np.asarray(alpha) - self.phase))
 
 
 def fringe_fit(angles, p_corr, errors=None) -> FringeFit:

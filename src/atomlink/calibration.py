@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import FIBRE_SPEED, GAMMA_2
-from .photonics import link_transmission
+from .constants import GAMMA_2
+from .photonics import link_transmission, propagation_delay
 from .protocol.scenario import (
     CAL_AP_SCALE,
     CAL_SIGMA_SHOT_EFF,
@@ -29,7 +29,7 @@ DEFAULT_TARGETS = {
 
 
 def _flight(scenario: LinkScenario) -> float:
-    return max(scenario.link1.length_km, scenario.link2.length_km) * 1e3 / FIBRE_SPEED
+    return max(propagation_delay(scenario.link1), propagation_delay(scenario.link2))
 
 
 def fit_t_overhead(rep_targets: dict) -> tuple[float, dict]:

@@ -37,7 +37,7 @@ from .analysis.tables import (
     EventTable,
 )
 from .calibration import DEFAULT_TARGETS, calibrate
-from .memory import coherence_envelope, dephasing_channel_family
+from .memory import dephasing_channel_family
 from .protocol import (
     PRESETS,
     config_hash,
@@ -479,17 +479,16 @@ def cmd_dephasing(args) -> int:
     family = dephasing_channel_family(
         node.trap, env, node.temperature, times, args.trajectories, seed=args.seed,
     )
-    ce = coherence_envelope(family)
     with _open_output(path) as fh:
         fh.write(f"# config_hash={config_hash(scenario)}\n")
         w = csv.writer(fh)
         w.writerow(["time_us", "basis", "expectation", "envelope", "envelope_stderr"])
-        stderr = family.stderr()
+        envelope, stderr = family.envelope(), family.stderr()
         for basis in ("X", "Y", "Z"):
-            curve = ce.curves[basis]
-            for t, x, v, se in zip(ce.times, curve, ce.visibility, stderr):
+            curve = family.expectation_curve(basis)
+            for t, x, v, se in zip(family.times, curve, envelope, stderr):
                 w.writerow([f"{t * 1e6:.3f}", basis, f"{x:.6f}", f"{v:.6f}", f"{se:.6f}"])
-    one_over_e = ce.one_over_e_time()
+    one_over_e = family.one_over_e_time()
     print(f"wrote envelope to {path}; 1/e time {one_over_e * 1e6:.1f} us")
     _write_manifest(out, args, scenario, {"one_over_e_us": one_over_e * 1e6})
     return EXIT_OK
@@ -519,7 +518,7 @@ def cmd_rates(args) -> int:
     for name, s in zip(names, scenarios):
         rep = repetition_rate(s)
         p_model = success_probability(s)
-        duty = duty_cycle(s.sequence, 1.0 / rep, seed=args.seed)
+        duty = duty_cycle(s.sequence, 1.0 / rep)
         quoted = s.published_values
         er_model = event_rate(s, duty=duty)
         er_quoted = None

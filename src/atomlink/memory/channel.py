@@ -28,7 +28,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ..quantum import DensityMatrix
 from .fields import FieldEnvironment, vector_shift_gauss
 from .spin import OMEGA_PER_GAUSS
 from .trap import MotionKernel, TrapParams, thermal_sigmas
@@ -37,65 +36,16 @@ SAMPLE_DT = 1e-7       # grid of the sample times (s)
 SPIN_DT = 5e-7         # spin step (s), a whole multiple of SAMPLE_DT
 MOTION_SUBSTEPS = 2    # Yoshida-4 motion steps per spin step
 
-_UP, _ZERO, _DOWN = 2, 1, 0   # qutrit indices of m = +1, 0, -1
+_UP, _DOWN = 2, 0             # qutrit indices of m = +1 and m = -1
 _M = np.array([-1, 0, 1])      # magnetic quantum number of each qutrit index
-
-_UP_X = np.zeros(3, dtype=complex)
-_UP_X[_UP] = 1.0 / np.sqrt(2.0)
-_UP_X[_DOWN] = 1.0 / np.sqrt(2.0)
-_UP_Y = np.zeros(3, dtype=complex)
-_UP_Y[_UP] = 1.0 / np.sqrt(2.0)
-_UP_Y[_DOWN] = 1j / np.sqrt(2.0)
-
-_SIGMA_X = np.zeros((3, 3), dtype=complex)
-_SIGMA_X[_UP, _DOWN] = 1.0
-_SIGMA_X[_DOWN, _UP] = 1.0
-_SIGMA_Y = np.zeros((3, 3), dtype=complex)
-_SIGMA_Y[_UP, _DOWN] = -1j
-_SIGMA_Y[_DOWN, _UP] = 1j
-_SIGMA_Z = np.zeros((3, 3), dtype=complex)
-_SIGMA_Z[_UP, _UP] = 1.0
-_SIGMA_Z[_DOWN, _DOWN] = -1.0
-
-
-@dataclass(frozen=True)
-class QutritChannel:
-    """Dephasing map on the memory qutrit: rho[i, k] -> coherence[i, k] rho[i, k]."""
-
-    coherence: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coherence, dtype=complex)
-        if c.shape != (3, 3):
-            raise ValueError("coherence matrix must be 3x3")
-        c.setflags(write=False)
-        object.__setattr__(self, "coherence", c)
-
-    def apply_to_subsystem(self, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
-        dims = rho.spec.subsystem_dims
-        if subsystem < 0 or subsystem >= len(dims) or dims[subsystem] != 3:
-            raise ValueError("subsystem must index a qutrit")
-        # broadcast c over the ket and bra axes of the subsystem
-        shape = [1] * (2 * len(dims))
-        shape[subsystem] = shape[len(dims) + subsystem] = 3
-        out = (rho.matrix.reshape(dims + dims) * self.coherence.reshape(shape)
-               ).reshape(rho.matrix.shape)
-        return DensityMatrix(rho.spec, (out + out.conj().T) / 2.0)
-
-    def coherence_amplitude(self) -> complex:
-        """Survival amplitude of the |up><down| memory coherence."""
-        return complex(self.coherence[_UP, _DOWN])
-
-    def visibility(self) -> float:
-        return float(abs(self.coherence_amplitude()))
-
 
 @dataclass(frozen=True)
 class DephasingChannelFamily:
     """Channels of one memory sampled on a time grid.
 
-    ``channel_at(t)`` returns the lab-frame map, which includes the
-    deterministic Larmor precession of the bias field.
+    Each channel is its 3x3 coherence matrix c, the Schur multiplier
+    rho[i, k] -> c[i, k] rho[i, k].  ``channel_at(t)`` returns the lab-frame
+    c, which includes the deterministic Larmor precession of the bias field.
     ``rotating_channel_at(t)`` removes that mean rotation; this is the frame
     of the calibrated analyzers and what the protocol composition uses.
     """
@@ -110,16 +60,17 @@ class DephasingChannelFamily:
             raise KeyError(f"time {t} not sampled (nearest {self.times[idx]})")
         return idx
 
-    def channel_at(self, t: float) -> QutritChannel:
-        return QutritChannel(self.coherences[self._index_of(t)])
+    def channel_at(self, t: float) -> np.ndarray:
+        return self.coherences[self._index_of(t)]
 
-    def rotating_channel_at(self, t: float) -> QutritChannel:
+    def rotating_channel_at(self, t: float) -> np.ndarray:
         idx = self._index_of(t)
         bias_phase = OMEGA_PER_GAUSS * self.meta.get("bias_field", 0.0) * self.times[idx]
         undo = np.exp(1j * np.subtract.outer(_M, _M) * bias_phase)
-        return QutritChannel(undo * self.coherences[idx])
+        return undo * self.coherences[idx]
 
     def envelope(self) -> np.ndarray:
+        """Visibility |c[up, down]| of the memory coherence at each time."""
         return np.abs(self.coherences[:, _UP, _DOWN])
 
     def stderr(self) -> np.ndarray:
@@ -133,31 +84,23 @@ class DephasingChannelFamily:
         return np.sqrt(spread / self.meta["n_trajectories"])
 
     def expectation_curve(self, basis: str) -> np.ndarray:
-        rho0, op = {
-            "X": (np.outer(_UP_X, _UP_X.conj()), _SIGMA_X),
-            "Y": (np.outer(_UP_Y, _UP_Y.conj()), _SIGMA_Y),
-            "Z": (np.diag([0.0, 0.0, 1.0]).astype(complex), _SIGMA_Z),
-        }[basis.upper()]
-        # Tr(op rho(t)) with rho(t) = c(t) * rho0 entrywise
-        return np.einsum("ij,tji->t", op, self.coherences * rho0).real
+        """<sigma_b>(t) of the memory prepared in the +1 eigenstate of sigma_b.
 
-
-@dataclass(frozen=True)
-class CoherenceEnvelope:
-    """Visibility envelope and per-basis expectation curves on a time grid."""
-
-    times: np.ndarray
-    visibility: np.ndarray
-    curves: dict
-
-    def __post_init__(self):
-        if len(self.times) and self.times[0] == 0.0 and self.visibility[0] < 0.99:
-            raise ValueError("envelope at t=0 must be >= 0.99 for ideal readout")
+        With rho(t) = c(t) * rho0 entrywise, both equatorial states give
+        Re c[up, down] (c is Hermitian), and the populations, so <sigma_z>,
+        are untouched.
+        """
+        basis = basis.upper()
+        if basis == "Z":
+            return np.ones(len(self.times))
+        if basis not in ("X", "Y"):
+            raise ValueError(f"unknown basis {basis!r}")
+        return self.coherences[:, _UP, _DOWN].real.copy()
 
     def one_over_e_time(self) -> float:
-        """First crossing of 1/e, linearly interpolated."""
+        """First crossing of 1/e by the envelope on the sorted time grid, linearly interpolated."""
         target = 1.0 / np.e
-        v = self.visibility
+        v = self.envelope()
         below = np.nonzero(v < target)[0]
         if len(below) == 0:
             return float("inf")
@@ -272,13 +215,3 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "bias_field": env.bias_field,
     }
     return DephasingChannelFamily(times, coherences, meta)
-
-
-def coherence_envelope(family: DephasingChannelFamily,
-                       bases=("X", "Y", "Z")) -> CoherenceEnvelope:
-    """Envelope and basis expectation curves from a channel family."""
-    order = np.argsort(family.times)
-    if not np.all(order == np.arange(len(family.times))):
-        raise ValueError("time grid must be sorted")
-    curves = {b: family.expectation_curve(b) for b in bases}
-    return CoherenceEnvelope(family.times, family.envelope(), curves)

@@ -12,8 +12,6 @@ import dataclasses
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .trap import TrapParams
 
 # one free calibration factor of the vector-shift model; tuned so the
@@ -48,16 +46,11 @@ class FieldEnvironment:
 
 
 def vector_shift_gauss(trap: TrapParams, env: FieldEnvironment) -> float:
-    """Fictitious field (gauss) per unit of ``TrapParams.vector_shift_profile``.
+    """Fictitious field (gauss) per unit of the vector-shift profile
+    x I(r)/I0 w0^2/w(z)^2 that ``MotionKernel.force`` evaluates.
 
     The field is the scale times the trap depth in gauss times the
     longitudinal fraction 4 x / (k w(z)^2) of the local intensity.
     """
     return (env.fictitious_field_scale * trap.depth_gauss
             * 4.0 / (trap.wavenumber * trap.beam_waist_w0**2))
-
-
-def fictitious_field_y(trap: TrapParams, env: FieldEnvironment,
-                       positions: np.ndarray) -> np.ndarray:
-    """y component of the vector-light-shift field at (n, 3) positions."""
-    return vector_shift_gauss(trap, env) * trap.vector_shift_profile(positions)

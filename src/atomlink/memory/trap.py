@@ -56,32 +56,8 @@ class TrapParams:
         return float(np.sqrt(2.0 * self.depth_joule / (self.atom_mass * self.rayleigh_range**2)))
 
     @property
-    def nu_radial(self) -> float:
-        return self.omega_radial / (2.0 * np.pi)
-
-    @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
-
-    def intensity_fraction(self, positions: np.ndarray) -> np.ndarray:
-        """Local intensity relative to the focus, I(r)/I0, for (n, 3) positions."""
-        return _evaluate(self, positions)[0].intensity
-
-    def vector_shift_profile(self, positions: np.ndarray) -> np.ndarray:
-        """x I(r)/I0 w0^2/w(z)^2 for (n, 3) positions; the vector shift scales with it."""
-        return _evaluate(self, positions)[0].shift
-
-    def potential(self, positions: np.ndarray) -> np.ndarray:
-        """U(r) in joules, (n,) for (n, 3) positions."""
-        return -self.depth_joule * self.intensity_fraction(positions)
-
-    def acceleration(self, positions: np.ndarray) -> np.ndarray:
-        """-grad U / m for (n, 3) positions."""
-        return _evaluate(self, positions)[1].T
-
-    def total_energy(self, positions: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-        kin = 0.5 * self.atom_mass * np.sum(np.atleast_2d(velocities) ** 2, axis=1)
-        return kin + self.potential(positions)
 
 
 def thermal_sigmas(trap: TrapParams, temperature: float) -> tuple[np.ndarray, float]:
@@ -168,12 +144,3 @@ class MotionKernel:
         np.multiply(acc, carry * h, out=kick)
         vel += kick
         return self.mid_shift
-
-
-def _evaluate(trap: TrapParams, positions: np.ndarray):
-    """(kernel, (3, n) acceleration) after one force evaluation at (n, 3) positions."""
-    pos = np.atleast_2d(positions)
-    kernel = MotionKernel(trap, len(pos))
-    acc = np.empty((3, len(pos)))
-    kernel.force(np.ascontiguousarray(pos.T, dtype=float), acc)
-    return kernel, acc

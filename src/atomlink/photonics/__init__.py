@@ -1,13 +1,11 @@
 from .fibre import FibreLink, link_transmission, propagation_delay
-from .conversion import QfcParams, background_in_window
+from .conversion import QfcParams
 from .interference import PhotonWavepacket, indistinguishability, window_capture_probability
 from .bsm import (
-    ClickRecord,
     CoincidenceClass,
     DetectorParams,
     classify_coincidence,
     coincidence_distribution,
-    pair_distribution,
     DETECTOR_PAIRS,
 )
 from .polarization import (
@@ -22,10 +20,10 @@ from .polarization import (
 
 __all__ = [
     "FibreLink", "link_transmission", "propagation_delay",
-    "QfcParams", "background_in_window",
+    "QfcParams",
     "PhotonWavepacket", "indistinguishability", "window_capture_probability",
-    "ClickRecord", "CoincidenceClass", "DetectorParams", "classify_coincidence",
-    "coincidence_distribution", "pair_distribution", "DETECTOR_PAIRS",
+    "CoincidenceClass", "DetectorParams", "classify_coincidence",
+    "coincidence_distribution", "DETECTOR_PAIRS",
     "FibreUnitary", "PolarizationController",
     "drift_walk", "polarization_control_cycle", "rotation_su2",
     "simulate_drift_with_control", "stokes_rotation",

@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 DETECTOR_LABELS = ("H1", "V1", "H2", "V2")
 
 
@@ -34,21 +32,6 @@ class DetectorParams:
             raise ValueError("dark rate must be >= 0")
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """A single detector click; ``origin`` is simulation truth only."""
-
-    detector: str
-    timestamp: float
-    origin: str = "signal"
-
-    def __post_init__(self):
-        if self.detector not in DETECTOR_LABELS:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        if not np.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-
-
 # the 10 unordered detector pairs and their coincidence class
 _PAIR_CLASS = {
     frozenset(["H1"]): CoincidenceClass.NOT_DETECTED,
@@ -74,48 +57,31 @@ CLASS_PAIRS = {
     for cls in CoincidenceClass
 }
 
-# per-pair probabilities for fully distinguishable / perfectly interfering photons
-_P_NONE = {
-    pair: (1.0 / 16.0 if cls is CoincidenceClass.NOT_DETECTED else 1.0 / 8.0)
-    for pair, cls in _PAIR_CLASS.items()
-}
-_P_PERFECT = {}
-for pair, cls in _PAIR_CLASS.items():
-    if cls is CoincidenceClass.NOT_DETECTED:
-        _P_PERFECT[pair] = 1.0 / 8.0
-    elif cls is CoincidenceClass.D_NULL:
-        _P_PERFECT[pair] = 0.0
-    else:
-        _P_PERFECT[pair] = 1.0 / 8.0
-
-
-def classify_coincidence(a: ClickRecord | str, b: ClickRecord | str) -> CoincidenceClass:
+def classify_coincidence(a: str, b: str) -> CoincidenceClass:
     """Coincidence class of an unordered detector pair.
 
     Same-detector events are single clicks for non-number-resolving
     detectors and fall in the not-detected group.
     """
-    la = a.detector if isinstance(a, ClickRecord) else a
-    lb = b.detector if isinstance(b, ClickRecord) else b
-    for label in (la, lb):
+    for label in (a, b):
         if label not in DETECTOR_LABELS:
             raise ValueError(f"unknown detector {label!r}")
-    return _PAIR_CLASS[frozenset([la, lb])]
+    return _PAIR_CLASS[frozenset([a, b])]
 
 
 def coincidence_distribution(xi: float) -> dict[CoincidenceClass, float]:
-    """Class probabilities, linear in the indistinguishability xi."""
-    pairs = pair_distribution(xi)
-    out = {cls: 0.0 for cls in CoincidenceClass}
-    for pair, p in pairs.items():
-        out[classify_coincidence(*pair)] += p
-    return out
+    """Class probabilities of a photon pair of indistinguishability xi.
 
-
-def pair_distribution(xi: float) -> dict[tuple[str, str], float]:
-    """Per-detector-pair probabilities, linear in xi between the two columns."""
+    Distinguishable photons fill the ten detector pairs evenly: 1/8 for each
+    two-detector pair, 1/16 for each single detector.  Perfect two-photon
+    interference (Hong-Ou-Mandel) empties D-null into the not-detected
+    group, and the D+ and D- groups keep 1/4 each at every xi.
+    """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
-    return {pair: xi * _P_PERFECT[pair_set] + (1.0 - xi) * _P_NONE[pair_set]
-            for pair_set, pair in zip(_PAIR_CLASS, DETECTOR_PAIRS)}
-
+    return {
+        CoincidenceClass.NOT_DETECTED: (1.0 + xi) / 4.0,
+        CoincidenceClass.D_NULL: (1.0 - xi) / 4.0,
+        CoincidenceClass.D_PLUS: 0.25,
+        CoincidenceClass.D_MINUS: 0.25,
+    }

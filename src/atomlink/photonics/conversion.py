@@ -19,10 +19,3 @@ class QfcParams:
             raise ValueError("efficiency must be in [0, 1]")
         if self.background_rate < 0.0:
             raise ValueError("background rate must be >= 0")
-
-
-def background_in_window(rate: float, window: float) -> float:
-    """Expected background counts in a time window (Poisson mean)."""
-    if window < 0.0:
-        raise ValueError("window must be >= 0")
-    return rate * window

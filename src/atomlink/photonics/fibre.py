@@ -31,11 +31,6 @@ class FibreLink:
                 f"{ATTENUATION_DB_PER_KM} dB/km sanity floor for {self.length_km} km"
             )
 
-    @classmethod
-    def from_length(cls, length_km: float, extra_db: float = 0.0) -> "FibreLink":
-        """Link with the nominal 0.22 dB/km plus optional connector losses."""
-        return cls(length_km, ATTENUATION_DB_PER_KM * length_km + extra_db)
-
 
 def link_transmission(link: FibreLink) -> float:
     """Power transmission 10^(-A/10)."""

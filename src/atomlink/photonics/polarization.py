@@ -33,12 +33,6 @@ class FibreUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def rotation_angle(self) -> float:
-        """Rotation angle of the SU(2) element, ignoring global phase."""
-        tr = self.matrix[0, 0] + self.matrix[1, 1]
-        half = np.clip(abs(tr) / 2.0, 0.0, 1.0)
-        return float(2.0 * np.arccos(half))
-
 
 def rotation_su2(axis, angle) -> np.ndarray:
     """exp(-i angle/2 n.sigma) for a Stokes-space axis n, or for a stack of them.
@@ -136,9 +130,6 @@ class PolarizationController:
     settings: np.ndarray = field(default_factory=lambda: np.zeros(3))
     max_iterations: int = 600
 
-    def residual_error(self, u: FibreUnitary) -> float:
-        return residual_error_from_cost(_probe_cost(self.settings, stokes_rotation(u)))
-
 
 def polarization_control_cycle(u: FibreUnitary, controller: PolarizationController
                                ) -> tuple[np.ndarray, float, bool]:
@@ -200,27 +191,6 @@ def _gradient_descent(cost, theta0: np.ndarray, max_iter: int
         if not improved:
             break
     return theta, c, used
-
-
-def invert_rotation_settings(u: FibreUnitary) -> np.ndarray:
-    """Direct zxz Euler construction of compensator settings inverting u.
-
-    Used as the analytic reference the optimizer is checked against.
-    """
-    r = stokes_rotation(u)
-    r_inv = r.T
-    # r_inv = Rz(t3) Rx(t2) Rz(t1) in Stokes space, axes (S3, S1, S3)
-    # standard zxz Euler extraction with z <-> S3 and x <-> S1
-    t2 = np.arccos(np.clip(r_inv[2, 2], -1.0, 1.0))
-    if abs(np.sin(t2)) > 1e-9:
-        t3 = np.arctan2(r_inv[0, 2], -r_inv[1, 2])
-        t1 = np.arctan2(r_inv[2, 0], r_inv[2, 1])
-    else:
-        t3 = np.arctan2(r_inv[1, 0], r_inv[0, 0]) if r_inv[2, 2] > 0 else np.arctan2(
-            -r_inv[1, 0], r_inv[0, 0]
-        )
-        t1 = 0.0
-    return np.array([t1, t2, t3])
 
 
 def simulate_drift_with_control(drift_rate: float, cadence: float, duration: float,

@@ -1,5 +1,7 @@
 """Fidelity-versus-length model: memory envelopes times interference contrast."""
 
+from dataclasses import astuple
+
 from ..analysis import fidelity_bound
 from ..memory import dephasing_channel_family
 from .scenario import CAL_SIGMA_SHOT_EFF
@@ -22,10 +24,7 @@ def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
     """
     def node_key(node):
         env = _memory_env(node, memory_noise_sigma)
-        trap = node.trap
-        return (trap.wavelength, trap.trap_depth_u0, trap.beam_waist_w0,
-                trap.atom_mass, node.temperature, env.bias_field,
-                env.shot_noise_sigma, env.fictitious_field_scale)
+        return (*astuple(node.trap), node.temperature, *astuple(env))
 
     jobs = {}
     physics = {}
@@ -45,7 +44,8 @@ def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
         node = scenario.nodes()[node_index]
         fam = families[node_key(node)]
         t = scenario.readout_times()[node_index]
-        return float(fam.channel_at(round(t, 12)).visibility())
+        # |c[up, down]|, qutrit order (m=-1, 0, +1)
+        return float(abs(fam.channel_at(round(t, 12))[2, 0]))
 
     return envelope
 

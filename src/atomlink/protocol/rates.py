@@ -28,77 +28,52 @@ def success_probability(scenario: LinkScenario) -> float:
     return 0.5 * node_detection_efficiency(scenario, 0) * node_detection_efficiency(scenario, 1)
 
 
-def success_probability_report(scenario: LinkScenario) -> dict:
-    """Model value next to the published one (where available)."""
-    model = success_probability(scenario)
-    quoted = scenario.published_values.get("success_probability")
-    out = {"model": model, "quoted": quoted}
-    if quoted:
-        out["model_over_quoted"] = model / quoted
-    return out
-
-
 def repetition_rate(scenario: LinkScenario) -> float:
     """Try rate during bursts: overhead plus the longer one-way photon flight."""
     flight = max(propagation_delay(scenario.link1), propagation_delay(scenario.link2))
     return 1.0 / (scenario.t_overhead + flight)
 
 
-def heralding_delay(scenario: LinkScenario, node_index: int) -> float:
-    """Signalling time of the herald back to one node, L_i / (2c/3)."""
-    return propagation_delay(scenario.links()[node_index])
+def block_model(sequence: SequenceConfig, try_period: float) -> tuple[int, float]:
+    """(live tries per block, probability that one trap survives a block).
 
-
-def simulate_occupancy(sequence: SequenceConfig, duration: float = 3600.0,
-                       seed: int = 0, n_traps: int = 2) -> float:
-    """Fraction of wall time with an atom in every trap.
-
-    Each trap alternates exponential holding periods with reload dead times
-    (uniform between 0.4 and 1.6 times the mean loading time); the dead
-    intervals are merged exactly, with no time binning.
+    A block holds as many bursts of ``tries_per_cooling_block`` tries, each
+    followed by cooling, as fit in ``block_period`` (at least one), and ends
+    in a presence check; a trap lives for an exponential time.
     """
-    rng = np.random.default_rng(seed)
-    dead = []
-    for _ in range(n_traps):
-        t = 0.0
-        while t < duration:
-            t_lost = t + rng.exponential(sequence.trap_lifetime)
-            reload = sequence.loading_time * rng.uniform(0.4, 1.6)
-            if t_lost < duration:
-                dead.append((t_lost, min(t_lost + reload, duration)))
-            t = t_lost + reload
-    if not dead:
-        return 1.0
-    dead.sort()
-    total = 0.0
-    cur_lo, cur_hi = dead[0]
-    for lo, hi in dead[1:]:
-        if lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    total += cur_hi - cur_lo
-    return 1.0 - total / duration
+    per_burst = sequence.tries_per_cooling_block
+    burst = per_burst * try_period + sequence.cooling_duration
+    tries_per_block = max(per_burst, int(sequence.block_period / burst) * per_burst)
+    elapsed = sequence.block_period + sequence.presence_check_duration
+    return tries_per_block, float(np.exp(-elapsed / sequence.trap_lifetime))
 
 
-def duty_cycle(sequence: SequenceConfig, try_period: float,
-               occupancy: float | None = None, seed: int = 0) -> float:
-    """Fraction of wall time spent making synchronized tries.
+def duty_cycle(sequence: SequenceConfig, try_period: float) -> float:
+    """Expected fraction of wall time spent making synchronized tries.
 
-    Combines the burst structure (cooling every N tries), the periodic
-    presence checks, and the two-trap occupancy.
+    One block of the sequence clock takes its live tries, the cooling after
+    each burst, the presence check and, if a trap was lost (probability q
+    per trap), a reload pause of U(0.4, 1.6) loading times, or the longer
+    of two (mean 1.2) if both were: L (2 q (1 - q) + 1.2 q^2) on average.
     """
     if try_period <= 0:
         raise ValueError("try period must be positive")
-    burst = sequence.tries_per_cooling_block * try_period
-    burst_fraction = burst / (burst + sequence.cooling_duration)
-    block_fraction = sequence.block_period / (
-        sequence.block_period + sequence.presence_check_duration
-    )
-    if occupancy is None:
-        occupancy = simulate_occupancy(sequence, seed=seed)
-    return burst_fraction * block_fraction * occupancy
+    tries_per_block, p_survive = block_model(sequence, try_period)
+    q = 1.0 - p_survive
+    live = tries_per_block * try_period
+    cooling = tries_per_block // sequence.tries_per_cooling_block * sequence.cooling_duration
+    pause = sequence.loading_time * (2.0 * q * (1.0 - q) + 1.2 * q**2)
+    return live / (live + cooling + sequence.presence_check_duration + pause)
+
+
+def background_herald_probability(eta1: float, eta2: float, bg_mean: float) -> float:
+    """Probability per try of a herald that takes a background click.
+
+    One photon clicks and a background click replaces the other, or two
+    background clicks coincide; such a pair lands in a heralding group
+    half of the time (distinguishable-photon statistics).
+    """
+    return 0.5 * (eta1 * (1 - eta2) + eta2 * (1 - eta1)) * bg_mean + 0.25 * bg_mean**2
 
 
 def event_rate(scenario: LinkScenario, success_prob: float | None = None,
@@ -136,8 +111,7 @@ def sbr_model(scenario: LinkScenario, window: float | None = None,
     """Modelled signal-to-background ratios in a given analysis window.
 
     A heralding coincidence is spoiled when a background click replaces
-    either photon; a background click pairs with a signal click into a
-    heralding group half of the time (distinguishable-photon statistics).
+    either photon (see ``background_herald_probability``).
     """
     w = scenario.acceptance_window if window is None else window
     rates = background_rate_at_station(scenario)
@@ -149,8 +123,7 @@ def sbr_model(scenario: LinkScenario, window: float | None = None,
         etas.append(eta_w)
         out[f"node{i + 1}"] = eta_w / bg_mean if bg_mean > 0 else np.inf
     p_sig = 0.5 * etas[0] * etas[1]
-    p_bg = 0.5 * (etas[0] * (1 - etas[1]) + etas[1] * (1 - etas[0])) * bg_mean \
-        + 0.25 * bg_mean**2
+    p_bg = background_herald_probability(*etas, bg_mean)
     out["coincidence"] = p_sig / p_bg if p_bg > 0 else np.inf
     out["background_weight"] = p_bg / (p_sig + p_bg) if p_sig + p_bg > 0 else 0.0
     return out

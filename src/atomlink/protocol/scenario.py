@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from ..memory import FieldEnvironment, TrapParams
-from ..photonics import DetectorParams, FibreLink, PhotonWavepacket, QfcParams
+from ..photonics import (
+    DetectorParams,
+    FibreLink,
+    PhotonWavepacket,
+    QfcParams,
+    propagation_delay,
+)
 
 # calibrated defaults (see calibration.py for the fitting routines)
 CAL_COLLECTION_EFFICIENCY = 6.637e-3
@@ -110,7 +116,7 @@ class LinkScenario:
             raise ValueError("xi_max must be in [0, 1]")
         for t, link, label in ((self.readout_time1, self.link1, "node1"),
                                (self.readout_time2, self.link2, "node2")):
-            bound = link.length_km * 1e3 / link.propagation_speed
+            bound = propagation_delay(link)
             if t < bound - 1e-12:
                 raise ValueError(
                     f"{label} readout at {t*1e6:.1f} us precedes the heralding "

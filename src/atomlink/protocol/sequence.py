@@ -16,7 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .. import quantum
-from ..analysis import ClickTable, CorrelationDataset, EventTable, dataset_from_events
+from ..analysis import (
+    ClickTable,
+    CorrelationDataset,
+    EventTable,
+    acceptance_filter,
+    dataset_from_events,
+)
 from ..analysis.tables import BELL_OUTCOMES, CLICK_ORIGINS, DETECTORS, PLANES
 from ..memory import dephasing_channel_family
 from ..photonics import (
@@ -38,7 +44,9 @@ from ..quantum import (
 )
 from .model import _memory_env
 from .rates import (
+    background_herald_probability,
     background_rate_at_station,
+    block_model,
     event_rate,
     node_detection_efficiency,
     repetition_rate,
@@ -98,23 +106,18 @@ class RunResult:
 class _SequenceClock:
     """Converts live-try indices to wall time through the block structure.
 
-    A block holds ``tries_per_block`` live tries in bursts of
-    ``tries_per_cooling_block``, each burst followed by cooling, and ends in
-    a presence check.  A trap found empty at the check is reloaded, and the
-    block pauses for the longest reload among its empty traps.
+    A block (see ``rates.block_model``) holds ``tries_per_block`` live tries
+    in bursts of ``tries_per_cooling_block``, each burst followed by
+    cooling, and ends in a presence check.  A trap found empty at the check
+    is reloaded, and the block pauses for the longest reload among its empty
+    traps.  ``rates.duty_cycle`` is the expected live fraction of this clock.
     """
 
     def __init__(self, scenario: LinkScenario, rng: np.random.Generator):
         self.seq = scenario.sequence
         self.period = 1.0 / repetition_rate(scenario)
         self.rng = rng
-        burst = self.seq.tries_per_cooling_block * self.period + self.seq.cooling_duration
-        self.tries_per_block = max(
-            self.seq.tries_per_cooling_block,
-            int(self.seq.block_period / burst) * self.seq.tries_per_cooling_block,
-        )
-        elapsed = self.seq.block_period + self.seq.presence_check_duration
-        self.p_survive = np.exp(-elapsed / self.seq.trap_lifetime)
+        self.tries_per_block, self.p_survive = block_model(self.seq, self.period)
         self.wall = 0.0
         self.tries_in_block = 0
         self.dead_time = 0.0
@@ -161,17 +164,18 @@ _CLASS_PAIR_INDEX = {cls: tuple(DETECTOR_PAIRS.index(p) for p in pairs)
                      for cls, pairs in CLASS_PAIRS.items()}
 
 
-def heralded_states(signal_in: DensityMatrix, channels, xi: float, outcomes,
+def heralded_states(signal_in: DensityMatrix, coherences, xi: float, outcomes,
                     u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """(n, 9, 9) atom-atom states of n signal heralds after both memories.
 
     Each state is linear in its herald's photon-pair operator (see
     ``quantum.interference_pair_operators``, with residuals u1, u2 of shape
-    (n, 2, 2)).  The two memory channels act on the [3,2,3,2] input as one
-    Schur multiplier kron(c1, c2); its unit diagonal leaves every herald
-    probability unchanged.
+    (n, 2, 2)).  The two memory channels, given as their 3x3 coherence
+    matrices (c1, c2), act on the [3,2,3,2] input as one Schur multiplier
+    kron(c1, c2); its unit diagonal leaves every herald probability
+    unchanged.
     """
-    c1, c2 = (ch.coherence for ch in channels)
+    c1, c2 = coherences
     inputs = quantum.herald_input(signal_in.matrix) * np.kron(c1, c2).ravel()
     _, states = quantum.herald(inputs, quantum.interference_pair_operators(outcomes, xi, u1, u2))
     return states
@@ -237,8 +241,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     dist = coincidence_distribution(xi)
     p_pair = eta[0] * eta[1]
     bg_mean_hw = background_rate_at_station(scenario)["total"] * scenario.hardware_window
-    p_bg_herald = 0.5 * (eta[0] * (1 - eta[1]) + eta[1] * (1 - eta[0])) * bg_mean_hw \
-        + 0.25 * bg_mean_hw**2
+    p_bg_herald = background_herald_probability(*eta, bg_mean_hw)
     # a branch is the class of a signal coincidence, or a background-assisted herald
     branches = [CoincidenceClass.D_PLUS, CoincidenceClass.D_MINUS, CoincidenceClass.D_NULL,
                 "background"]
@@ -249,17 +252,15 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     branch_cdf = np.cumsum(branch_weights / p_event)
     branch_cdf /= branch_cdf[-1]
 
-    # memory channels at the two readout times (analyzer frame)
-    channels = []
+    # memory channels (coherence matrices) at the two readout times, analyzer frame
+    coherences = []
     for i, (node, t) in enumerate(zip(scenario.nodes(), scenario.readout_times())):
         env = _memory_env(node, memory_noise_sigma)
         fam = dephasing_channel_family(node.trap, env, node.temperature,
                                        [round(t, 12)], n_trajectories,
                                        seed=seed * 2 + i + 1)
-        channels.append(fam.rotating_channel_at(round(t, 12)))
+        coherences.append(fam.rotating_channel_at(round(t, 12)))
 
-    lo = scenario.acceptance_offset
-    hi = lo + scenario.acceptance_window
     polarization_sigma = 2.0 * np.sqrt(scenario.polarization_error_mean)
 
     # click times relative to each photon's nominal arrival
@@ -340,7 +341,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     signal_in = tensor(*(
         _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
         for node in scenario.nodes()))
-    states[sig] = heralded_states(signal_in, channels, xi, [outcomes[h] for h in sig],
+    states[sig] = heralded_states(signal_in, coherences, xi, [outcomes[h] for h in sig],
                                   residuals[sig, 0], residuals[sig, 1])
     quantum.check_density_matrices(states)
     setting_index = np.arange(herald_count) % len(settings_cycle)
@@ -354,7 +355,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     else:
         readout = np.full(herald_count, -1)
     herald_offsets = offsets[herald]
-    accepted = np.all((lo <= herald_offsets) & (herald_offsets <= hi), axis=1)
+    window = (scenario.acceptance_window, scenario.acceptance_offset)
+    accepted, _ = acceptance_filter(herald_offsets, *window)
     alphas, betas, planes = zip(*settings_cycle)
     events = EventTable(
         wall_time_s=np.asarray(wall_times), try_index=np.asarray(try_indices),
@@ -363,8 +365,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         alpha_rad=np.array(alphas)[setting_index], beta_rad=np.array(betas)[setting_index],
         plane=np.array([PLANES.index(p) for p in planes], dtype=np.int8)[setting_index],
         fidelity=fids, probabilities=probs, readout=readout)
-    dnull_offsets = offsets[~herald]
-    n_dnull_accepted = int(np.all((lo <= dnull_offsets) & (dnull_offsets <= hi), axis=1).sum())
+    n_dnull_accepted = int(acceptance_filter(offsets[~herald], *window)[0].sum())
 
     # both clicks of every coincidence, then a subsampled singles stream per
     # node for detection-time histograms; the flat background is continuous,

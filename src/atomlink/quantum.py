@@ -17,7 +17,6 @@ Under these choices ``(|down_z>|L> + |up_z>|R>)/sqrt2`` and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -28,6 +27,8 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
+# states per in-place symmetrization step of ``herald`` (2.7 MB of 9x9 states)
+_SYMMETRIZE_BLOCK = 2048
 
 
 class BellOutcome(Enum):
@@ -52,10 +53,6 @@ class HilbertSpec:
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.subsystem_dims))
-
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.subsystem_dims)
 
     def concat(self, other: "HilbertSpec") -> "HilbertSpec":
         return HilbertSpec(self.subsystem_dims + other.subsystem_dims)
@@ -104,9 +101,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def check_density_matrices(mats: np.ndarray) -> None:
     """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD."""
@@ -132,11 +126,6 @@ def _as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
     return state
 
 
-def maximally_mixed(spec: HilbertSpec) -> DensityMatrix:
-    d = spec.total_dim
-    return DensityMatrix(spec, np.eye(d, dtype=complex) / d)
-
-
 def fidelity(state: StateVector | DensityMatrix, reference: StateVector) -> float:
     """Fidelity <ref|rho|ref> against a pure reference state."""
     rho = _as_density(state)
@@ -149,29 +138,6 @@ def fidelity(state: StateVector | DensityMatrix, reference: StateVector) -> floa
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated subsystem lists."""
     return DensityMatrix(a.spec.concat(b.spec), np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the subsystems listed in ``keep`` (original order)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = rho.spec.n_subsystems
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"subsystem index out of range for {n} subsystems")
-    dims = rho.spec.subsystem_dims
-    tensor_form = rho.matrix.reshape(dims + dims)
-    # contract bra/ket index pairs of every traced-out subsystem
-    traced = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(sorted(traced)):
-        axis = i - count  # axes shift as we trace
-        n_now = tensor_form.ndim // 2
-        tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + n_now)
-    kept_dims = tuple(dims[i] for i in keep)
-    d_keep = int(np.prod(kept_dims))
-    reduced = tensor_form.reshape(d_keep, d_keep)
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return DensityMatrix(HilbertSpec(kept_dims), reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +273,12 @@ def herald(inputs: np.ndarray, pair_ops: np.ndarray) -> tuple[np.ndarray, np.nda
     prob = np.trace(mat, axis1=1, axis2=2).real
     if np.any(prob < 1e-15):
         raise ValueError("the herald has zero probability on this input")
-    # in place, so that a batch holds one extra copy at most
     mat /= prob[:, None, None]
-    mat += mat.conj().swapaxes(1, 2)
-    mat /= 2.0
+    # symmetrized in place, so a batch holds one block of extra states at most
+    for start in range(0, len(mat), _SYMMETRIZE_BLOCK):
+        block = mat[start:start + _SYMMETRIZE_BLOCK]
+        block += block.conj().swapaxes(1, 2)
+        block /= 2.0
     return prob, mat
 
 
@@ -344,49 +312,6 @@ def bell_project(rho: DensityMatrix, outcome: BellOutcome) -> tuple[float, Densi
 # Atomic readout and CHSH
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomMeasurement:
-    """Outcome probabilities of a single-atom readout.
-
-    ``p_zero`` is the population left in m=0; the ionization readout cannot
-    address it, so samplers count it with the dark (down) outcome.
-    """
-
-    p_up: float
-    p_down: float
-    p_zero: float
-    post_up: DensityMatrix | None
-    post_down: DensityMatrix | None
-
-
-def _lift(op: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
-    return functools.reduce(np.kron, [op if i == subsystem else np.eye(d, dtype=complex)
-                                      for i, d in enumerate(dims)])
-
-
-def measure_atom(rho: DensityMatrix, setting: AtomBasisSetting,
-                 subsystem: int = 0) -> AtomMeasurement:
-    """Readout probabilities for one qutrit subsystem of ``rho``."""
-    dims = rho.spec.subsystem_dims
-    if subsystem < 0 or subsystem >= len(dims) or dims[subsystem] != 3:
-        raise ValueError("subsystem must index a qutrit")
-    p_up_op, p_down_op, p_zero_op = setting.projectors()
-    probs = []
-    posts = []
-    for op in (p_up_op, p_down_op):
-        lifted = _lift(op, dims, subsystem)
-        raw = lifted @ rho.matrix @ lifted.conj().T
-        p = float(np.trace(raw).real)
-        probs.append(p)
-        if p > 1e-14:
-            mat = raw / p
-            posts.append(DensityMatrix(rho.spec, (mat + mat.conj().T) / 2.0))
-        else:
-            posts.append(None)
-    p_zero = float(np.trace(_lift(p_zero_op, dims, subsystem) @ rho.matrix).real)
-    return AtomMeasurement(probs[0], probs[1], p_zero, posts[0], posts[1])
-
-
 OUTCOME_KEYS = ("uu", "ud", "du", "dd")
 
 
@@ -417,13 +342,6 @@ def joint_outcome_probabilities(rho: DensityMatrix, setting1: AtomBasisSetting,
         raise ValueError("expected a two-qutrit state")
     probs = (readout_operators([setting1], [setting2])[0] @ rho.matrix.ravel()).real
     return dict(zip(OUTCOME_KEYS, probs.tolist()))
-
-
-def correlator(rho: DensityMatrix, setting1: AtomBasisSetting,
-               setting2: AtomBasisSetting) -> float:
-    """E = P(same) - P(different) for binary outcomes at the two settings."""
-    p = joint_outcome_probabilities(rho, setting1, setting2)
-    return p["uu"] + p["dd"] - p["ud"] - p["du"]
 
 
 def chsh_s(e_ab: float, e_a2b: float, e_a2b2: float, e_a3b2: float) -> float:

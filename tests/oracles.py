@@ -2,10 +2,12 @@
 
 Everything here is written as plainly as possible (explicit index loops,
 textbook formulas) and shares no code path with the package internals it
-checks.
+checks.  The one exception is the trap accessors, which evaluate the
+package's motion kernel at given positions for the tests of that kernel.
 """
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,12 +35,13 @@ from atomlink.analysis.tables import (
 )
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
-from atomlink.memory.trap import TrapParams, thermal_sigmas
+from atomlink.memory.trap import MotionKernel, TrapParams, thermal_sigmas
 from atomlink.photonics import (
     FibreUnitary,
     PolarizationController,
     polarization_control_cycle,
     rotation_su2,
+    stokes_rotation,
 )
 from atomlink.quantum import OUTCOME_KEYS
 
@@ -145,6 +148,40 @@ def brute_swap(rho36: np.ndarray, sign: int, xi: float, u1: np.ndarray, u2: np.n
     return prob, total / prob
 
 
+def pair_distribution(xi: float) -> dict[tuple[str, str], float]:
+    """Per-detector-pair probabilities of a photon pair, linear in xi.
+
+    Fully distinguishable photons put 1/16 on each ordered detector pair, so
+    1/8 on each two-detector pair and 1/16 on each single detector.
+    Perfectly interfering photons never leave by different ports with the
+    same polarization (the D-null pairs H1-H2 and V1-V2); their weight moves
+    to the single detectors, 1/8 each.
+    """
+    out = {}
+    for a, b in itertools.combinations_with_replacement(("H1", "V1", "H2", "V2"), 2):
+        if a == b:
+            p_none, p_perfect = 1.0 / 16.0, 1.0 / 8.0
+        elif a[0] == b[0]:
+            p_none, p_perfect = 1.0 / 8.0, 0.0
+        else:
+            p_none, p_perfect = 1.0 / 8.0, 1.0 / 8.0
+        out[(a, b)] = xi * p_perfect + (1.0 - xi) * p_none
+    return out
+
+
+def apply_to_subsystem(coherence: np.ndarray, rho: np.ndarray, dims: list[int],
+                       subsystem: int) -> np.ndarray:
+    """A qutrit dephasing channel on one subsystem of a state, as an entrywise product.
+
+    ``coherence`` is the channel's 3x3 Schur multiplier: every entry of
+    ``rho`` is multiplied by coherence[i, k] for the subsystem's ket index i
+    and bra index k.
+    """
+    # the subsystem's index within every basis state of the composite space
+    index = np.indices(dims).reshape(len(dims), -1)[subsystem]
+    return np.asarray(rho, dtype=complex) * np.asarray(coherence)[np.ix_(index, index)]
+
+
 def rotation_to_x_basis() -> np.ndarray:
     """3x3 unitary whose rows are <down_x|, <0|, <up_x| in the z basis."""
     up_x = (UP_Z + DOWN_Z) / SQ2
@@ -211,11 +248,47 @@ def brute_block_clock(gaps, period: float, sequence) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # Spin-1 evolution and single-atom motion used by the memory tests.  The
-# motion helpers step with the Yoshida integrator below on the package's
-# trap acceleration, and the trap tests check their energy conservation and
-# oscillation period; brute_channel_coherence has its own integrator and
+# trap accessors below evaluate the package's motion kernel at given
+# positions; the motion helpers step with the Yoshida integrator below on
+# that acceleration, and the trap tests check their energy conservation and
+# oscillation period.  brute_channel_coherence has its own integrator and
 # field formulas.
 # ---------------------------------------------------------------------------
+
+def _kernel_at(trap: TrapParams, positions):
+    """The package's motion kernel after one force evaluation at (n, 3) positions,
+    and the (n, 3) acceleration it wrote."""
+    pos = np.atleast_2d(positions)
+    kernel = MotionKernel(trap, len(pos))
+    acc = np.empty((3, len(pos)))
+    kernel.force(np.ascontiguousarray(pos.T, dtype=float), acc)
+    return kernel, acc.T
+
+
+def trap_acceleration(trap: TrapParams, positions) -> np.ndarray:
+    """-grad U / m of the package's motion kernel, (n, 3) for (n, 3) positions."""
+    return _kernel_at(trap, positions)[1]
+
+
+def trap_potential(trap: TrapParams, positions) -> np.ndarray:
+    """U(r) in joules from the kernel's intensity I(r)/I0, (n,) for (n, 3) positions."""
+    return -trap.depth_joule * _kernel_at(trap, positions)[0].intensity
+
+
+def vector_shift_profile(trap: TrapParams, positions) -> np.ndarray:
+    """The kernel's vector-shift profile x I(r)/I0 w0^2/w(z)^2 at (n, 3) positions."""
+    return _kernel_at(trap, positions)[0].shift
+
+
+def total_energy(trap: TrapParams, positions, velocities) -> np.ndarray:
+    kin = 0.5 * trap.atom_mass * np.sum(np.atleast_2d(velocities) ** 2, axis=1)
+    return kin + trap_potential(trap, positions)
+
+
+def nu_radial(trap: TrapParams) -> float:
+    """Harmonic radial frequency in Hz."""
+    return trap.omega_radial / (2.0 * np.pi)
+
 
 # Yoshida 4th-order composition coefficients
 _Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -226,7 +299,7 @@ def _leapfrog(trap: TrapParams, pos, vel, h, acc):
     """Velocity-Verlet substep; returns updated (pos, vel, acc at new pos)."""
     vel = vel + 0.5 * h * acc
     pos = pos + h * vel
-    acc = trap.acceleration(pos)
+    acc = trap_acceleration(trap, pos)
     vel = vel + 0.5 * h * acc
     return pos, vel, acc
 
@@ -371,7 +444,7 @@ def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
-    if dt > 1.0 / (50.0 * trap.nu_radial) * (1.0 + 1e-9):
+    if dt > 1.0 / (50.0 * nu_radial(trap)) * (1.0 + 1e-9):
         raise ValueError("dt must satisfy dt <= 1/(50 nu_radial)")
     n_steps = int(np.round(t_max / dt))
     n_sub = internal_substeps(trap, dt)
@@ -379,13 +452,13 @@ def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
 
     pos = ic.position.reshape(1, 3).astype(float)
     vel = ic.velocity.reshape(1, 3).astype(float)
-    acc = trap.acceleration(pos)
+    acc = trap_acceleration(trap, pos)
     times = np.arange(n_steps + 1) * dt
     positions = np.empty((n_steps + 1, 3))
     velocities = np.empty((n_steps + 1, 3))
     positions[0] = pos[0]
     velocities[0] = vel[0]
-    escaped = bool(trap.total_energy(pos, vel)[0] >= 0.0)
+    escaped = bool(total_energy(trap, pos, vel)[0] >= 0.0)
     last = n_steps
     for i in range(1, n_steps + 1):
         if escaped:
@@ -395,7 +468,7 @@ def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
             pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
         positions[i] = pos[0]
         velocities[i] = vel[0]
-        if trap.total_energy(pos, vel)[0] >= 0.0:
+        if total_energy(trap, pos, vel)[0] >= 0.0:
             escaped = True
             last = i
     if escaped:
@@ -587,8 +660,7 @@ def dataset_from_records(records, mode: str):
     "sampled-clicks" counts each sampled outcome pair; "density-matrix" sums
     the expected outcome probabilities of each setting.
     """
-    ds = CorrelationDataset()
-    expected = {}
+    counts = {}
     for rec in records:
         if not rec.get("accepted"):
             continue
@@ -596,12 +668,15 @@ def dataset_from_records(records, mode: str):
                rec["plane"], rec["bell_outcome"])
         if mode == "sampled-clicks":
             if rec.get("outcome1") is not None:
-                ds.add_event(*key, rec["outcome1"], rec["outcome2"])
+                agg = counts.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0))
+                # "up"/"down" of each node gives the u/d letters of the key
+                agg[rec["outcome1"][0] + rec["outcome2"][0]] += 1
         elif rec.get("probabilities"):
-            agg = expected.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
+            agg = counts.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
             for k in OUTCOME_KEYS:
                 agg[k] += rec["probabilities"][k]
-    for (alpha, beta, plane, outcome), agg in expected.items():
+    ds = CorrelationDataset()
+    for (alpha, beta, plane, outcome), agg in counts.items():
         ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
                         "outcome": outcome, **agg})
     return ds
@@ -722,6 +797,27 @@ def probe_cost_loop(settings, r_fibre: np.ndarray) -> float:
     comp = so3_about((0, 0, 1), t3) @ so3_about((1, 0, 0), t2) @ so3_about((0, 0, 1), t1)
     r = comp @ r_fibre
     return sum(float(np.sum((r @ s - s) ** 2)) for s in (STOKES_V, STOKES_D))
+
+
+def invert_rotation_settings(u: FibreUnitary) -> np.ndarray:
+    """Direct zxz Euler construction of compensator settings inverting u.
+
+    The analytic reference the optimizer is checked against.
+    """
+    r = stokes_rotation(u)
+    r_inv = r.T
+    # r_inv = Rz(t3) Rx(t2) Rz(t1) in Stokes space, axes (S3, S1, S3)
+    # standard zxz Euler extraction with z <-> S3 and x <-> S1
+    t2 = np.arccos(np.clip(r_inv[2, 2], -1.0, 1.0))
+    if abs(np.sin(t2)) > 1e-9:
+        t3 = np.arctan2(r_inv[0, 2], -r_inv[1, 2])
+        t1 = np.arctan2(r_inv[2, 0], r_inv[2, 1])
+    else:
+        t3 = np.arctan2(r_inv[1, 0], r_inv[0, 0]) if r_inv[2, 2] > 0 else np.arctan2(
+            -r_inv[1, 0], r_inv[0, 0]
+        )
+        t1 = 0.0
+    return np.array([t1, t2, t3])
 
 
 def drift_with_control_loop(drift_rate: float, cadence: float, duration: float,

@@ -16,12 +16,7 @@ from atomlink.analysis import (
     interference_contrast,
     three_basis_summary,
 )
-from atomlink.memory import (
-    FieldEnvironment,
-    TrapParams,
-    coherence_envelope,
-    dephasing_channel_family,
-)
+from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
 from atomlink.photonics import (
     CoincidenceClass,
     classify_coincidence,
@@ -138,7 +133,6 @@ class TestCriterion5MemoryPhysics:
         env = FieldEnvironment(bias_field=75.5e-3, shot_noise_sigma=0.5e-3)
         times = np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12)
         fam = dephasing_channel_family(trap, env, 50e-6, times, 10_000, seed=2026)
-        ce = coherence_envelope(fam)
         freqs = np.fft.rfftfreq(len(times), 1e-6)
         win = np.hanning(len(times))
 
@@ -152,18 +146,18 @@ class TestCriterion5MemoryPhysics:
                 i = i + (0.5 * (amp[i - 1] - amp[i + 1]) / denom if denom else 0.0)
             return i * (freqs[1] - freqs[0])
 
-        x = ce.curves["X"]
+        x = fam.expectation_curve("X")
         principal = interp_peak(x - x.mean())
         assert 100e3 <= principal <= 110e3
 
-        v = ce.visibility
+        v = fam.envelope()
         smooth = np.convolve(v, np.ones(15) / 15, mode="same")
         detrended = v / np.maximum(smooth, 1e-9) - 1.0
         detrended[:3] = detrended[-3:] = 0.0
         rephasing = interp_peak(detrended, 40e3, 120e3)
         assert 65e3 <= rephasing <= 75e3
 
-        t_e = ce.one_over_e_time()
+        t_e = fam.one_over_e_time()
         assert 330e-6 * 0.8 <= t_e <= 330e-6 * 1.2
 
         runtime = time.time() - t0

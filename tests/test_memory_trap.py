@@ -9,9 +9,13 @@ from atomlink.memory.trap import thermal_sigmas
 
 from oracles import (
     AtomInitialCondition,
+    nu_radial,
     propagate_trajectory,
     sample_initial_conditions,
     sample_initial_conditions_batch,
+    total_energy,
+    trap_acceleration,
+    trap_potential,
 )
 
 TRAP = TrapParams()
@@ -21,9 +25,9 @@ class TestTrapParams:
     def test_radial_frequency_formula(self):
         # sqrt(4 kB U0 / (m w0^2)) / 2pi for the published node-1 parameters
         expected = np.sqrt(4 * K_B * 2.32e-3 / (TRAP.atom_mass * 2.05e-6**2)) / (2 * np.pi)
-        assert TRAP.nu_radial == pytest.approx(expected, rel=1e-12)
+        assert nu_radial(TRAP) == pytest.approx(expected, rel=1e-12)
         # close to the observed ~70 kHz oscillation (14.3 us period)
-        assert 65e3 < TRAP.nu_radial < 76e3
+        assert 65e3 < nu_radial(TRAP) < 76e3
 
     def test_axial_much_slower(self):
         assert TRAP.omega_axial < 0.15 * TRAP.omega_radial
@@ -39,14 +43,15 @@ class TestTrapParams:
         pts = rng.normal(scale=[0.4e-6, 0.4e-6, 4e-6], size=(25, 3))
         eps = 1e-11
         for p in pts:
-            acc = TRAP.acceleration(p.reshape(1, 3))[0]
+            acc = trap_acceleration(TRAP, p.reshape(1, 3))[0]
             num = np.empty(3)
             for i in range(3):
                 up, dn = p.copy(), p.copy()
                 up[i] += eps
                 dn[i] -= eps
-                num[i] = -(TRAP.potential(up.reshape(1, 3))[0]
-                           - TRAP.potential(dn.reshape(1, 3))[0]) / (2 * eps) / TRAP.atom_mass
+                du = (trap_potential(TRAP, up.reshape(1, 3))[0]
+                      - trap_potential(TRAP, dn.reshape(1, 3))[0])
+                num[i] = -du / (2 * eps) / TRAP.atom_mass
             assert np.allclose(acc, num, rtol=2e-4, atol=1e-3)
 
 
@@ -84,14 +89,14 @@ class TestInitialConditions:
 
 
 class TestPropagation:
-    DT_MAX = 1.0 / (50.0 * TRAP.nu_radial)
+    DT_MAX = 1.0 / (50.0 * nu_radial(TRAP))
 
     def test_energy_conservation_at_required_dt(self):
         for seed in (3, 42, 77):
             ic = sample_initial_conditions(TRAP, 50e-6, rng_seed=seed)
             _, pos, vel, escaped = propagate_trajectory(TRAP, ic, self.DT_MAX, 200e-6)
             assert not escaped
-            e = TRAP.total_energy(pos, vel)
+            e = total_energy(TRAP, pos, vel)
             assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6
 
     def test_atom_at_rest_stays_at_center(self):
@@ -108,7 +113,7 @@ class TestPropagation:
         sign = np.signbit(x)
         crossings = times[1:][sign[1:] != sign[:-1]]
         period = 2.0 * np.mean(np.diff(crossings))
-        assert 1.0 / period == pytest.approx(TRAP.nu_radial, rel=0.02)
+        assert 1.0 / period == pytest.approx(nu_radial(TRAP), rel=0.02)
 
     def _oscillation_period(self, amplitude):
         ic = AtomInitialCondition([amplitude, 0, 0], [0, 0, 0])

@@ -18,7 +18,6 @@ from atomlink.photonics.polarization import (
     SIGMA_Y,
     SIGMA_Z,
     _probe_cost,
-    invert_rotation_settings,
     residual_error_from_cost,
 )
 from atomlink import quantum as q
@@ -33,8 +32,9 @@ def random_unitary(rng):
 
 
 def final_angles(path):
-    """Rotation angle of each fibre's last Jones matrix of a drift walk."""
-    return np.array([FibreUnitary(m).rotation_angle() for m in path[:, -1]])
+    """Rotation angle of each fibre's last Jones matrix of a drift walk, ignoring global phase."""
+    half = [np.clip(abs(m[0, 0] + m[1, 1]) / 2.0, 0.0, 1.0) for m in path[:, -1]]
+    return np.array([2.0 * np.arccos(h) for h in half])
 
 
 class TestDrift:
@@ -130,7 +130,7 @@ class TestProbeCost:
         rng = np.random.default_rng(9)
         for _ in range(20):
             u = random_unitary(rng)
-            assert _probe_cost(invert_rotation_settings(u), stokes_rotation(u)) < 1e-12
+            assert _probe_cost(oracles.invert_rotation_settings(u), stokes_rotation(u)) < 1e-12
 
 
 class TestRotationSu2:
@@ -166,7 +166,7 @@ class TestController:
         _, err, converged = polarization_control_cycle(u, ctrl)
         assert converged and err < 0.01
         # the optimizer must reach the quality of the direct inverse
-        direct = invert_rotation_settings(u)
+        direct = oracles.invert_rotation_settings(u)
         direct_err = residual_error_from_cost(_probe_cost(direct, stokes_rotation(u)))
         assert err <= direct_err + 0.01
 
@@ -182,7 +182,7 @@ class TestController:
         rng = np.random.default_rng(5)
         u = random_unitary(rng)
         ctrl = PolarizationController(max_iterations=1)  # almost no budget
-        before = ctrl.residual_error(u)
+        before = residual_error_from_cost(_probe_cost(ctrl.settings, stokes_rotation(u)))
         _, err, _ = polarization_control_cycle(u, ctrl)
         assert err <= before + 1e-12
 

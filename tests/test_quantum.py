@@ -13,6 +13,7 @@ from atomlink.quantum import (
     MeasurementPlane,
     StateVector,
 )
+from atomlink.photonics import rotation_su2
 
 import oracles
 
@@ -77,58 +78,38 @@ class TestAtomPhotonState:
         assert np.max(np.abs(z_form - x_form)) < 1e-12
 
 
+def mixed(dim: int) -> DensityMatrix:
+    return DensityMatrix(HilbertSpec([dim]), np.eye(dim, dtype=complex) / dim)
+
+
 class TestTensorAndPartialTrace:
     def test_tensor_trace_one(self):
-        rho = q.maximally_mixed(HilbertSpec([3]))
-        sigma = q.maximally_mixed(HilbertSpec([2]))
-        t = q.tensor(rho, sigma)
+        t = q.tensor(mixed(3), mixed(2))
         assert np.trace(t.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert t.spec.subsystem_dims == (3, 2)
 
     def test_tensor_of_pure_states_is_pure(self):
         a = q.atom_photon_state().density_matrix()
         b = q.atom_photon_state().density_matrix()
-        assert q.tensor(a, b).purity() == pytest.approx(1.0, abs=1e-10)
+        m = q.tensor(a, b).matrix
+        assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-10)
 
     def test_round_trip_tensor_partial_trace(self):
         rng = np.random.default_rng(7)
         a = DensityMatrix(HilbertSpec([3]), oracles.random_density_matrix(rng, 3))
         b = DensityMatrix(HilbertSpec([2]), oracles.random_density_matrix(rng, 2))
-        back = q.partial_trace(q.tensor(a, b), keep=[0])
-        assert np.allclose(back.matrix, a.matrix, atol=1e-12)
-        back_b = q.partial_trace(q.tensor(a, b), keep=[1])
-        assert np.allclose(back_b.matrix, b.matrix, atol=1e-12)
+        ab = q.tensor(a, b).matrix
+        back = oracles.brute_partial_trace(ab, [3, 2], keep=[0])
+        assert np.allclose(back, a.matrix, atol=1e-12)
+        back_b = oracles.brute_partial_trace(ab, [3, 2], keep=[1])
+        assert np.allclose(back_b, b.matrix, atol=1e-12)
 
     def test_photon_trace_of_atom_photon_state(self):
-        red = q.partial_trace(q.atom_photon_state().density_matrix(), keep=[0])
+        red = oracles.brute_partial_trace(q.atom_photon_state().density_matrix().matrix,
+                                          [3, 2], keep=[0])
         # maximally mixed on the m=+-1 subspace, zero in m=0
         expected = np.diag([0.5, 0.0, 0.5]).astype(complex)
-        assert np.allclose(red.matrix, expected, atol=1e-12)
-
-    def test_against_brute_force_oracle(self):
-        rng = np.random.default_rng(21)
-        dims = [3, 2, 2]
-        rho = DensityMatrix(HilbertSpec(dims), oracles.random_density_matrix(rng, 12))
-        for keep in ([0], [1], [2], [0, 2], [1, 2], [0, 1]):
-            mine = q.partial_trace(rho, keep=keep).matrix
-            ref = oracles.brute_partial_trace(rho.matrix, dims, keep=list(keep))
-            assert np.allclose(mine, ref, atol=1e-12), f"keep={keep}"
-
-    def test_invalid_index_rejected(self):
-        rho = ideal_swap_input()
-        with pytest.raises(ValueError):
-            q.partial_trace(rho, keep=[5])
-        with pytest.raises(ValueError):
-            q.partial_trace(rho, keep=[])
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_trace_preserved_random_inputs(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = DensityMatrix(HilbertSpec([3, 2]), oracles.random_density_matrix(rng, 6))
-        red = q.partial_trace(rho, keep=[rng.integers(0, 2)])
-        assert np.trace(red.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(red.matrix - red.matrix.conj().T)) < 1e-12
+        assert np.allclose(red, expected, atol=1e-12)
 
 
 class TestBellProject:
@@ -166,8 +147,9 @@ class TestBellProject:
         # true depolarization to I/2 also erases the classical correlation;
         # the heralded state is then maximally mixed on the qubit pair
         ap1 = q.atom_photon_state().density_matrix()
-        atom1 = q.partial_trace(ap1, keep=[0])
-        dep = q.tensor(atom1, q.maximally_mixed(HilbertSpec([2])))
+        atom1 = DensityMatrix(HilbertSpec([3]),
+                              oracles.brute_partial_trace(ap1.matrix, [3, 2], keep=[0]))
+        dep = q.tensor(atom1, mixed(2))
         rho = q.tensor(dep, q.atom_photon_state().density_matrix())
         _, aa = q.bell_project(rho, BellOutcome.PSI_MINUS)
         assert q.fidelity(aa, q.atom_bell_state(BellOutcome.PSI_MINUS)) == pytest.approx(
@@ -216,28 +198,50 @@ class TestBellProject:
                 assert np.max(np.abs(aa.matrix - aa_ref)) < 1e-12
 
 
-class TestMeasureAtom:
+class TestHeraldBlocks:
+    def test_blocks_match_one_shot_symmetrization(self):
+        # about 2.5 symmetrization blocks, so the last block is a partial one
+        n = 5 * q._SYMMETRIZE_BLOCK // 2
+        rng = np.random.default_rng(29)
+        inputs = q.herald_input(oracles.random_density_matrix(rng, 36))
+        outcomes = [list(BellOutcome)[k] for k in rng.integers(0, 2, n)]
+        u1, u2 = (rotation_su2(rng.normal(size=(n, 3)), rng.uniform(0.0, 2 * np.pi, n))
+                  for _ in range(2))
+        pair_ops = q.interference_pair_operators(outcomes, 0.7, u1, u2)
+        prob, states = q.herald(inputs, pair_ops)
+        mat = (pair_ops @ inputs).reshape(-1, 9, 9) / prob[:, None, None]
+        assert np.array_equal(states, (mat + mat.conj().swapaxes(1, 2)) / 2.0)
+
+
+class TestAtomReadout:
+    """The analyzer projectors and the joint readout rows built from them."""
+
+    @staticmethod
+    def populations(rho: np.ndarray, setting: AtomBasisSetting) -> list[float]:
+        return [np.trace(p @ rho).real for p in setting.projectors()]
+
     def test_pure_up_x_alpha_zero(self):
-        rho = DensityMatrix(HilbertSpec([3]), np.outer(q.ATOM_UP_X, q.ATOM_UP_X.conj()))
-        m = q.measure_atom(rho, AtomBasisSetting(0.0))
-        assert m.p_up == pytest.approx(1.0, abs=1e-12)
-        assert m.p_down == pytest.approx(0.0, abs=1e-12)
-        assert m.p_zero == pytest.approx(0.0, abs=1e-12)
+        rho = np.outer(q.ATOM_UP_X, q.ATOM_UP_X.conj())
+        p_up, p_down, p_zero = self.populations(rho, AtomBasisSetting(0.0))
+        assert p_up == pytest.approx(1.0, abs=1e-12)
+        assert p_down == pytest.approx(0.0, abs=1e-12)
+        assert p_zero == pytest.approx(0.0, abs=1e-12)
 
     def test_half_of_singlet_is_unpolarized(self):
         aa = q.atom_bell_state(BellOutcome.PSI_MINUS).density_matrix()
-        half = q.partial_trace(aa, keep=[0])
         for alpha in (0.0, 0.3, np.pi / 4, 1.1):
-            m = q.measure_atom(half, AtomBasisSetting(alpha))
-            assert m.p_up == pytest.approx(0.5, abs=1e-12)
-            assert m.p_down == pytest.approx(0.5, abs=1e-12)
-            assert m.p_zero == pytest.approx(0.0, abs=1e-12)
+            for beta in (0.0, 0.9):
+                p = q.joint_outcome_probabilities(aa, AtomBasisSetting(alpha),
+                                                  AtomBasisSetting(beta))
+                assert p["uu"] + p["ud"] == pytest.approx(0.5, abs=1e-12)
+                assert p["uu"] + p["du"] == pytest.approx(0.5, abs=1e-12)
 
-    def test_probabilities_sum_to_one(self):
+    def test_projectors_resolve_identity(self):
         rng = np.random.default_rng(11)
-        rho = DensityMatrix(HilbertSpec([3]), oracles.random_density_matrix(rng, 3))
-        m = q.measure_atom(rho, AtomBasisSetting(0.77))
-        assert m.p_up + m.p_down + m.p_zero == pytest.approx(1.0, abs=1e-12)
+        rho = oracles.random_density_matrix(rng, 3)
+        for setting in (AtomBasisSetting(0.77), AtomBasisSetting(0.0, MeasurementPlane.Z)):
+            assert np.allclose(sum(setting.projectors()), np.eye(3), atol=1e-12)
+            assert sum(self.populations(rho, setting)) == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_correlations_match_projector_oracle(self):
         aa = q.atom_bell_state(BellOutcome.PSI_MINUS).density_matrix()
@@ -249,18 +253,26 @@ class TestMeasureAtom:
             assert p_corr == pytest.approx(np.sin(alpha - beta) ** 2, abs=1e-12)
 
     def test_z_plane(self):
-        rho = DensityMatrix(HilbertSpec([3]), np.diag([0.25, 0.25, 0.5]).astype(complex))
-        m = q.measure_atom(rho, AtomBasisSetting(0.0, MeasurementPlane.Z))
-        assert m.p_up == pytest.approx(0.5)      # m=+1 population
-        assert m.p_down == pytest.approx(0.25)   # m=-1 population
-        assert m.p_zero == pytest.approx(0.25)
-        flipped = q.measure_atom(rho, AtomBasisSetting(np.pi / 2, MeasurementPlane.Z))
-        assert flipped.p_up == pytest.approx(0.25)
+        rho = np.diag([0.25, 0.25, 0.5]).astype(complex)
+        p_up, p_down, p_zero = self.populations(rho, AtomBasisSetting(0.0, MeasurementPlane.Z))
+        assert p_up == pytest.approx(0.5)      # m=+1 population
+        assert p_down == pytest.approx(0.25)   # m=-1 population
+        assert p_zero == pytest.approx(0.25)
+        flipped = self.populations(rho, AtomBasisSetting(np.pi / 2, MeasurementPlane.Z))
+        assert flipped[0] == pytest.approx(0.25)
 
-    def test_non_qutrit_subsystem_rejected(self):
+    def test_m0_population_reads_dark(self):
+        # an atom left in m=0 gives no ionization signal: the readout counts
+        # it with the dark (down) outcome
+        zero = np.outer(q.ATOM_ZERO, q.ATOM_ZERO.conj())
+        rho = DensityMatrix(HilbertSpec([3, 3]), np.kron(zero, zero))
+        p = q.joint_outcome_probabilities(rho, AtomBasisSetting(0.3), AtomBasisSetting(0.0))
+        assert p["dd"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_atom_pair_rejected(self):
         rho = q.atom_photon_state().density_matrix()
         with pytest.raises(ValueError):
-            q.measure_atom(rho, AtomBasisSetting(0.0), subsystem=1)
+            q.joint_outcome_probabilities(rho, AtomBasisSetting(0.0), AtomBasisSetting(0.0))
 
 
 class TestChsh:
@@ -279,7 +291,9 @@ class TestChsh:
     def test_correlators_match_analytic_oracle(self):
         aa = q.atom_bell_state(BellOutcome.PSI_MINUS).density_matrix()
         for a, b in self.PAPER_SETTINGS:
-            e = q.correlator(aa, AtomBasisSetting(np.radians(a)), AtomBasisSetting(np.radians(b)))
+            p = q.joint_outcome_probabilities(aa, AtomBasisSetting(np.radians(a)),
+                                              AtomBasisSetting(np.radians(b)))
+            e = p["uu"] + p["dd"] - p["ud"] - p["du"]
             assert e == pytest.approx(
                 oracles.singlet_correlator(np.radians(a), np.radians(b)), abs=1e-12
             )

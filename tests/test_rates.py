@@ -11,14 +11,11 @@ from atomlink.protocol import (
     config_hash,
     duty_cycle,
     event_rate,
-    heralding_delay,
     load_scenario,
     preset,
     repetition_rate,
     sbr_model,
-    simulate_occupancy,
     success_probability,
-    success_probability_report,
 )
 from atomlink.protocol.scenario import SequenceConfig, save_scenario
 
@@ -167,12 +164,14 @@ class TestSuccessProbability:
         )
 
     def test_33km_discrepancy_surfaced(self):
-        report = success_probability_report(preset("l33"))
-        assert report["quoted"] == 1.22e-6
         # pure-attenuation scaling from the 6 km calibration sits well below
-        # the published success probability; the report carries both
-        assert report["model"] < report["quoted"]
-        assert 0.4 < report["model_over_quoted"] < 0.75
+        # the published success probability; `rates` writes both
+        s = preset("l33")
+        model = success_probability(s)
+        quoted = s.published_values["success_probability"]
+        assert quoted == 1.22e-6
+        assert model < quoted
+        assert 0.4 < model / quoted < 0.75
 
 
 class TestEventRate:
@@ -194,34 +193,12 @@ class TestDutyCycle:
     def test_limit_to_one(self):
         seq = SequenceConfig(cooling_duration=1e-9, presence_check_duration=1e-9,
                              trap_lifetime=1e9, loading_time=1e-9)
-        assert duty_cycle(seq, 30e-6, occupancy=1.0) == pytest.approx(1.0, abs=1e-3)
+        assert duty_cycle(seq, 30e-6) == pytest.approx(1.0, abs=1e-3)
 
     def test_paper_defaults_near_half(self):
-        s = preset("l6")
-        d = duty_cycle(s.sequence, 1.0 / repetition_rate(s), seed=4)
-        assert 0.35 <= d <= 0.65
-
-    def test_single_trap_occupancy(self):
-        seq = SequenceConfig()
-        occ = simulate_occupancy(seq, duration=20000.0, seed=1, n_traps=1)
-        assert occ > 5.0 / 6.0   # lifetime/(lifetime + loading) with margin
-
-    def test_two_traps_lower(self):
-        seq = SequenceConfig()
-        one = simulate_occupancy(seq, duration=8000.0, seed=2, n_traps=1)
-        two = simulate_occupancy(seq, duration=8000.0, seed=2, n_traps=2)
-        assert two < one
-
-
-class TestHeraldingDelay:
-    def test_values(self):
-        s = preset("l33")
-        assert heralding_delay(s, 0) == pytest.approx(82.5e-6, abs=1e-7)
-        assert heralding_delay(s, 0) <= s.readout_time1
-
-    def test_zero_length(self):
-        s = replace(preset("l6"), link1=type(preset("l6").link1)(0.0, 0.0))
-        assert heralding_delay(s, 0) == 0.0
+        for name in PRESETS:
+            s = preset(name)
+            assert 0.35 <= duty_cycle(s.sequence, 1.0 / repetition_rate(s)) <= 0.65
 
 
 class TestSbrModel:

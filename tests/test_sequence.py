@@ -7,8 +7,8 @@ import pytest
 
 from atomlink.analysis import correlation_probability, three_basis_summary
 from atomlink.analysis.tables import PLANES
-from atomlink.memory import QutritChannel, dephasing_channel_family
-from atomlink.protocol import event_rate, preset, repetition_rate, run_sequence
+from atomlink.memory import dephasing_channel_family
+from atomlink.protocol import duty_cycle, event_rate, preset, repetition_rate, run_sequence
 from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
 from atomlink.protocol.sequence import (
     SCHEDULES,
@@ -150,6 +150,25 @@ class TestBlockClock:
         se = np.std(pauses) / np.sqrt(calls)
         assert abs(np.mean(pauses) - expected) < 4 * se
 
+    @pytest.mark.parametrize("name", ["l6", "l33"])
+    def test_duty_cycle_is_the_clock_live_fraction(self, name):
+        # the closed form against the live fraction the clock realizes over
+        # many blocks; the spread comes from the reload pauses alone, whose
+        # second moment per block is L^2 (2 q (1 - q) E[U^2] + q^2 E[max^2])
+        # with E[U^2] = 1.12 for U(0.4, 1.6) and E[max^2] = 1.52 for two
+        s = preset(name)
+        seq = s.sequence
+        period = 1.0 / repetition_rate(s)
+        clock = _SequenceClock(s, np.random.default_rng(40))
+        blocks = 20_000
+        wall = clock.advance(blocks * clock.tries_per_block)
+        realized = blocks * clock.tries_per_block * period / wall
+        q = 1.0 - clock.p_survive
+        mean = seq.loading_time * (2 * q * (1 - q) + 1.2 * q**2)
+        var = seq.loading_time**2 * (2 * q * (1 - q) * 1.12 + q**2 * 1.52) - mean**2
+        sigma = realized * np.sqrt(blocks * var) / wall
+        assert abs(realized - duty_cycle(seq, period)) < 4 * sigma
+
 
 class TestStateQuality:
     def test_mean_fidelity_near_published(self, l6_run):
@@ -204,7 +223,7 @@ class TestModeConsistency:
             p_dm, _ = correlation_probability(row)
             counts = sp.dataset.counts(row.alpha, row.beta, row.plane, row.outcome)
             p_sp, _ = correlation_probability(counts)
-            tol = 3.5 * 0.5 / np.sqrt(counts.total())   # per-setting binomial bound
+            tol = 3.5 * 0.5 / np.sqrt(sum(counts.as_tuple()))   # per-setting binomial bound
             assert abs(p_dm - p_sp) < tol, (row.alpha, row.beta, row.plane, row.outcome)
 
     def test_dataset_matches_per_record_builder(self, mode_runs):
@@ -235,6 +254,14 @@ def _random_coherence(rng):
     return v.conj().T @ v
 
 
+def _after_memories(rho, coherences):
+    """A [3,3] state after each atom's memory channel, one channel at a time."""
+    out = rho.matrix
+    for atom, c in enumerate(coherences):
+        out = oracles.apply_to_subsystem(c, out, [3, 3], atom)
+    return DensityMatrix(HilbertSpec([3, 3]), out)
+
+
 class TestBatchedHerald:
     @pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
     def test_batch_matches_scalar_path(self, xi):
@@ -243,7 +270,7 @@ class TestBatchedHerald:
         rng = np.random.default_rng(23)
         signal_in = DensityMatrix(HilbertSpec([3, 2, 3, 2]),
                                   oracles.random_density_matrix(rng, 36))
-        channels = [QutritChannel(_random_coherence(rng)) for _ in (0, 1)]
+        channels = [_random_coherence(rng) for _ in (0, 1)]
         identity = np.eye(2, dtype=complex)
         for cycle in SCHEDULES.values():
             n = 2 * len(cycle)    # every setting with both outcomes
@@ -257,7 +284,7 @@ class TestBatchedHerald:
                 lift = np.kron(np.kron(np.eye(3), u1[h]), np.kron(np.eye(3), u2[h]))
                 rotated = DensityMatrix(signal_in.spec, lift @ signal_in.matrix @ lift.conj().T)
                 _, rho = swap_with_interference(rotated, outcomes[h], xi, (identity, identity))
-                rho = channels[1].apply_to_subsystem(channels[0].apply_to_subsystem(rho, 0), 1)
+                rho = _after_memories(rho, channels)
                 p_ref, f_ref = _scalar_readout(rho, outcomes[h], *cycle[setting_index[h]])
                 assert np.max(np.abs(states[h] - rho.matrix)) < 1e-12
                 assert np.max(np.abs(probs[h] - p_ref)) < 1e-12
@@ -290,7 +317,7 @@ class TestBatchedHerald:
             if ev.signal[h]:
                 _, rho = swap_with_interference(signal_in, outcome, res.summary["xi"],
                                                 (identity, identity))
-                rho = channels[1].apply_to_subsystem(channels[0].apply_to_subsystem(rho, 0), 1)
+                rho = _after_memories(rho, channels)
             else:
                 rho = DensityMatrix(HilbertSpec([3, 3]), mixed)
             p_ref, f_ref = _scalar_readout(rho, outcome, ev.alpha_rad[h], ev.beta_rad[h],
