@@ -170,7 +170,7 @@ def fringe_fit(angles, p_corr, errors=None) -> FringeFit:
     y = np.asarray(p_corr, dtype=float)
     if alpha.shape != y.shape or alpha.ndim != 1:
         raise ValueError("angles and probabilities must be matching 1D arrays")
-    if len(np.unique(np.round(alpha, 9))) < 4:
+    if len(set(np.round(alpha, 9).tolist())) < 4:
         raise ValueError("need at least 4 distinct analyzer angles")
     if errors is None:
         sigma = np.ones_like(y)

@@ -94,4 +94,5 @@ class ClickTable:
 
     def times_by_window(self) -> dict:
         """Click times of each window that has clicks."""
-        return {WINDOWS[c]: self.time_s[self.window == c] for c in np.unique(self.window).tolist()}
+        codes = np.flatnonzero(np.bincount(self.window)).tolist()
+        return {WINDOWS[c]: self.time_s[self.window == c] for c in codes}

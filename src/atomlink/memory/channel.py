@@ -15,12 +15,15 @@ Reproducibility contract: trajectory k draws from a Philox stream keyed by
 over the trajectory index, and all trajectories are integrated and summed as
 one array in a single pass, so the same arguments give bit-identical results.
 
-Time step: the atoms move by ``MOTION_SUBSTEPS`` Yoshida-4 steps per spin
-step of ``SPIN_DT`` and the phase takes the field at the mid-step position.
-Sample times sit on the finer ``SAMPLE_DT`` grid; a time between two spin
-steps is reached by one short step of the same form from the last grid
-point, taken on a copy of the state, so c(t) does not depend on which other
-times are requested.
+Time step: each spin step of ``SPIN_DT`` moves the atoms by two Yoshida-4
+steps, and the phase integrates the field by Simpson's rule over the
+vector-shift profiles at the start, the middle and the end of the step,
+phi += Omega dt (b + g (f0 + 4 f_half + f1) / 6), all three from force
+evaluations the motion makes anyway; the end profile is the next step's
+start.  Sample times sit on the finer ``SAMPLE_DT`` grid; a time between two
+spin steps is reached by one short step of the same form from the last grid
+point, taken on a copy of the state and its start profile, so c(t) does not
+depend on which other times are requested.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +36,7 @@ from .spin import OMEGA_PER_GAUSS
 from .trap import MotionKernel, TrapParams, thermal_sigmas
 
 SAMPLE_DT = 1e-7       # grid of the sample times (s)
-SPIN_DT = 5e-7         # spin step (s), a whole multiple of SAMPLE_DT
-MOTION_SUBSTEPS = 2    # Yoshida-4 motion steps per spin step
+SPIN_DT = 1e-6         # spin step (s), a whole multiple of SAMPLE_DT
 
 _UP, _DOWN = 2, 0             # qutrit indices of m = +1 and m = -1
 _M = np.array([-1, 0, 1])      # magnetic quantum number of each qutrit index
@@ -177,14 +179,15 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     kernel = MotionKernel(trap, n_trajectories)
     acc = np.empty_like(pos)
     kernel.force(pos, acc)
+    shift = kernel.shift.copy()    # the profile at the start of the next step
     phi = np.zeros(n_trajectories)
     rate = np.empty(n_trajectories)
     # sums of exp(-i phi) and exp(-2i phi) over the trajectories at every sample
     sums = np.zeros((len(times), 2), dtype=complex)
 
-    def advance(pos, vel, acc, phi, dt):
-        mid = kernel.step(pos, vel, acc, dt, MOTION_SUBSTEPS)
-        np.multiply(mid, shift_gauss, out=rate)
+    def advance(pos, vel, acc, shift, phi, dt):
+        simpson = kernel.step(pos, vel, acc, shift, dt)
+        np.multiply(simpson, shift_gauss / 6.0, out=rate)
         np.add(rate, field, out=rate)
         np.multiply(rate, OMEGA_PER_GAUSS * dt, out=rate)
         phi += rate
@@ -195,12 +198,12 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
             if rest == 0:
                 rot = np.exp(-1j * phi)
             else:
-                branch = [a.copy() for a in (pos, vel, acc, phi)]
+                branch = [a.copy() for a in (pos, vel, acc, shift, phi)]
                 advance(*branch, rest * SAMPLE_DT)
-                rot = np.exp(-1j * branch[3])
+                rot = np.exp(-1j * branch[4])
             sums[t_idx] += (rot.sum(), (rot * rot).sum())
         if step < last:
-            advance(pos, vel, acc, phi, SPIN_DT)
+            advance(pos, vel, acc, shift, phi, SPIN_DT)
 
     e1, e2 = (sums / n_trajectories).T
     # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]
@@ -211,7 +214,6 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
         "n_trajectories": n_trajectories,
         "seed": seed,
         "spin_dt": SPIN_DT,
-        "motion_substeps": MOTION_SUBSTEPS,
         "bias_field": env.bias_field,
     }
     return DephasingChannelFamily(times, coherences, meta)

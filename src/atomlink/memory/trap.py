@@ -74,9 +74,10 @@ class MotionKernel:
 
     ``force`` evaluates -grad U / m and, from the same intensity, the
     vector-shift profile ``shift`` = x I(r)/I0 w0^2/w(z)^2, to which the
-    fictitious field is proportional.  ``step`` advances by Yoshida-4 steps
-    with adjacent half-kicks merged.  All work buffers are allocated once,
-    so neither allocates.
+    fictitious field is proportional.  ``step`` advances by two Yoshida-4
+    steps with adjacent half-kicks merged and sums the profile over the
+    step by Simpson's rule.  All work buffers are allocated once, so
+    neither allocates.
     """
 
     def __init__(self, trap: TrapParams, n: int):
@@ -88,7 +89,7 @@ class MotionKernel:
         self._axial = -2.0 * trap.depth_joule / (trap.atom_mass * zr2)
         self.intensity = np.empty(n)
         self.shift = np.empty(n)
-        self.mid_shift = np.empty(n)
+        self._simpson = np.empty(n)
         self._s = np.empty(n)
         self._g = np.empty(n)
         self._kick = np.empty((3, n))
@@ -121,17 +122,19 @@ class MotionKernel:
         i_s *= x
 
     def step(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray,
-             dt: float, substeps: int) -> np.ndarray:
-        """Advance (pos, vel, acc) in place by ``substeps`` Yoshida-4 steps spanning dt.
+             shift: np.ndarray, dt: float) -> np.ndarray:
+        """Advance (pos, vel, acc) in place by two Yoshida-4 steps spanning dt.
 
-        Returns ``mid_shift``, the vector-shift profile at the position
-        after substep (substeps - 1) // 2.
+        ``shift`` holds the vector-shift profile at the start of the step and
+        is overwritten with the one at its end.  Returns the Simpson sum
+        f0 + 4 f_half + f1 of the profile over the step, six times its mean.
         """
-        h = dt / substeps
+        h = 0.5 * dt
         kick = self._kick
-        mid = (substeps - 1) // 2
+        total = self._simpson
+        np.copyto(total, shift)
         carry = 0.0    # pending half-kick weight of the previous leapfrog
-        for sub in range(substeps):
+        for weight in (4.0, 1.0):
             for w in (_Y4_W1, _Y4_W0, _Y4_W1):
                 np.multiply(acc, (carry + 0.5 * w) * h, out=kick)
                 vel += kick
@@ -139,8 +142,10 @@ class MotionKernel:
                 pos += kick
                 self.force(pos, acc)
                 carry = 0.5 * w
-            if sub == mid:
-                np.copyto(self.mid_shift, self.shift)
+            # the half-step profile counts four times; the end profile once,
+            # and it stays in ``shift`` as the start of the next step
+            np.multiply(self.shift, weight, out=shift)
+            total += shift
         np.multiply(acc, carry * h, out=kick)
         vel += kick
-        return self.mid_shift
+        return total

@@ -27,8 +27,9 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-# states per in-place symmetrization step of ``herald`` (2.7 MB of 9x9 states)
-_SYMMETRIZE_BLOCK = 2048
+# states per block of ``herald``'s symmetrization and of the state checks
+# (2.7 MB of 9x9 states)
+_STATE_BLOCK = 2048
 
 
 class BellOutcome(Enum):
@@ -103,21 +104,26 @@ class DensityMatrix:
 
 
 def check_density_matrices(mats: np.ndarray) -> None:
-    """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD."""
-    diff = mats.conj().swapaxes(-1, -2)
-    diff -= mats
-    herm_err = np.max(np.abs(diff), initial=0.0)
-    del diff
-    if herm_err > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if off.any():
-        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
-    # eigvalsh reads the lower triangle, held above to HERM_TOL of the upper
-    eig_min = np.linalg.eigvalsh(mats).min(initial=np.inf)
-    if eig_min < PSD_TOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
+    """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD.
+
+    The stack is checked in blocks of ``_STATE_BLOCK`` matrices, so the
+    work arrays are one block's size whatever n is.
+    """
+    for start in range(0, len(mats), _STATE_BLOCK):
+        block = mats[start:start + _STATE_BLOCK]
+        diff = block.conj().swapaxes(-1, -2)
+        diff -= block
+        herm_err = np.max(np.abs(diff), initial=0.0)
+        if herm_err > HERM_TOL:
+            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
+        tr = np.trace(block, axis1=-2, axis2=-1).real
+        off = np.abs(tr - 1.0) > TRACE_TOL
+        if off.any():
+            raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
+        # eigvalsh reads the lower triangle, held above to HERM_TOL of the upper
+        eig_min = np.linalg.eigvalsh(block).min(initial=np.inf)
+        if eig_min < PSD_TOL:
+            raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
 
 
 def _as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
@@ -275,8 +281,8 @@ def herald(inputs: np.ndarray, pair_ops: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("the herald has zero probability on this input")
     mat /= prob[:, None, None]
     # symmetrized in place, so a batch holds one block of extra states at most
-    for start in range(0, len(mat), _SYMMETRIZE_BLOCK):
-        block = mat[start:start + _SYMMETRIZE_BLOCK]
+    for start in range(0, len(mat), _STATE_BLOCK):
+        block = mat[start:start + _STATE_BLOCK]
         block += block.conj().swapaxes(1, 2)
         block /= 2.0
     return prob, mat

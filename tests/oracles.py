@@ -505,18 +505,19 @@ def _brute_vector_shift(trap, scale, x, y, z):
 
 
 def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
-                            spin_dt=1e-7, motion_substeps=2):
+                            spin_dt=1e-7):
     """(T, 3, 3) coherence matrices of the memory channel, one trajectory at a time.
 
     Trajectory k draws six normals from Philox(seed, k) for its thermal start
     and precesses in the stratified static field b + sigma z_k plus the
     vector shift at its position.  Each spin step of ``spin_dt`` moves the
-    atom by ``motion_substeps`` Yoshida-4 steps (three velocity-Verlet
-    substeps each) and samples the field at the position after substep
-    (substeps - 1) // 2.  A sample time t on the 100 ns grid but off the
-    ``spin_dt`` grid is reached from the last spin-step grid point by one
-    step of the same form spanning the rest of t, taken on a copy of the
-    state.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
+    atom by two Yoshida-4 steps (three velocity-Verlet substeps each), and
+    the phase integrates the field by Simpson's rule, (f0 + 4 f_half + f1) / 6
+    of the vector shift evaluated afresh at the positions at the start, after
+    the first Yoshida step and at the end.  A sample time t on the 100 ns
+    grid but off the ``spin_dt`` grid is reached from the last spin-step grid
+    point by one step of the same form spanning the rest of t, taken on a
+    copy of the state.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
     """
     omega = G_F * MU_B * GAUSS_TO_TESLA / HBAR
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -535,17 +536,18 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
     m = [-1, 0, 1]
 
     def spin_step(pos, vel, acc, phi, b, dt):
-        h = dt / motion_substeps
-        for sub in range(motion_substeps):
+        h = dt / 2
+        shifts = [_brute_vector_shift(trap, env.fictitious_field_scale, *pos)]
+        for _ in range(2):
             for w in weights:
                 vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
                 pos = [pos[i] + w * h * vel[i] for i in range(3)]
                 acc = _brute_trap_acceleration(trap, *pos)
                 vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
-            if sub == (motion_substeps - 1) // 2:
-                mid = list(pos)
-        shift = _brute_vector_shift(trap, env.fictitious_field_scale, *mid)
-        return pos, vel, acc, phi + omega * (b + shift) * dt
+            shifts.append(_brute_vector_shift(trap, env.fictitious_field_scale, *pos))
+        start, middle, end = shifts
+        field = b + (start + 4.0 * middle + end) / 6.0
+        return pos, vel, acc, phi + omega * field * dt
 
     out = np.zeros((len(times), 3, 3), dtype=complex)
     for k, z in enumerate(philox_thermal_draws(seed, n_trajectories)):

@@ -249,33 +249,63 @@ class TestDephasingChannel:
             dephasing_channel_family(TRAP, QUIET, 50e-6, [], 200, seed=1)
 
 
+def _build_at(spin_dt, *args):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(channel, "SPIN_DT", spin_dt)
+        return dephasing_channel_family(*args)
+
+
+@pytest.fixture(scope="module")
+def step_builds():
+    """Same-seed builds at the shipped spin step, at half of it and at 100 ns.
+
+    The jobs are criterion 5's grid (first) and every preset's readout
+    times with the link's calibrated noise; the half step is built for
+    criterion 5's grid only.
+    """
+    n = 2000
+    node = preset("l6").node1
+    jobs = {(node.trap, node.field_env, node.temperature):
+            set(np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12))}
+    for name in PRESETS:
+        s = preset(name)
+        for node, t in zip(s.nodes(), s.readout_times()):
+            env = node.field_env.replace(shot_noise_sigma=CAL_SIGMA_SHOT_EFF)
+            jobs.setdefault((node.trap, env, node.temperature), set()).add(round(t, 12))
+    assert len(jobs) == 3
+    builds = []
+    for i, ((trap, env, temperature), times) in enumerate(jobs.items()):
+        args = (trap, env, temperature, np.array(sorted(times)), n, 7)
+        steps = (channel.SPIN_DT, channel.SPIN_DT / 2, 1e-7) if i == 0 else (channel.SPIN_DT, 1e-7)
+        builds.append({dt: _build_at(dt, *args) for dt in steps})
+    return n, builds
+
+
 class TestStepConvergence:
-    def test_shipped_step_within_monte_carlo_budget(self, monkeypatch):
+    def test_shipped_step_within_monte_carlo_budget(self, step_builds):
         # the shipped spin step against a 100 ns reference with the same
         # seed, on criterion 5's grid and at every preset's readout times
         # (the link's calibrated noise): the discretization error must stay
         # below a tenth of the Monte-Carlo standard error at n = 10 000
-        n = 2000
-        node = preset("l6").node1
-        jobs = {(node.trap, node.field_env, node.temperature):
-                set(np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12))}
-        for name in PRESETS:
-            s = preset(name)
-            for node, t in zip(s.nodes(), s.readout_times()):
-                env = node.field_env.replace(shot_noise_sigma=CAL_SIGMA_SHOT_EFF)
-                jobs.setdefault((node.trap, env, node.temperature), set()).add(round(t, 12))
-        assert len(jobs) == 3
-        for (trap, env, temperature), times in jobs.items():
-            times = np.array(sorted(times))
-            shipped = dephasing_channel_family(trap, env, temperature, times, n, seed=7)
-            with monkeypatch.context() as m:
-                m.setattr(channel, "SPIN_DT", 1e-7)
-                ref = dephasing_channel_family(trap, env, temperature, times, n, seed=7)
+        n, builds = step_builds
+        for job in builds:
+            shipped, ref = job[channel.SPIN_DT], job[1e-7]
             assert shipped.meta["spin_dt"] > ref.meta["spin_dt"]
             diff = np.abs(shipped.coherences[:, 2, 0] - ref.coherences[:, 2, 0])
             budget = 0.1 * ref.stderr() * np.sqrt(n / 10_000)
-            late = times > 0
+            late = shipped.times > 0
             assert np.all(diff[late] <= budget[late])
+
+    def test_halving_the_step_shows_fourth_order(self, step_builds):
+        # Simpson's rule on the Yoshida-4 motion is fourth order, so halving
+        # the spin step cuts the error by about 16; the midpoint rule for the
+        # phase is second order and cuts it by about 4
+        _, builds = step_builds
+        job = builds[0]    # criterion 5's grid
+        ref = job[1e-7].coherences[:, 2, 0]
+        err = [np.max(np.abs(job[dt].coherences[:, 2, 0] - ref))
+               for dt in (channel.SPIN_DT, channel.SPIN_DT / 2)]
+        assert err[0] >= 7.0 * err[1]
 
 
 @pytest.fixture(scope="module")

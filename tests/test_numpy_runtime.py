@@ -1,5 +1,6 @@
 """The package runs on numpy alone; scipy is the reference its stand-ins are checked against."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from scipy import constants as codata
 from scipy.special import ndtr, ndtri
 
 from atomlink import constants as C
+from atomlink.cli import main
 from atomlink.memory.channel import _normal_grid
 from atomlink.photonics import PhotonWavepacket, window_capture_probability
 
@@ -59,3 +61,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == ""
+
+
+def test_analyze_loads_no_numpy_ma(tmp_path):
+    # np.unique without index outputs imports numpy.ma (13-19 ms) on numpy 2.4;
+    # a fringe run with clicks reaches fringe_fit and times_by_window
+    run = tmp_path / "run"
+    assert main(["simulate", "--preset", "l6", "--seed", "3", "--schedule", "fringe",
+                 "--events", "400", "--trajectories", "300", "--out", str(run)]) == 0
+    code = ("import sys; from atomlink.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    argv = ["analyze", "--events", str(run / "events.jsonl"), "--clicks", str(run / "clicks.csv"),
+            "--summary", str(run / "summary.json"),
+            "--estimators", "fidelity,fringe,chsh,contrast,sbr", "--out", str(run)]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+    report = json.loads((run / "report.json").read_text())
+    assert report["estimators"]["fringe"]["PsiMinus"]["fits"]
+    assert report["estimators"]["sbr"]["coincidence"] > 0

@@ -201,7 +201,7 @@ class TestBellProject:
 class TestHeraldBlocks:
     def test_blocks_match_one_shot_symmetrization(self):
         # about 2.5 symmetrization blocks, so the last block is a partial one
-        n = 5 * q._SYMMETRIZE_BLOCK // 2
+        n = 5 * q._STATE_BLOCK // 2
         rng = np.random.default_rng(29)
         inputs = q.herald_input(oracles.random_density_matrix(rng, 36))
         outcomes = [list(BellOutcome)[k] for k in rng.integers(0, 2, n)]
@@ -211,6 +211,22 @@ class TestHeraldBlocks:
         prob, states = q.herald(inputs, pair_ops)
         mat = (pair_ops @ inputs).reshape(-1, 9, 9) / prob[:, None, None]
         assert np.array_equal(states, (mat + mat.conj().swapaxes(1, 2)) / 2.0)
+
+    @pytest.mark.parametrize("entries, change, message", [
+        ([(0, 1)], 1e-6j, "not Hermitian"),
+        ([(0, 0)], 1e-6, "trace"),
+        ([(0, 1), (1, 0)], 0.2, "not PSD"),
+    ])
+    def test_state_check_rejects_defect_in_last_partial_block(self, entries, change, message):
+        # about 2.5 check blocks of the maximally mixed state, with one
+        # defect in the last state, which sits in the partial block
+        n = 5 * q._STATE_BLOCK // 2
+        states = np.tile(np.eye(9, dtype=complex) / 9.0, (n, 1, 1))
+        q.check_density_matrices(states)
+        for i, k in entries:
+            states[-1, i, k] += change
+        with pytest.raises(ValueError, match=message):
+            q.check_density_matrices(states)
 
 
 class TestAtomReadout:
