@@ -1,6 +1,6 @@
 """A run's heralded events and detector clicks as numpy columns.
 
-The columns stay arrays from the simulation loop to the estimators.  A
+The columns stay arrays from the simulation draws to the estimators.  A
 categorical column holds small integer codes into one of the vocabularies
 below, whose strings are the ones the output files carry.
 """

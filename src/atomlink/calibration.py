@@ -11,6 +11,7 @@ import numpy as np
 
 from .constants import GAMMA_2
 from .photonics import link_transmission, propagation_delay
+from .protocol.rates import sbr_model
 from .protocol.scenario import (
     CAL_AP_SCALE,
     CAL_SIGMA_SHOT_EFF,
@@ -125,9 +126,14 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
     # closed-form inversion reproduces the target exactly
     residuals["success_probability_l6"] = 0.0
 
-    xi = float(t["interference_contrast"])
-    if not 0.0 <= xi <= 1.0:
+    contrast = float(t["interference_contrast"])
+    if not 0.0 <= contrast <= 1.0:
         raise ValueError("contrast target out of range")
+    # background coincidences fill D-null at half their herald share, so the
+    # accepted-window contrast is xi (1 - w), w the background herald weight
+    xi = contrast / (1.0 - sbr_model(base)["background_weight"])
+    if xi > 1.0:
+        raise ValueError(f"fitted xi_max {xi:.4f} exceeds 1")
     params["xi_max"] = xi
     residuals["interference_contrast"] = 0.0
 
@@ -138,7 +144,7 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
     ) / t["coherence_time_s"]
 
     if t.get("fidelities"):
-        k = base.node1.atom_photon_visibility * base.node2.atom_photon_visibility * xi
+        k = base.node1.atom_photon_visibility * base.node2.atom_photon_visibility * contrast
         sigma_f = fit_sigma_fidelity(t["fidelities"], t.get("fidelity_sigmas", {}), k)
         params["sigma_shot_eff_analytic"] = sigma_f
         params["sigma_shot_eff"] = CAL_SIGMA_SHOT_EFF

@@ -1,15 +1,15 @@
 """Discrete-event simulation of the full two-node experiment.
 
-Tries are not iterated one by one: the simulator jumps geometrically between
-tries that produce a recordable two-photon coincidence (heralds, discarded
-same-polarization coincidences, and background-assisted heralds), while a
-block-structured clock converts try indices into wall time including
-cooling, presence checks and trap-reload dead times.
+Tries are not iterated one by one: a run draws, stage by stage from one
+Philox stream, the tries that produce a recordable two-photon coincidence
+(heralds and D-null pairs, each from a signal photon pair or with one
+background click), the geometric gaps between them, their detector pairs
+and click times, and converts try indices into wall time through the block
+structure of cooling, presence checks and trap reloads (``wall_times``).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,12 +55,6 @@ from .rates import (
 )
 from .scenario import CAL_SIGMA_SHOT_EFF, LinkScenario, config_hash
 
-# herald-group mapping
-_CLASS_TO_OUTCOME = {
-    CoincidenceClass.D_PLUS: BellOutcome.PSI_PLUS,
-    CoincidenceClass.D_MINUS: BellOutcome.PSI_MINUS,
-}
-
 # recording span of the singles histogram around the nominal arrival
 HISTOGRAM_SPAN = (-500e-9, 500e-9)
 # singles kept per node for that histogram; beyond it the stream is subsampled
@@ -103,43 +97,36 @@ class RunResult:
         return dataset_from_events(self.events, self.mode)
 
 
-class _SequenceClock:
-    """Converts live-try indices to wall time through the block structure.
+def wall_times(scenario: LinkScenario, tries, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Wall time of each live-try count in ascending ``tries``, and the dead time in it.
 
     A block (see ``rates.block_model``) holds ``tries_per_block`` live tries
     in bursts of ``tries_per_cooling_block``, each burst followed by
     cooling, and ends in a presence check.  A trap found empty at the check
-    is reloaded, and the block pauses for the longest reload among its empty
-    traps.  ``rates.duty_cycle`` is the expected live fraction of this clock.
+    is reloaded, and the block pauses for the longer reload, U(0.4, 1.6)
+    loading times each, of its empty traps.  Only the number of lossy blocks
+    between two try counts and the pauses of those blocks are drawn, so the
+    memory is O(tries + lossy blocks).  ``rates.duty_cycle`` is the expected
+    live fraction of this clock.
     """
-
-    def __init__(self, scenario: LinkScenario, rng: np.random.Generator):
-        self.seq = scenario.sequence
-        self.period = 1.0 / repetition_rate(scenario)
-        self.rng = rng
-        self.tries_per_block, self.p_survive = block_model(self.seq, self.period)
-        self.wall = 0.0
-        self.tries_in_block = 0
-        self.dead_time = 0.0
-
-    def advance(self, k: int) -> float:
-        """Advance k live tries; returns the wall time of the last one."""
-        seq = self.seq
-        per_burst = seq.tries_per_cooling_block
-        q0 = self.tries_in_block
-        # blocks hold whole bursts, so the burst count needs no block split
-        blocks, self.tries_in_block = divmod(q0 + k, self.tries_per_block)
-        self.wall += k * self.period
-        self.wall += ((q0 + k) // per_burst - q0 // per_burst) * seq.cooling_duration
-        if blocks:
-            self.wall += blocks * seq.presence_check_duration
-            lost = self.rng.random((blocks, 2)) > self.p_survive
-            reload = np.zeros((blocks, 2))
-            reload[lost] = seq.loading_time * self.rng.uniform(0.4, 1.6, int(lost.sum()))
-            pause = float(reload.max(axis=1).sum())
-            self.wall += pause
-            self.dead_time += pause
-        return self.wall
+    seq = scenario.sequence
+    period = 1.0 / repetition_rate(scenario)
+    per_block, p_survive = block_model(seq, period)
+    q = np.asarray(tries, dtype=np.int64)
+    blocks = q // per_block          # presence checks before each try count
+    live = (q * period + q // seq.tries_per_cooling_block * seq.cooling_duration
+            + blocks * seq.presence_check_duration)
+    # lossy blocks among those completed since the previous try count; a
+    # lossy block lost both traps with odds q^2 : 2q(1-q), q = 1 - p_survive,
+    # and the longer of two U(0, 1) reloads is the square root of one
+    lossy = rng.binomial(np.diff(blocks, prepend=0), 1.0 - p_survive**2)
+    n_lossy = int(lossy.sum())
+    both = rng.random(n_lossy) < (1.0 - p_survive) / (1.0 + p_survive)
+    u = rng.random(n_lossy)
+    pause = seq.loading_time * (0.4 + 1.2 * np.where(both, np.sqrt(u), u))
+    dead = np.concatenate([[0.0], np.cumsum(pause)])[np.cumsum(lossy)]
+    return live + dead, dead
 
 
 def _werner_atom_photon(visibility: float) -> DensityMatrix:
@@ -151,17 +138,40 @@ def _werner_atom_photon(visibility: float) -> DensityMatrix:
 # background heralds carry the maximally mixed qubit pair, which no memory changes
 _MIXED_PAIR = np.kron(np.diag([0.5, 0.0, 0.5]), np.diag([0.5, 0.0, 0.5])).astype(complex)
 
-# (angles, axes) of a herald's two photons when no residual rotation is drawn
-_NO_RESIDUAL = ((0.0, 0.0), (0.0, 0.0, 1.0) * 2)
-
-# each coincidence is a signal herald, a background-assisted herald or a D-null pair
-_SIGNAL, _BACKGROUND, _DNULL = range(3)
-_OUTCOME_CODE = {cls: BELL_OUTCOMES.index(o.value) for cls, o in _CLASS_TO_OUTCOME.items()}
+# the classes a run records, in the column order of ``coincidence_branches``
+_CLASSES = (CoincidenceClass.D_PLUS, CoincidenceClass.D_MINUS, CoincidenceClass.D_NULL)
+_DNULL = _CLASSES.index(CoincidenceClass.D_NULL)
+# BELL_OUTCOMES index of the D+ and D- heralds
+_OUTCOME_CODE = np.array([BELL_OUTCOMES.index(o.value)
+                          for o in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)], dtype=np.int8)
+# DETECTOR_PAIRS index of the detector pairs of each class
+_PAIR_OPTIONS = np.array([[DETECTOR_PAIRS.index(p) for p in CLASS_PAIRS[c]] for c in _CLASSES])
 # DETECTORS index of both detectors of each DETECTOR_PAIRS entry
 _PAIR_DETECTORS = np.array([[DETECTORS.index(d) for d in pair] for pair in DETECTOR_PAIRS],
                            dtype=np.int8)
-_CLASS_PAIR_INDEX = {cls: tuple(DETECTOR_PAIRS.index(p) for p in pairs)
-                     for cls, pairs in CLASS_PAIRS.items()}
+
+
+def coincidence_branches(scenario: LinkScenario) -> tuple[list[float], float, np.ndarray]:
+    """(eta, xi, weights): the per-try odds of each recordable coincidence.
+
+    ``eta`` is each node's click probability per try in the hardware window
+    and ``xi`` the two-photon contrast.  ``weights`` is (2, 3): row 0 a
+    signal photon pair, row 1 one photon and one background click; columns
+    the D+, D- and D-null classes.  A background click is equally likely on
+    any detector, so it puts half as much into D-null as into D+ and D-:
+    p_bg_herald / 2 into each of the three.
+    """
+    hw0 = scenario.hardware_window_offset
+    eta = [node_detection_efficiency(scenario, i)
+           * window_capture_probability(node.wavepacket, hw0, hw0 + scenario.hardware_window)
+           for i, node in enumerate(scenario.nodes())]
+    xi = indistinguishability(scenario.node1.wavepacket, scenario.node2.wavepacket,
+                              scenario.wavepacket_delay, scenario.xi_max)
+    dist = coincidence_distribution(xi)
+    bg_mean = background_rate_at_station(scenario)["total"] * scenario.hardware_window
+    p_bg = background_herald_probability(*eta, bg_mean)
+    weights = np.array([[eta[0] * eta[1] * dist[c] for c in _CLASSES], [p_bg / 2] * 3])
+    return eta, xi, weights
 
 
 def heralded_states(signal_in: DensityMatrix, coherences, xi: float, outcomes,
@@ -209,11 +219,13 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
                  memory_noise_sigma=CAL_SIGMA_SHOT_EFF) -> RunResult:
     """Simulate heralded entanglement generation events.
 
-    The event loop only draws random numbers; one batched pass after it
-    builds every herald's atom-atom state, readout probabilities and Bell
-    fidelity.  ``mode`` "density-matrix" also returns the states;
-    "sampled-clicks" samples binary readout outcomes.  Both are
-    deterministic given the seed.
+    Every random number is drawn first, in whole arrays, stage by stage
+    (numbered below).  Then a batched pass, in blocks of
+    ``quantum._STATE_BLOCK`` heralds, builds every herald's atom-atom
+    state, readout probabilities and Bell fidelity.  ``mode``
+    "density-matrix" also returns the states; "sampled-clicks" samples
+    binary readout outcomes from uniforms drawn last, so the two modes of
+    one seed share every try, click and state.
     """
     if mode not in ("density-matrix", "sampled-clicks"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -226,31 +238,70 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         raise ValueError("seed must be >= 0")
 
     rng = np.random.default_rng(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
-    clock = _SequenceClock(scenario, rng)
+    eta, xi, weights = coincidence_branches(scenario)
+    p_event, p_herald = weights.sum(), weights[:, :_DNULL].sum()
+    if p_herald <= 0.0:
+        raise ValueError("this scenario records no heralds")
+    cdf = np.cumsum(weights.ravel()) / p_event
+    cdf[-1] = 1.0
+    n_cls = len(_CLASSES)
 
-    # per-try probabilities in the hardware coincidence window
+    # 1. branches (flat index into weights) in batches, cut at the target-th herald
+    batches, found = [np.empty(0, np.int64)], 0
+    while found < target_events:
+        size = int((target_events - found) * p_event / p_herald) + 64
+        batch = cdf.searchsorted(rng.random(size), side="right")
+        batches.append(batch)
+        found += np.count_nonzero(batch % n_cls != _DNULL)
+    branch = np.concatenate(batches)
+    if target_events:
+        branch = branch[:np.flatnonzero(branch % n_cls != _DNULL)[target_events - 1] + 1]
+    background, cls = np.divmod(branch, n_cls)
+    background = background.astype(bool)
+    herald = cls != _DNULL
+    n = len(branch)
+    # 2. gaps: the live-try count of each coincidence
+    tries = np.cumsum(rng.geometric(p_event, n))
+    # 3. detector pairs, two per class
+    pair = _PAIR_OPTIONS[cls, rng.integers(0, _PAIR_OPTIONS.shape[1], n)]
+    # 4. click offsets from the nominal arrival: both photons of a signal pair;
+    # one photon (node 1 with odds eta1 : eta2) and one flat click of a background pair
     hw0 = scenario.hardware_window_offset
-    hw1 = hw0 + scenario.hardware_window
-    eta = []
-    for i in (0, 1):
-        node = scenario.nodes()[i]
-        eta.append(node_detection_efficiency(scenario, i)
-                   * window_capture_probability(node.wavepacket, hw0, hw1))
-    xi = indistinguishability(scenario.node1.wavepacket, scenario.node2.wavepacket,
-                              scenario.wavepacket_delay, scenario.xi_max)
-    dist = coincidence_distribution(xi)
-    p_pair = eta[0] * eta[1]
-    bg_mean_hw = background_rate_at_station(scenario)["total"] * scenario.hardware_window
-    p_bg_herald = background_herald_probability(*eta, bg_mean_hw)
-    # a branch is the class of a signal coincidence, or a background-assisted herald
-    branches = [CoincidenceClass.D_PLUS, CoincidenceClass.D_MINUS, CoincidenceClass.D_NULL,
-                "background"]
-    branch_weights = np.array([p_pair * dist[b] for b in branches[:3]] + [p_bg_herald])
-    p_event = branch_weights.sum()
-    # Generator.choice(p=...) draws one uniform and searches this CDF; doing
-    # it here keeps the stream and skips choice's per-call checks
-    branch_cdf = np.cumsum(branch_weights / p_event)
-    branch_cdf /= branch_cdf[-1]
+    bg = np.flatnonzero(background)
+    flat_node = (rng.random(len(bg)) < eta[0] / (eta[0] + eta[1])).astype(int)
+    photon = np.ones((n, 2), bool)
+    photon[bg, flat_node] = False
+    offsets = np.empty((n, 2))
+    for i, node in enumerate(scenario.nodes()):
+        k = int(np.count_nonzero(photon[:, i]))
+        offsets[photon[:, i], i] = (node.wavepacket.sample_emission_times(k, rng)
+                                    + rng.normal(0.0, node.sync_jitter_sigma, k))
+    offsets[bg, flat_node] = rng.uniform(hw0, hw0 + scenario.hardware_window, len(bg))
+    # 5. fibre residual (angle, axis) of both photons of every signal herald
+    signal = ~background[herald]
+    n_signal = int(np.count_nonzero(signal))
+    angles = rng.normal(0.0, 2.0 * np.sqrt(scenario.polarization_error_mean), (n_signal, 2))
+    axes = rng.normal(size=(n_signal, 2, 3))
+    # 6. wall times of the heralds
+    wall, dead = wall_times(scenario, tries[herald], rng)
+    # 7. singles per node for detection-time histograms, subsampled to
+    # MAX_SINGLES; the flat background spans HISTOGRAM_SPAN for clean side bands
+    n_tries = int(tries[-1]) if n else 0
+    signal_code, mixed_code, background_code = range(len(CLICK_ORIGINS))
+    single = DETECTORS.index("single")
+    bg_rate = background_rate_at_station(scenario)["total"]
+    singles = []
+    for i, node in enumerate(scenario.nodes()):
+        n_photons = int(rng.binomial(n_tries, eta[i]))
+        n_bg = int(rng.poisson(n_tries * bg_rate * (HISTOGRAM_SPAN[1] - HISTOGRAM_SPAN[0])))
+        keep = min(1.0, MAX_SINGLES / max(n_photons + n_bg, 1))
+        singles += [(i, single, signal_code,
+                     node.wavepacket.sample_emission_times(round(n_photons * keep), rng)),
+                    (i, single, background_code,
+                     rng.uniform(*HISTOGRAM_SPAN, size=round(n_bg * keep)))]
+    # 8. readout uniforms last, so both modes share every draw before them
+    herald_count = len(wall)
+    uniforms = rng.random(herald_count) if mode == "sampled-clicks" else None
 
     # memory channels (coherence matrices) at the two readout times, analyzer frame
     coherences = []
@@ -261,96 +312,36 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
                                        seed=seed * 2 + i + 1)
         coherences.append(fam.rotating_channel_at(round(t, 12)))
 
-    polarization_sigma = 2.0 * np.sqrt(scenario.polarization_error_mean)
-
-    # click times relative to each photon's nominal arrival
-    def signal_offset(node):
-        return (node.wavepacket.sample_emission_times(1, rng)[0]
-                + rng.normal(0.0, node.sync_jitter_sigma))
-
-    # the loop only draws; states and readout come from one pass after it.
-    # One row per coincidence (herald or D-null pair), in loop order:
-    kinds = array("b")             # _SIGNAL, _BACKGROUND or _DNULL
-    pair_index = array("b")        # index into DETECTOR_PAIRS
-    offsets = array("d")           # node-1 and node-2 click offsets
-    # one row per herald:
-    try_indices = array("q")
-    wall_times = array("d")
-    outcome_codes = array("b")     # index into BELL_OUTCOMES
-    residual_angles = array("d")   # fibre residual of each photon
-    residual_axes = array("d")
-    uniforms = array("d")          # sampled-clicks readout draws
-    try_index = 0
-    wall_time = 0.0
-
-    while len(try_indices) < target_events:
-        gap = int(rng.geometric(p_event))
-        try_index += gap
-        wall_time = clock.advance(gap)
-        branch = branches[branch_cdf.searchsorted(rng.random(), side="right")]
-        if branch == "background":
-            cls = CoincidenceClass.D_PLUS if rng.random() < 0.5 else CoincidenceClass.D_MINUS
-        else:
-            cls = branch
-        options = _CLASS_PAIR_INDEX[cls]
-        pair_index.append(options[rng.integers(0, len(options))])
-
-        if cls is CoincidenceClass.D_NULL:
-            kinds.append(_DNULL)
-            offsets.extend((signal_offset(scenario.node1), signal_offset(scenario.node2)))
-            continue
-
-        angles, axes = _NO_RESIDUAL
-        if branch == "background":
-            # one signal photon plus one background click (dominant term)
-            sig_node = 0 if rng.random() < eta[0] / (eta[0] + eta[1]) else 1
-            offs = [0.0, 0.0]
-            offs[sig_node] = signal_offset(scenario.nodes()[sig_node])
-            offs[1 - sig_node] = rng.uniform(hw0, hw1)
-            kinds.append(_BACKGROUND)
-        else:
-            offs = (signal_offset(scenario.node1), signal_offset(scenario.node2))
-            kinds.append(_SIGNAL)
-            if scenario.polarization_error_mean > 0:
-                a1, x1, a2, x2 = (rng.normal(0.0, polarization_sigma), rng.normal(size=3),
-                                  rng.normal(0.0, polarization_sigma), rng.normal(size=3))
-                angles, axes = (a1, a2), (*x1, *x2)
-        if mode == "sampled-clicks":
-            uniforms.append(rng.random())
-        offsets.extend(offs)
-        residual_angles.extend(angles)
-        residual_axes.extend(axes)
-        try_indices.append(try_index)
-        wall_times.append(wall_time)
-        outcome_codes.append(_OUTCOME_CODE[cls])
-    herald_count = len(try_indices)
-    kinds = np.asarray(kinds)
-    pair_index = np.asarray(pair_index)
-    offsets = np.asarray(offsets).reshape(-1, 2)
-    herald = kinds != _DNULL
-    outcome_codes = np.asarray(outcome_codes)
+    # states, checks and readout in blocks; density-matrix mode keeps the states
+    outcome_codes = _OUTCOME_CODE[cls[herald]]
     bell = list(BellOutcome)
     outcomes = [bell[c] for c in outcome_codes.tolist()]
-
-    # one batched pass: residuals, states, readout probabilities, fidelities
-    residuals = rotation_su2(np.asarray(residual_axes).reshape(-1, 3),
-                             np.asarray(residual_angles)).reshape(-1, 2, 2, 2)
-    states = np.tile(_MIXED_PAIR, (herald_count, 1, 1))
-    signal = kinds[herald] == _SIGNAL
-    sig = np.flatnonzero(signal)
+    setting_index = np.arange(herald_count) % len(settings_cycle)
     signal_in = tensor(*(
         _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
         for node in scenario.nodes()))
-    states[sig] = heralded_states(signal_in, coherences, xi, [outcomes[h] for h in sig],
-                                  residuals[sig, 0], residuals[sig, 1])
-    quantum.check_density_matrices(states)
-    setting_index = np.arange(herald_count) % len(settings_cycle)
-    probs, fids = event_readout(states, settings_cycle, setting_index, outcomes)
-    del residuals
-    if mode == "sampled-clicks":
-        states = None
+    residual_row = np.cumsum(signal) - 1
+    probs = np.empty((herald_count, 4))
+    fids = np.empty(herald_count)
+    states = np.empty((herald_count, 9, 9), complex) if uniforms is None else None
+    for start in range(0, herald_count, quantum._STATE_BLOCK):
+        stop = min(start + quantum._STATE_BLOCK, herald_count)
+        rows = slice(start, stop)
+        block = np.tile(_MIXED_PAIR, (stop - start, 1, 1))
+        sig = np.flatnonzero(signal[rows])
+        residual = residual_row[rows][sig]
+        u = rotation_su2(axes[residual], angles[residual])
+        block[sig] = heralded_states(signal_in, coherences, xi,
+                                     [outcomes[start + h] for h in sig.tolist()],
+                                     u[:, 0], u[:, 1])
+        quantum.check_density_matrices(block)
+        probs[rows], fids[rows] = event_readout(block, settings_cycle, setting_index[rows],
+                                                outcomes[rows])
+        if states is not None:
+            states[rows] = block
+    if uniforms is not None:
         # the first cumulative threshold above r picks uu, ud, du or dd
-        above = np.asarray(uniforms)[:, None] < np.cumsum(probs[:, :3], axis=1)
+        above = uniforms[:, None] < np.cumsum(probs[:, :3], axis=1)
         readout = np.argmax(np.column_stack([above, np.ones(herald_count, bool)]), axis=1)
     else:
         readout = np.full(herald_count, -1)
@@ -359,38 +350,21 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     accepted, _ = acceptance_filter(herald_offsets, *window)
     alphas, betas, planes = zip(*settings_cycle)
     events = EventTable(
-        wall_time_s=np.asarray(wall_times), try_index=np.asarray(try_indices),
-        outcome=outcome_codes, detectors=_PAIR_DETECTORS[pair_index[herald]],
+        wall_time_s=wall, try_index=tries[herald],
+        outcome=outcome_codes, detectors=_PAIR_DETECTORS[pair[herald]],
         click_ns=herald_offsets * 1e9, accepted=accepted, signal=signal,
         alpha_rad=np.array(alphas)[setting_index], beta_rad=np.array(betas)[setting_index],
         plane=np.array([PLANES.index(p) for p in planes], dtype=np.int8)[setting_index],
         fidelity=fids, probabilities=probs, readout=readout)
     n_dnull_accepted = int(acceptance_filter(offsets[~herald], *window)[0].sum())
 
-    # both clicks of every coincidence, then a subsampled singles stream per
-    # node for detection-time histograms; the flat background is continuous,
-    # so it is recorded over a wide span around the arrival window to give
-    # the estimator clean side bands
-    signal_code, mixed_code, background_code = range(len(CLICK_ORIGINS))
-    single = DETECTORS.index("single")
-    blocks = [(np.tile([0, 1], len(kinds)), _PAIR_DETECTORS[pair_index].ravel(),
-               np.repeat(np.where(kinds == _BACKGROUND, mixed_code, signal_code), 2),
-               offsets.ravel())]
-    hist_lo, hist_hi = HISTOGRAM_SPAN
-    if try_index > 0:
-        for i in (0, 1):
-            node = scenario.nodes()[i]
-            n_signal = int(rng.binomial(try_index, eta[i]))
-            n_bg = int(rng.poisson(try_index * background_rate_at_station(scenario)["total"]
-                                   * (hist_hi - hist_lo)))
-            factor = min(1.0, MAX_SINGLES / max(n_signal + n_bg, 1))
-            k_sig = int(round(n_signal * factor))
-            k_bg = int(round(n_bg * factor))
-            t_sig = node.wavepacket.sample_emission_times(k_sig, rng)
-            t_bg = rng.uniform(hist_lo, hist_hi, size=k_bg)
-            blocks += [(i, single, signal_code, t_sig), (i, single, background_code, t_bg)]
-    clicks = ClickTable.from_blocks(blocks)
+    # both clicks of every coincidence, then the singles
+    clicks = ClickTable.from_blocks(
+        [(np.tile([0, 1], n), _PAIR_DETECTORS[pair].ravel(),
+          np.repeat(np.where(background, mixed_code, signal_code), 2), offsets.ravel())]
+        + singles)
 
+    wall_time = float(wall[-1]) if herald_count else 0.0
     summary = {
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
@@ -398,15 +372,15 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "schedule": schedule,
         "seed": seed,
         "n_events": herald_count,
-        "n_tries": try_index,
+        "n_tries": n_tries,
         "wall_time_s": wall_time,
         "measured_event_rate_hz": herald_count / wall_time if wall_time > 0 else 0.0,
-        "measured_success_probability": herald_count / try_index if try_index else 0.0,
+        "measured_success_probability": herald_count / n_tries if n_tries else 0.0,
         "accepted_fraction": int(accepted.sum()) / herald_count if herald_count else 0.0,
         "n_dnull": int(np.count_nonzero(~herald)),
         "n_dnull_accepted": n_dnull_accepted,
-        "herald_counts": {cls.value: int(np.count_nonzero(outcome_codes == code))
-                          for cls, code in _OUTCOME_CODE.items()},
+        "herald_counts": {c.value: int(np.count_nonzero(outcome_codes == code))
+                          for c, code in zip(_CLASSES, _OUTCOME_CODE.tolist())},
         "xi": xi,
         "sbr_model": sbr_model(scenario),
         "model": {
@@ -416,7 +390,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
             "event_rate_hz": event_rate(scenario),
         },
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
-        "dead_time_s": clock.dead_time,
+        "dead_time_s": float(dead[-1]) if herald_count else 0.0,
     }
     return RunResult(scenario.name, config_hash(scenario), mode, seed, events, summary,
                      clicks, states)
+

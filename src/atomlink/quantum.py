@@ -120,10 +120,15 @@ def check_density_matrices(mats: np.ndarray) -> None:
         off = np.abs(tr - 1.0) > TRACE_TOL
         if off.any():
             raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
-        # eigvalsh reads the lower triangle, held above to HERM_TOL of the upper
-        eig_min = np.linalg.eigvalsh(block).min(initial=np.inf)
-        if eig_min < PSD_TOL:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
+        # block - PSD_TOL * I has a Cholesky factor iff no eigenvalue is below
+        # PSD_TOL, and it costs an eighth of eigvalsh, which only names a
+        # failure; both read the lower triangle, held above to HERM_TOL of the upper
+        try:
+            np.linalg.cholesky(block - PSD_TOL * np.eye(block.shape[-1]))
+        except np.linalg.LinAlgError:
+            eig_min = np.linalg.eigvalsh(block).min()
+            if eig_min < PSD_TOL:
+                raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})") from None
 
 
 def _as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
@@ -264,7 +269,7 @@ def interference_pair_operators(outcomes: Sequence[BellOutcome], xi: float,
     kets = np.concatenate([bell, np.broadcast_to([_HV, _VH], (len(bell), 2, 2, 2))], axis=1)
     # distinguishable (H,V) pairs split evenly between the D+ and D- groups
     weights = np.array([xi, 0.5 * (1.0 - xi), 0.5 * (1.0 - xi)])
-    folded = u1.conj().swapaxes(1, 2)[:, None] @ kets @ u2.conj()[:, None]
+    folded = np.einsum("nja,nmjl,nlb->nmab", u1.conj(), kets, u2.conj(), optimize=True)
     return np.einsum("m,nmjl,nmJL->njlJL", weights, folded.conj(), folded).reshape(-1, 16)
 
 

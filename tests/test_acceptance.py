@@ -16,6 +16,7 @@ from atomlink.analysis import (
     interference_contrast,
     three_basis_summary,
 )
+from atomlink.analysis.estimators import contrast_sigma
 from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
 from atomlink.photonics import (
     CoincidenceClass,
@@ -35,6 +36,7 @@ from atomlink.protocol import (
     preset,
     repetition_rate,
     run_sequence,
+    sbr_model,
 )
 from atomlink.quantum import BellOutcome
 
@@ -239,15 +241,20 @@ class TestCriterion8Interference:
                                      for k in ("DPlus", "DMinus")))
         assert abs(c0 - 0.955) < 0.01
         far = replace(s, wavepacket_delay=150e-9)
-        res1 = run_sequence(far, schedule="chsh", target_events=4000, seed=82,
+        res1 = run_sequence(far, schedule="chsh", target_events=110_000, seed=82,
                             mode="sampled-clicks", n_trajectories=400)
-        c1 = interference_contrast(res1.summary["n_dnull_accepted"],
-                                   *(res1.summary["herald_counts"][k] *
-                                     res1.summary["accepted_fraction"]
-                                     for k in ("DPlus", "DMinus")))
+        counts1 = (res1.summary["n_dnull_accepted"],
+                   *(res1.summary["herald_counts"][k] * res1.summary["accepted_fraction"]
+                     for k in ("DPlus", "DMinus")))
+        c1 = interference_contrast(*counts1)
+        # power: the model's accepted-window contrast xi (1 - w) sits 4 sigma
+        # inside the bound, so a biased or undersized run cannot pass by luck
+        model = res1.summary["xi"] * (1.0 - sbr_model(far)["background_weight"])
+        sigma1 = contrast_sigma(*counts1)
+        assert model + 4.0 * sigma1 < 0.03
         assert abs(c1) < 0.03
         report("criterion 8 interference",
-               f"C(0)={c0:.4f}, C(150ns)={c1:.4f}, analytic shape exact", t0)
+               f"C(0)={c0:.4f}, C(150ns)={c1:.4f} +- {sigma1:.4f}, analytic shape exact", t0)
 
 
 class TestCriterion9PolarizationControl:

@@ -13,7 +13,7 @@ from atomlink.analysis import interference_contrast
 from atomlink.calibration import calibrate
 from atomlink.cli import _load_events, build_parser, main
 from atomlink.protocol import preset, save_scenario
-from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
+from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF, CAL_XI_MAX
 
 import oracles
 
@@ -305,6 +305,15 @@ class TestCalibrate:
         note = next(n for n in result.notes if n.startswith("sigma_shot_eff "))
         assert "CAL_SIGMA_SHOT_EFF, returned unchanged" in note
         assert "refit" not in note
+
+    def test_xi_max_is_the_shipped_constant(self):
+        assert calibrate().parameters["xi_max"] == pytest.approx(CAL_XI_MAX, rel=1e-12)
+
+    def test_xi_max_above_one_exit_3(self, tmp_path):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"interference_contrast": 0.99}))
+        code = run_cli("calibrate", "--targets", str(targets), "--out", str(tmp_path))
+        assert code == 3
 
     def test_already_calibrated_noop(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path)) == 0

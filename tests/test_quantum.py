@@ -228,6 +228,21 @@ class TestHeraldBlocks:
         with pytest.raises(ValueError, match=message):
             q.check_density_matrices(states)
 
+    @pytest.mark.parametrize("eigenvalue, passes", [
+        (0.0, True), (0.5 * q.PSD_TOL, True), (2.0 * q.PSD_TOL, False)])
+    def test_psd_check_holds_its_tolerance(self, eigenvalue, passes):
+        # a state with a zero eigenvalue moved to the given one, kept at unit trace
+        rng = np.random.default_rng(31)
+        basis, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        eigs = np.r_[eigenvalue, np.full(8, (1.0 - eigenvalue) / 8)]
+        state = (basis * eigs) @ basis.conj().T
+        state = (state + state.conj().T) / 2.0
+        if passes:
+            q.check_density_matrices(state[None])
+        else:
+            with pytest.raises(ValueError, match="not PSD"):
+                q.check_density_matrices(state[None])
+
 
 class TestAtomReadout:
     """The analyzer projectors and the joint readout rows built from them."""

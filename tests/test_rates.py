@@ -17,7 +17,7 @@ from atomlink.protocol import (
     sbr_model,
     success_probability,
 )
-from atomlink.protocol.scenario import SequenceConfig, save_scenario
+from atomlink.protocol.scenario import CAL_XI_MAX, SequenceConfig, save_scenario
 
 
 def _edited(obj, dotted, value):
@@ -120,7 +120,7 @@ class TestPresets:
         ("[node1.trap]\n", "[node1.trap]\nmass = 1e-25\n", "unknown key 'mass' in [node1.trap]"),
         ("dark_rate = 15.0\n", "", "missing key 'dark_rate' in [detectors]"),
         ('name = "l6"', "name = l6", "key 'name' in [scenario] is not JSON"),
-        ("xi_max = 0.955", "xi_max = 1.5", "xi_max must be in [0, 1]"),
+        (f"xi_max = {CAL_XI_MAX!r}", "xi_max = 1.5", "xi_max must be in [0, 1]"),
         ("[node1.field_env]\nbias_field = 0.0755\n",
          "[node1.field_env]\nbias_field = [0.0, 0.0755, 0.0]\n", "bias_field must be a number"),
     ])

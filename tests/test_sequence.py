@@ -5,17 +5,23 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from atomlink.analysis import correlation_probability, three_basis_summary
-from atomlink.analysis.tables import PLANES
+from atomlink.analysis import (
+    correlation_probability,
+    interference_contrast,
+    three_basis_summary,
+)
+from atomlink.analysis.tables import CLICK_ORIGINS, PLANES
 from atomlink.memory import dephasing_channel_family
 from atomlink.protocol import duty_cycle, event_rate, preset, repetition_rate, run_sequence
+from atomlink.protocol.rates import block_model, window_capture
 from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
 from atomlink.protocol.sequence import (
     SCHEDULES,
-    _SequenceClock,
     _werner_atom_photon,
+    coincidence_branches,
     event_readout,
     heralded_states,
+    wall_times,
 )
 from atomlink.quantum import (
     OUTCOME_KEYS,
@@ -103,6 +109,13 @@ class TestEventStatistics:
         frac = np.mean(~l6_run.events.signal)
         assert 0.0 < frac < 0.08   # a few percent of heralds
 
+    def test_background_reaches_dnull(self, l6_run):
+        # every background pair carries two 'mixed' clicks; those that are
+        # not heralds are D-null pairs
+        pairs = np.count_nonzero(l6_run.clicks.origin == CLICK_ORIGINS.index("mixed")) // 2
+        background_dnull = pairs - np.count_nonzero(~l6_run.events.signal)
+        assert 0 < background_dnull <= l6_run.summary["n_dnull"]
+
     def test_schedule_round_robin(self, l6_run):
         settings = {}
         ev = l6_run.events
@@ -114,6 +127,23 @@ class TestEventStatistics:
         assert max(counts) - min(counts) <= 1
 
 
+class TestCoincidenceBranches:
+    def test_accepted_window_contrast_is_xi_at_150ns(self):
+        # each branch weighted by the odds that both its clicks land in the
+        # acceptance window: both photons of a signal pair; one photon (node 1
+        # with odds eta1 : eta2) and one flat click of a background pair.
+        # Without background in D-null this reads about 0.02.
+        s = replace(preset("l6"), wavepacket_delay=150e-9)
+        eta, xi, weights = coincidence_branches(s)
+        capture = [window_capture(s, i) for i in (0, 1)]
+        flat = s.acceptance_window / s.hardware_window
+        accept = np.array([capture[0] * capture[1],
+                           flat * (eta[0] * capture[0] + eta[1] * capture[1]) / sum(eta)])
+        acc = weights * accept[:, None]
+        contrast = interference_contrast(acc[:, 2].sum(), acc[:, 0].sum(), acc[:, 1].sum())
+        assert abs(contrast - xi) < 1e-3
+
+
 def _with_lifetime(name, trap_lifetime):
     s = preset(name)
     return replace(s, sequence=replace(s.sequence, trap_lifetime=trap_lifetime))
@@ -123,29 +153,43 @@ class TestBlockClock:
     @pytest.mark.parametrize("name", ["l6", "l33"])
     def test_matches_per_try_oracle_without_losses(self, name):
         s = _with_lifetime(name, 1e300)
-        clock = _SequenceClock(s, np.random.default_rng(4))
-        # gaps of about three blocks, so one advance often crosses several
-        gaps = np.random.default_rng(7).geometric(1.0 / (3 * clock.tries_per_block), size=150)
-        walls = np.array([clock.advance(int(g)) for g in gaps])
+        per_block, _ = block_model(s.sequence, 1.0 / repetition_rate(s))
+        # gaps of about three blocks, so one gap often crosses several
+        gaps = np.random.default_rng(7).geometric(1.0 / (3 * per_block), size=150)
+        walls, dead = wall_times(s, np.cumsum(gaps), np.random.default_rng(4))
         expected = np.array(oracles.brute_block_clock(gaps, 1.0 / repetition_rate(s),
                                                       s.sequence))
         assert np.max(np.abs(walls / expected - 1.0)) <= 1e-9
-        assert clock.dead_time == 0.0
+        assert not dead.any()
 
-    def test_mean_dead_time_per_block(self):
+    def test_empty_run(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        walls, dead = wall_times(preset("l33"), [], rng)
+        assert walls.shape == dead.shape == (0,)
+        assert rng.bit_generator.state == before
+
+    def test_immortal_traps_run_without_dead_time(self):
+        res = run_sequence(_with_lifetime("l33", 1e300), target_events=200, seed=9,
+                           mode="sampled-clicks", n_trajectories=N_TRAJ)
+        assert res.summary["dead_time_s"] == 0.0
+        walls, _ = wall_times(_with_lifetime("l33", 1e300),
+                              res.events.try_index, np.random.default_rng(0))
+        assert np.array_equal(walls, res.events.wall_time_s)
+
+    @pytest.mark.parametrize("lifetime", [1.0, 0.01])
+    def test_mean_dead_time_per_block(self, lifetime):
         # a block pauses for one reload, U(0.4, 1.6) in units of the loading
         # time, if one trap was lost, and for the longer of two (mean 1.2)
-        # if both were
-        s = _with_lifetime("l6", 1.0)
+        # if both were; at the short lifetime nearly every block loses both
+        s = _with_lifetime("l6", lifetime)
         seq = s.sequence
-        clock = _SequenceClock(s, np.random.default_rng(12))
+        per_block, p_survive = block_model(seq, 1.0 / repetition_rate(s))
         per_call, calls = 10, 3000
-        pauses = []
-        for _ in range(calls):
-            before = clock.dead_time
-            clock.advance(per_call * clock.tries_per_block)
-            pauses.append((clock.dead_time - before) / per_call)
-        q = 1.0 - np.exp(-(seq.block_period + seq.presence_check_duration) / seq.trap_lifetime)
+        _, dead = wall_times(s, per_call * per_block * np.arange(1, calls + 1),
+                             np.random.default_rng(12))
+        pauses = np.diff(dead, prepend=0.0) / per_call
+        q = 1.0 - p_survive
         expected = seq.loading_time * (2 * q * (1 - q) * 1.0 + q**2 * 1.2)
         se = np.std(pauses) / np.sqrt(calls)
         assert abs(np.mean(pauses) - expected) < 4 * se
@@ -159,11 +203,11 @@ class TestBlockClock:
         s = preset(name)
         seq = s.sequence
         period = 1.0 / repetition_rate(s)
-        clock = _SequenceClock(s, np.random.default_rng(40))
+        per_block, p_survive = block_model(seq, period)
         blocks = 20_000
-        wall = clock.advance(blocks * clock.tries_per_block)
-        realized = blocks * clock.tries_per_block * period / wall
-        q = 1.0 - clock.p_survive
+        (wall,), _ = wall_times(s, [blocks * per_block], np.random.default_rng(40))
+        realized = blocks * per_block * period / wall
+        q = 1.0 - p_survive
         mean = seq.loading_time * (2 * q * (1 - q) + 1.2 * q**2)
         var = seq.loading_time**2 * (2 * q * (1 - q) * 1.12 + q**2 * 1.52) - mean**2
         sigma = realized * np.sqrt(blocks * var) / wall
@@ -225,6 +269,15 @@ class TestModeConsistency:
             p_sp, _ = correlation_probability(counts)
             tol = 3.5 * 0.5 / np.sqrt(sum(counts.as_tuple()))   # per-setting binomial bound
             assert abs(p_dm - p_sp) < tol, (row.alpha, row.beta, row.plane, row.outcome)
+
+    def test_modes_share_every_draw(self, mode_runs):
+        # the readout uniforms are drawn last, so only the readout column differs
+        dm, sp = mode_runs
+        for f in fields(dm.events):
+            if f.name != "readout":
+                assert np.array_equal(getattr(dm.events, f.name), getattr(sp.events, f.name)), f.name
+        assert _same_columns(dm.clicks, sp.clicks)
+        assert {**dm.summary, "mode": None} == {**sp.summary, "mode": None}
 
     def test_dataset_matches_per_record_builder(self, mode_runs):
         # same settings in the same order, and sums taken in the same order
