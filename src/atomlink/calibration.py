@@ -5,13 +5,13 @@ constant is pinned by one or two observables, so the calibration stays
 auditable.  Residuals are reported for every target.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import GAMMA_2
 from .photonics import link_transmission, propagation_delay
-from .protocol.rates import sbr_model
+from .protocol.rates import accepted_contrast
 from .protocol.scenario import (
     CAL_AP_SCALE,
     CAL_SIGMA_SHOT_EFF,
@@ -129,9 +129,11 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
     contrast = float(t["interference_contrast"])
     if not 0.0 <= contrast <= 1.0:
         raise ValueError("contrast target out of range")
-    # background coincidences fill D-null at half their herald share, so the
-    # accepted-window contrast is xi (1 - w), w the background herald weight
-    xi = contrast / (1.0 - sbr_model(base)["background_weight"])
+    # the accepted contrast is linear in xi_max, and its background weight
+    # is that of the fitted collection efficiency
+    fitted = replace(base, node1=replace(base.node1, collection_efficiency=coll),
+                     node2=replace(base.node2, collection_efficiency=coll), xi_max=1.0)
+    xi = contrast / accepted_contrast(fitted)
     if xi > 1.0:
         raise ValueError(f"fitted xi_max {xi:.4f} exceeds 1")
     params["xi_max"] = xi

@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 from ..analysis import fidelity_bound
 from ..memory import dephasing_channel_family
-from .rates import sbr_model
+from .rates import accepted_contrast
 from .scenario import CAL_SIGMA_SHOT_EFF
 
 
@@ -57,9 +57,9 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
 
     The atom-atom visibility is the product of the two atom-photon
     visibilities at their delayed readout times and the two-photon
-    interference contrast the accepted coincidences show, xi_max (1 - w)
-    with w the background herald weight; the fidelity is the 3x3-space
-    bound 1/9 + (8/9) V.
+    interference contrast the accepted coincidences show
+    (``rates.accepted_contrast``); the fidelity is the 3x3-space bound
+    1/9 + (8/9) V.
     """
     scenarios = list(scenarios)
     envelope = memory_envelopes(scenarios, n_trajectories, seed,
@@ -68,8 +68,8 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
     for s in scenarios:
         e1 = envelope(s, 0)
         e2 = envelope(s, 1)
-        contrast = s.xi_max * (1.0 - sbr_model(s)["background_weight"])
-        v = s.node1.atom_photon_visibility * s.node2.atom_photon_visibility * contrast * e1 * e2
+        v = (s.node1.atom_photon_visibility * s.node2.atom_photon_visibility
+             * accepted_contrast(s) * e1 * e2)
         v = min(v, 1.0)
         rows.append({
             "name": s.name,

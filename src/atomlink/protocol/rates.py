@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..photonics import link_transmission, window_capture_probability
+from ..photonics import indistinguishability, link_transmission, window_capture_probability
 from ..photonics.fibre import propagation_delay
 from .scenario import LinkScenario, SequenceConfig
 
@@ -127,3 +127,15 @@ def sbr_model(scenario: LinkScenario, window: float | None = None,
     out["coincidence"] = p_sig / p_bg if p_bg > 0 else np.inf
     out["background_weight"] = p_bg / (p_sig + p_bg) if p_sig + p_bg > 0 else 0.0
     return out
+
+
+def accepted_contrast(scenario: LinkScenario) -> float:
+    """Two-photon interference contrast the accepted coincidences show.
+
+    Background coincidences fill D-null at half their herald share, so the
+    contrast is xi (1 - w): xi the signal pairs' contrast at the scenario's
+    wavepacket delay, w the background herald weight.
+    """
+    xi = indistinguishability(scenario.node1.wavepacket, scenario.node2.wavepacket,
+                              scenario.wavepacket_delay, scenario.xi_max)
+    return xi * (1.0 - sbr_model(scenario)["background_weight"])

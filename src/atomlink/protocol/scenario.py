@@ -26,8 +26,9 @@ from ..photonics import (
 # calibrated defaults (see calibration.py for the fitting routines)
 CAL_COLLECTION_EFFICIENCY = 6.637e-3
 CAL_T_OVERHEAD = 17.0e-6
-# 0.955 contrast target over 1 - w, w the l6 background herald weight
-CAL_XI_MAX = 0.9754693415731142
+# 0.955 contrast target over 1 - w, w the l6 background herald weight at
+# the fitted collection efficiency
+CAL_XI_MAX = 0.9754698179740496
 CAL_SIGMA_SHOT_EFF = 0.358e-3      # gauss, fits the fidelity-vs-length falloff
 # measured atom-photon fidelities fold in backgrounds the event pipeline
 # applies explicitly; the bare source visibility is scaled up accordingly

@@ -59,6 +59,8 @@ from .scenario import CAL_SIGMA_SHOT_EFF, LinkScenario, config_hash
 HISTOGRAM_SPAN = (-500e-9, 500e-9)
 # singles kept per node for that histogram; beyond it the stream is subsampled
 MAX_SINGLES = 20000
+# heralds per block of the state pass (2.7 MB of 9x9 states)
+_STATE_BLOCK = 2048
 
 SCHEDULES = {
     "three-basis": (
@@ -221,7 +223,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
 
     Every random number is drawn first, in whole arrays, stage by stage
     (numbered below).  Then a batched pass, in blocks of
-    ``quantum._STATE_BLOCK`` heralds, builds every herald's atom-atom
+    ``_STATE_BLOCK`` heralds, builds every herald's atom-atom
     state, readout probabilities and Bell fidelity.  ``mode``
     "density-matrix" also returns the states; "sampled-clicks" samples
     binary readout outcomes from uniforms drawn last, so the two modes of
@@ -324,8 +326,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     probs = np.empty((herald_count, 4))
     fids = np.empty(herald_count)
     states = np.empty((herald_count, 9, 9), complex) if uniforms is None else None
-    for start in range(0, herald_count, quantum._STATE_BLOCK):
-        stop = min(start + quantum._STATE_BLOCK, herald_count)
+    for start in range(0, herald_count, _STATE_BLOCK):
+        stop = min(start + _STATE_BLOCK, herald_count)
         rows = slice(start, stop)
         block = np.tile(_MIXED_PAIR, (stop - start, 1, 1))
         sig = np.flatnonzero(signal[rows])

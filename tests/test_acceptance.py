@@ -36,8 +36,8 @@ from atomlink.protocol import (
     preset,
     repetition_rate,
     run_sequence,
-    sbr_model,
 )
+from atomlink.protocol.rates import accepted_contrast
 from atomlink.quantum import BellOutcome
 
 import oracles
@@ -249,7 +249,7 @@ class TestCriterion8Interference:
         c1 = interference_contrast(*counts1)
         # power: the model's accepted-window contrast xi (1 - w) sits 4 sigma
         # inside the bound, so a biased or undersized run cannot pass by luck
-        model = res1.summary["xi"] * (1.0 - sbr_model(far)["background_weight"])
+        model = accepted_contrast(far)
         sigma1 = contrast_sigma(*counts1)
         assert model + 4.0 * sigma1 < 0.03
         assert abs(c1) < 0.03

@@ -12,7 +12,7 @@ import atomlink.cli
 from atomlink.analysis import interference_contrast
 from atomlink.calibration import calibrate
 from atomlink.cli import _load_events, build_parser, main
-from atomlink.protocol import preset, save_scenario
+from atomlink.protocol import preset, save_scenario, sbr_model
 from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF, CAL_XI_MAX
 
 import oracles
@@ -308,6 +308,18 @@ class TestCalibrate:
 
     def test_xi_max_is_the_shipped_constant(self):
         assert calibrate().parameters["xi_max"] == pytest.approx(CAL_XI_MAX, rel=1e-12)
+
+    def test_xi_max_uses_the_fitted_collection_efficiency(self):
+        # the background weight of the fitted scenario, not of the shipped
+        # one, sets the accepted contrast
+        params = calibrate({"success_probability_l6": 2.0e-6}).parameters
+        base = preset("l6")
+        nodes = {k: replace(getattr(base, k), collection_efficiency=params["collection_efficiency"])
+                 for k in ("node1", "node2")}
+        fitted = replace(base, xi_max=params["xi_max"], **nodes)
+        w = sbr_model(fitted)["background_weight"]
+        assert params["xi_max"] * (1.0 - w) == pytest.approx(0.955, rel=1e-12)
+        assert sbr_model(base)["background_weight"] < 0.9 * w
 
     def test_xi_max_above_one_exit_3(self, tmp_path):
         targets = tmp_path / "targets.json"

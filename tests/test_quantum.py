@@ -200,8 +200,8 @@ class TestBellProject:
 
 class TestHeraldBlocks:
     def test_blocks_match_one_shot_symmetrization(self):
-        # about 2.5 symmetrization blocks, so the last block is a partial one
-        n = 5 * q._STATE_BLOCK // 2
+        # a stack the size of a few state-pass blocks, symmetrized in one go
+        n = 5000
         rng = np.random.default_rng(29)
         inputs = q.herald_input(oracles.random_density_matrix(rng, 36))
         outcomes = [list(BellOutcome)[k] for k in rng.integers(0, 2, n)]
@@ -218,9 +218,9 @@ class TestHeraldBlocks:
         ([(0, 1), (1, 0)], 0.2, "not PSD"),
     ])
     def test_state_check_rejects_defect_in_last_partial_block(self, entries, change, message):
-        # about 2.5 check blocks of the maximally mixed state, with one
-        # defect in the last state, which sits in the partial block
-        n = 5 * q._STATE_BLOCK // 2
+        # a stack of the maximally mixed state the size of a few state-pass
+        # blocks, with one defect in the last state: the whole stack is read
+        n = 5000
         states = np.tile(np.eye(9, dtype=complex) / 9.0, (n, 1, 1))
         q.check_density_matrices(states)
         for i, k in entries:

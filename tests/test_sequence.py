@@ -184,12 +184,12 @@ class TestBlockClock:
         # if both were; at the short lifetime nearly every block loses both
         s = _with_lifetime("l6", lifetime)
         seq = s.sequence
-        per_block, p_survive = block_model(seq, 1.0 / repetition_rate(s))
+        per_block, _ = block_model(seq, 1.0 / repetition_rate(s))
         per_call, calls = 10, 3000
         _, dead = wall_times(s, per_call * per_block * np.arange(1, calls + 1),
                              np.random.default_rng(12))
         pauses = np.diff(dead, prepend=0.0) / per_call
-        q = 1.0 - p_survive
+        q = 1.0 - np.exp(-(seq.block_period + seq.presence_check_duration) / seq.trap_lifetime)
         expected = seq.loading_time * (2 * q * (1 - q) * 1.0 + q**2 * 1.2)
         se = np.std(pauses) / np.sqrt(calls)
         assert abs(np.mean(pauses) - expected) < 4 * se
