@@ -222,9 +222,9 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     """Simulate heralded entanglement generation events.
 
     Every random number is drawn first, in whole arrays, stage by stage
-    (numbered below).  Then a batched pass, in blocks of
-    ``_STATE_BLOCK`` heralds, builds every herald's atom-atom
-    state, readout probabilities and Bell fidelity.  ``mode``
+    (numbered below).  Then a batched pass, in blocks of ``_STATE_BLOCK``
+    heralds, builds every herald's atom-atom state, readout probabilities
+    and Bell fidelity.  ``mode``
     "density-matrix" also returns the states; "sampled-clicks" samples
     binary readout outcomes from uniforms drawn last, so the two modes of
     one seed share every try, click and state.
