@@ -12,20 +12,13 @@ import numpy as np
 from .constants import GAMMA_2
 from .photonics import link_transmission, propagation_delay
 from .protocol.rates import accepted_contrast
-from .protocol.scenario import (
-    CAL_AP_SCALE,
-    CAL_SIGMA_SHOT_EFF,
-    LinkScenario,
-    preset,
-)
+from .protocol.scenario import CAL_AP_SCALE, LinkScenario, preset
 
 DEFAULT_TARGETS = {
     "repetition_rates_hz": {"l6": 30.8e3, "l33": 9.7e3},
     "success_probability_l6": 3.66e-6,
     "interference_contrast": 0.955,
     "coherence_time_s": 330e-6,
-    "fidelities": {"l6": 0.830, "l11": 0.799, "l23": 0.719, "l33": 0.622},
-    "fidelity_sigmas": {"l6": 0.010, "l11": 0.011, "l23": 0.012, "l33": 0.015},
 }
 
 
@@ -68,29 +61,13 @@ def sigma_from_coherence_time(t2: float) -> float:
     return float(np.sqrt(2.0) / (GAMMA_2 * t2))
 
 
-def fit_sigma_fidelity(fidelities: dict, sigmas: dict, k_product: float) -> float:
-    """1D least-squares of the Gaussian-envelope noise width on F(L) targets.
-
-    Uses the analytic quasi-static envelope exp(-(gamma2 sigma t)^2 / 2) per
-    memory.  The Monte-Carlo envelope adds a small rephasing residual on
-    top, which this fit does not see; the simulation uses the shipped
-    CAL_SIGMA_SHOT_EFF instead, which no code fits.
-    """
-    rows = []
-    for name, f_t in fidelities.items():
-        s = preset(name)
-        rows.append((s.readout_time1, s.readout_time2, f_t, sigmas.get(name, 0.01)))
-
-    def cost(sigma):
-        c = 0.0
-        for t1, t2, f_t, f_sig in rows:
-            g = np.exp(-0.5 * (GAMMA_2 * sigma) ** 2 * (t1**2 + t2**2))
-            f = 1.0 / 9.0 + 8.0 / 9.0 * k_product * g
-            c += ((f - f_t) / f_sig) ** 2
-        return c
-
-    grid = np.linspace(0.2e-3, 0.6e-3, 4001)
-    return float(grid[int(np.argmin([cost(x) for x in grid]))])
+def check_targets(targets) -> None:
+    """Raise ValueError unless ``targets`` is a dict of ``DEFAULT_TARGETS`` keys."""
+    if not isinstance(targets, dict):
+        raise ValueError("targets must be a JSON object")
+    unknown = [k for k in targets if k not in DEFAULT_TARGETS]
+    if unknown:
+        raise ValueError(f"unknown target {unknown[0]!r}; known: {sorted(DEFAULT_TARGETS)}")
 
 
 @dataclass
@@ -105,11 +82,13 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
               ) -> CalibrationResult:
     """Fit the calibrated constants to a target dictionary.
 
-    Missing target entries keep the shipped defaults.  Residuals above the
-    tolerance mark the result as non-converged (contradictory targets).
+    Missing target entries keep the shipped defaults; a key that is not a
+    ``DEFAULT_TARGETS`` key is an error.  Residuals above the tolerance mark
+    the result as non-converged (contradictory targets).
     """
     t = dict(DEFAULT_TARGETS)
     if targets:
+        check_targets(targets)
         t.update(targets)
     params = {}
     residuals = {}
@@ -145,23 +124,9 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
         np.sqrt(2.0) / (GAMMA_2 * sigma_t2) - t["coherence_time_s"]
     ) / t["coherence_time_s"]
 
-    if t.get("fidelities"):
-        k = base.node1.atom_photon_visibility * base.node2.atom_photon_visibility * contrast
-        sigma_f = fit_sigma_fidelity(t["fidelities"], t.get("fidelity_sigmas", {}), k)
-        params["sigma_shot_eff_analytic"] = sigma_f
-        params["sigma_shot_eff"] = CAL_SIGMA_SHOT_EFF
-        notes.append(
-            "sigma_shot_eff is the shipped CAL_SIGMA_SHOT_EFF, returned unchanged; "
-            "sigma_shot_eff_analytic fits the analytic envelope and is not used elsewhere"
-        )
-        for name, f_t in t["fidelities"].items():
-            s = preset(name)
-            g = np.exp(-0.5 * (GAMMA_2 * sigma_f) ** 2
-                       * (s.readout_time1**2 + s.readout_time2**2))
-            f = 1.0 / 9.0 + 8.0 / 9.0 * k * g
-            residuals[f"fidelity_{name}"] = (f - f_t) / f_t
-
     params["ap_visibility_scale"] = CAL_AP_SCALE
+    notes.append("ap_visibility_scale is the shipped CAL_AP_SCALE, returned unchanged; "
+                 "no target fits it")
     worst = max(abs(v) for v in residuals.values())
     converged = worst <= residual_tolerance
     if not converged:

@@ -36,7 +36,7 @@ from .analysis.tables import (
     ClickTable,
     EventTable,
 )
-from .calibration import DEFAULT_TARGETS, calibrate
+from .calibration import DEFAULT_TARGETS, calibrate, check_targets
 from .memory import dephasing_channel_family
 from .protocol import (
     PRESETS,
@@ -570,6 +570,10 @@ def cmd_calibrate(args) -> int:
             raise CliError(f"cannot read targets: {exc}", EXIT_IO)
         except json.JSONDecodeError as exc:
             raise CliError(f"targets file is not valid JSON: {exc}", EXIT_CONFIG)
+        try:
+            check_targets(targets)
+        except ValueError as exc:
+            raise CliError(f"{args.targets}: {exc}", EXIT_CONFIG)
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_output(path, out, args.force)

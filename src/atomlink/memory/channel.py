@@ -66,10 +66,11 @@ class DephasingChannelFamily:
         return self.coherences[self._index_of(t)]
 
     def rotating_channel_at(self, t: float) -> np.ndarray:
-        idx = self._index_of(t)
-        bias_phase = OMEGA_PER_GAUSS * self.meta.get("bias_field", 0.0) * self.times[idx]
+        lab = self.channel_at(t)
+        bias_phase = (OMEGA_PER_GAUSS * self.meta.get("bias_field", 0.0)
+                      * self.times[self._index_of(t)])
         undo = np.exp(1j * np.subtract.outer(_M, _M) * bias_phase)
-        return undo * self.coherences[idx]
+        return undo * lab
 
     def envelope(self) -> np.ndarray:
         """Visibility |c[up, down]| of the memory coherence at each time."""

@@ -1,84 +1,69 @@
-"""Fidelity-versus-length model: memory envelopes times interference contrast."""
+"""Fidelity-versus-length model: the three-basis readout of a run's mean heralded state."""
 
-from dataclasses import astuple
+import numpy as np
 
-from ..analysis import fidelity_bound
-from ..memory import dephasing_channel_family
-from .rates import accepted_contrast
-from .scenario import CAL_SIGMA_SHOT_EFF
+from ..analysis import basis_contrast, fidelity_bound
+from ..quantum import BellOutcome
+from .rates import sbr_model
+from .sequence import (
+    _MIXED_PAIR,
+    SCHEDULES,
+    coincidence_branches,
+    event_readout,
+    heralded_states,
+    mean_pair_operators,
+    memory_coherences,
+    signal_input,
+)
+
+_BASES = ("X", "Y", "Z")
 
 
-def _memory_env(node, sigma_override):
-    if sigma_override is None:
-        return node.field_env
-    return node.field_env.replace(shot_noise_sigma=float(sigma_override))
+def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
+    """Expected three-basis contrasts and fidelity bound of each scenario's heralds.
 
-
-def memory_envelopes(scenarios, n_trajectories=4000, seed=1000,
-                     memory_noise_sigma=CAL_SIGMA_SHOT_EFF):
-    """Visibility envelopes of both memories at every scenario's readout times.
-
-    One Monte-Carlo family is built per distinct node physics;
-    ``memory_noise_sigma`` (gauss) replaces the quasi-static noise width with
-    the value calibrated against the published fidelity falloff (None keeps
-    each node's configured environment).
+    The herald probability is 1/4 for every fibre residual, so the mean
+    heralded state is the herald of the residual-averaged photon-pair
+    operator (``mean_pair_operators``).  It goes through the run's own
+    state pass: ``heralded_states`` with both nodes' memory channels at
+    their readout times (``memory_coherences``, each node's configured
+    field environment), mixed with the background heralds' maximally mixed
+    pair at the accepted-window background weight of ``sbr_model``.  The
+    six three-basis settings are read out with ``event_readout`` for both
+    Bell outcomes, and the contrasts pool the outcomes as
+    ``three_basis_summary`` does.  No herald is drawn, so the rows depend
+    only on the memory channels' Monte Carlo (``n_trajectories``, ``seed``).
     """
-    def node_key(node):
-        env = _memory_env(node, memory_noise_sigma)
-        return (*astuple(node.trap), node.temperature, *astuple(env))
-
-    jobs = {}
-    physics = {}
-    for s in scenarios:
-        for node, t in zip(s.nodes(), s.readout_times()):
-            key = node_key(node)
-            physics[key] = (node.trap, node.temperature, _memory_env(node, memory_noise_sigma))
-            jobs.setdefault(key, set()).add(round(t, 12))
-    families = {}
-    for i, (key, times) in enumerate(sorted(jobs.items())):
-        trap, temperature, env = physics[key]
-        grid = sorted(times | {0.0})
-        families[key] = dephasing_channel_family(
-            trap, env, temperature, grid, n_trajectories, seed=seed + i)
-
-    def envelope(scenario, node_index):
-        node = scenario.nodes()[node_index]
-        fam = families[node_key(node)]
-        t = scenario.readout_times()[node_index]
-        # |c[up, down]|, qutrit order (m=-1, 0, +1)
-        return float(abs(fam.channel_at(round(t, 12))[2, 0]))
-
-    return envelope
-
-
-def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000,
-                       memory_noise_sigma=CAL_SIGMA_SHOT_EFF):
-    """Predicted atom-atom visibility and fidelity for each fibre configuration.
-
-    The atom-atom visibility is the product of the two atom-photon
-    visibilities at their delayed readout times and the two-photon
-    interference contrast the accepted coincidences show
-    (``rates.accepted_contrast``); the fidelity is the 3x3-space bound
-    1/9 + (8/9) V.
-    """
-    scenarios = list(scenarios)
-    envelope = memory_envelopes(scenarios, n_trajectories, seed,
-                                memory_noise_sigma)
+    settings = SCHEDULES["three-basis"]
+    outcomes = [o for o in BellOutcome for _ in settings]
+    setting_index = np.tile(np.arange(len(settings)), len(BellOutcome))
     rows = []
     for s in scenarios:
-        e1 = envelope(s, 0)
-        e2 = envelope(s, 1)
-        v = (s.node1.atom_photon_visibility * s.node2.atom_photon_visibility
-             * accepted_contrast(s) * e1 * e2)
-        v = min(v, 1.0)
+        _, xi, _ = coincidence_branches(s)
+        coherences = memory_coherences(s, n_trajectories, seed)
+        signal = heralded_states(signal_input(s), coherences,
+                                 mean_pair_operators(list(BellOutcome), xi,
+                                                     s.polarization_error_mean))
+        w = sbr_model(s)["background_weight"]
+        states = (1.0 - w) * signal + w * _MIXED_PAIR
+        probs, _ = event_readout(np.repeat(states, len(settings), axis=0), settings,
+                                 setting_index, outcomes)
+        # P_corr per outcome, basis and (aligned, flipped) setting
+        p_corr = (probs[:, 0] + probs[:, 3]).reshape(len(BellOutcome), len(_BASES), 2)
+        per_outcome = [basis_contrast(dict(zip(_BASES, map(tuple, p.tolist()))))
+                       for p in p_corr]
+        mean = float(np.mean([m for _, m in per_outcome]))
         rows.append({
             "name": s.name,
             "total_length_km": s.total_length_km,
             "readout_time1": s.readout_time1,
             "readout_time2": s.readout_time2,
-            "envelope1": e1,
-            "envelope2": e2,
-            "visibility": v,
-            "fidelity": fidelity_bound(v),
+            "envelope1": float(abs(coherences[0][2, 0])),
+            "envelope2": float(abs(coherences[1][2, 0])),
+            "background_weight": w,
+            **{f"contrast_{k.lower()}": float(np.mean([c[k] for c, _ in per_outcome]))
+               for k in _BASES},
+            "mean_contrast": mean,
+            "fidelity": fidelity_bound(min(mean, 1.0)),
         })
     return rows

@@ -42,7 +42,6 @@ from ..quantum import (
     atom_photon_state,
     tensor,
 )
-from .model import _memory_env
 from .rates import (
     background_herald_probability,
     background_rate_at_station,
@@ -53,7 +52,7 @@ from .rates import (
     sbr_model,
     success_probability,
 )
-from .scenario import CAL_SIGMA_SHOT_EFF, LinkScenario, config_hash
+from .scenario import LinkScenario, config_hash
 
 # recording span of the singles histogram around the nominal arrival
 HISTOGRAM_SPAN = (-500e-9, 500e-9)
@@ -176,20 +175,60 @@ def coincidence_branches(scenario: LinkScenario) -> tuple[list[float], float, np
     return eta, xi, weights
 
 
-def heralded_states(signal_in: DensityMatrix, coherences, xi: float, outcomes,
-                    u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def signal_input(scenario: LinkScenario) -> DensityMatrix:
+    """The [3,2,3,2] product of both nodes' Werner atom-photon states."""
+    return tensor(*(
+        _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
+        for node in scenario.nodes()))
+
+
+def memory_coherences(scenario: LinkScenario, n_trajectories: int, seed: int) -> list:
+    """Both nodes' 3x3 coherence matrices at their readout times, analyzer frame.
+
+    Each node's channel is built from its own ``field_env`` with seed
+    ``2 seed + i + 1`` for node index i.
+    """
+    coherences = []
+    for i, (node, t) in enumerate(zip(scenario.nodes(), scenario.readout_times())):
+        fam = dephasing_channel_family(node.trap, node.field_env, node.temperature,
+                                       [round(t, 12)], n_trajectories, seed=seed * 2 + i + 1)
+        coherences.append(fam.rotating_channel_at(round(t, 12)))
+    return coherences
+
+
+def mean_pair_operators(outcomes, xi: float, polarization_error_mean: float) -> np.ndarray:
+    """(n, 16) photon-pair operators averaged over both photons' fibre residuals.
+
+    A run draws each photon's residual as a rotation by an N(0, 4 eps)
+    angle about an isotropic Stokes axis (stage 5 of ``run_sequence``),
+    eps = ``polarization_error_mean``.  Averaged over the axis and angle,
+    that rotation is the depolarizing map X -> l X + (1 - l) tr(X) I / 2
+    with l = (1 + 2 E[cos angle]) / 3 = (1 + 2 exp(-2 eps)) / 3, applied here
+    to each photon's (ket, bra) index pair of the ideal-fibre operators.
+    """
+    shrink = (1.0 + 2.0 * np.exp(-2.0 * polarization_error_mean)) / 3.0
+    ideal = np.broadcast_to(np.eye(2, dtype=complex), (len(outcomes), 2, 2))
+    ops = quantum.interference_pair_operators(outcomes, xi, ideal, ideal)
+    # ops[n, j, l, J, L]: photon 1 indices (j, J), photon 2 indices (l, L)
+    ops = ops.reshape(-1, 2, 2, 2, 2)
+    half = np.eye(2) / 2.0
+    ops = shrink * ops + (1.0 - shrink) * np.einsum("jJ,nalaL->njlJL", half, ops)
+    ops = shrink * ops + (1.0 - shrink) * np.einsum("lL,njaJa->njlJL", half, ops)
+    return ops.reshape(-1, 16)
+
+
+def heralded_states(signal_in: DensityMatrix, coherences, pair_ops: np.ndarray) -> np.ndarray:
     """(n, 9, 9) atom-atom states of n signal heralds after both memories.
 
-    Each state is linear in its herald's photon-pair operator (see
-    ``quantum.interference_pair_operators``, with residuals u1, u2 of shape
-    (n, 2, 2)).  The two memory channels, given as their 3x3 coherence
-    matrices (c1, c2), act on the [3,2,3,2] input as one Schur multiplier
-    kron(c1, c2); its unit diagonal leaves every herald probability
-    unchanged.
+    Each state is linear in its herald's (16,) photon-pair operator, a row
+    of ``pair_ops`` (see ``quantum.interference_pair_operators``).  The two
+    memory channels, given as their 3x3 coherence matrices (c1, c2), act on
+    the [3,2,3,2] input as one Schur multiplier kron(c1, c2); its unit
+    diagonal leaves every herald probability unchanged.
     """
     c1, c2 = coherences
     inputs = quantum.herald_input(signal_in.matrix) * np.kron(c1, c2).ravel()
-    _, states = quantum.herald(inputs, quantum.interference_pair_operators(outcomes, xi, u1, u2))
+    _, states = quantum.herald(inputs, pair_ops)
     return states
 
 
@@ -217,8 +256,7 @@ def event_readout(states: np.ndarray, settings, setting_index,
 
 def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
                  target_events: int = 1000, seed: int = 0,
-                 mode: str = "density-matrix", n_trajectories: int = 2000,
-                 memory_noise_sigma=CAL_SIGMA_SHOT_EFF) -> RunResult:
+                 mode: str = "density-matrix", n_trajectories: int = 2000) -> RunResult:
     """Simulate heralded entanglement generation events.
 
     Every random number is drawn first, in whole arrays, stage by stage
@@ -267,18 +305,23 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     # 3. detector pairs, two per class
     pair = _PAIR_OPTIONS[cls, rng.integers(0, _PAIR_OPTIONS.shape[1], n)]
     # 4. click offsets from the nominal arrival: both photons of a signal pair;
-    # one photon (node 1 with odds eta1 : eta2) and one flat click of a background pair
-    hw0 = scenario.hardware_window_offset
+    # one photon (node 1 with odds eta1 : eta2) and one flat click of a background pair.
+    # eta already holds each photon's capture in the hardware window, so a
+    # photon offset (emission plus sync jitter) outside it is drawn again
+    hw = (scenario.hardware_window_offset,
+          scenario.hardware_window_offset + scenario.hardware_window)
     bg = np.flatnonzero(background)
     flat_node = (rng.random(len(bg)) < eta[0] / (eta[0] + eta[1])).astype(int)
     photon = np.ones((n, 2), bool)
     photon[bg, flat_node] = False
     offsets = np.empty((n, 2))
     for i, node in enumerate(scenario.nodes()):
-        k = int(np.count_nonzero(photon[:, i]))
-        offsets[photon[:, i], i] = (node.wavepacket.sample_emission_times(k, rng)
-                                    + rng.normal(0.0, node.sync_jitter_sigma, k))
-    offsets[bg, flat_node] = rng.uniform(hw0, hw0 + scenario.hardware_window, len(bg))
+        todo = np.flatnonzero(photon[:, i])
+        while len(todo):
+            offsets[todo, i] = (node.wavepacket.sample_emission_times(len(todo), rng)
+                                + rng.normal(0.0, node.sync_jitter_sigma, len(todo)))
+            todo = todo[(offsets[todo, i] < hw[0]) | (offsets[todo, i] > hw[1])]
+    offsets[bg, flat_node] = rng.uniform(*hw, len(bg))
     # 5. fibre residual (angle, axis) of both photons of every signal herald
     signal = ~background[herald]
     n_signal = int(np.count_nonzero(signal))
@@ -305,23 +348,14 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     herald_count = len(wall)
     uniforms = rng.random(herald_count) if mode == "sampled-clicks" else None
 
-    # memory channels (coherence matrices) at the two readout times, analyzer frame
-    coherences = []
-    for i, (node, t) in enumerate(zip(scenario.nodes(), scenario.readout_times())):
-        env = _memory_env(node, memory_noise_sigma)
-        fam = dephasing_channel_family(node.trap, env, node.temperature,
-                                       [round(t, 12)], n_trajectories,
-                                       seed=seed * 2 + i + 1)
-        coherences.append(fam.rotating_channel_at(round(t, 12)))
+    coherences = memory_coherences(scenario, n_trajectories, seed)
 
     # states, checks and readout in blocks; density-matrix mode keeps the states
     outcome_codes = _OUTCOME_CODE[cls[herald]]
     bell = list(BellOutcome)
     outcomes = [bell[c] for c in outcome_codes.tolist()]
     setting_index = np.arange(herald_count) % len(settings_cycle)
-    signal_in = tensor(*(
-        _werner_atom_photon(min(1.0, node.atom_photon_visibility * scenario.ap_visibility_scale))
-        for node in scenario.nodes()))
+    signal_in = signal_input(scenario)
     residual_row = np.cumsum(signal) - 1
     probs = np.empty((herald_count, 4))
     fids = np.empty(herald_count)
@@ -333,9 +367,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         sig = np.flatnonzero(signal[rows])
         residual = residual_row[rows][sig]
         u = rotation_su2(axes[residual], angles[residual])
-        block[sig] = heralded_states(signal_in, coherences, xi,
-                                     [outcomes[start + h] for h in sig.tolist()],
-                                     u[:, 0], u[:, 1])
+        block[sig] = heralded_states(signal_in, coherences, quantum.interference_pair_operators(
+            [outcomes[start + h] for h in sig.tolist()], xi, u[:, 0], u[:, 1]))
         quantum.check_density_matrices(block)
         probs[rows], fids[rows] = event_readout(block, settings_cycle, setting_index[rows],
                                                 outcomes[rows])

@@ -432,50 +432,51 @@ def internal_substeps(trap: TrapParams, dt: float) -> int:
     return max(1, int(np.ceil(dt / h_target)))
 
 
-def propagate_trajectory(trap: TrapParams, ic: AtomInitialCondition, dt: float,
-                         t_max: float):
+def propagate_trajectory(trap: TrapParams, ic, dt: float, t_max: float):
     """Integrate the motion in the full Gaussian potential.
 
-    Returns (times, positions, velocities, escaped).  ``dt`` is the sampling
-    grid; it must not exceed 1/(50 nu_radial).  The symplectic integrator
-    subdivides each dt internally to hold the energy drift below 1e-6
-    relative.  A positive total energy flags escape and truncates the
-    trajectory at that sample.
+    Returns (times, positions, velocities, escaped) for one
+    ``AtomInitialCondition``, and a list of them for a sequence, whose atoms
+    are stepped together as one array.  ``dt`` is the sampling grid; it must
+    not exceed 1/(50 nu_radial).  The symplectic integrator subdivides each
+    dt internally to hold the energy drift below 1e-6 relative.  A positive
+    total energy flags escape and truncates that atom's trajectory at that
+    sample.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
     if dt > 1.0 / (50.0 * nu_radial(trap)) * (1.0 + 1e-9):
         raise ValueError("dt must satisfy dt <= 1/(50 nu_radial)")
+    single = isinstance(ic, AtomInitialCondition)
+    ics = [ic] if single else list(ic)
     n_steps = int(np.round(t_max / dt))
     n_sub = internal_substeps(trap, dt)
     h = dt / n_sub
 
-    pos = ic.position.reshape(1, 3).astype(float)
-    vel = ic.velocity.reshape(1, 3).astype(float)
+    pos = np.array([c.position for c in ics], dtype=float)
+    vel = np.array([c.velocity for c in ics], dtype=float)
     acc = trap_acceleration(trap, pos)
     times = np.arange(n_steps + 1) * dt
-    positions = np.empty((n_steps + 1, 3))
-    velocities = np.empty((n_steps + 1, 3))
-    positions[0] = pos[0]
-    velocities[0] = vel[0]
-    escaped = bool(total_energy(trap, pos, vel)[0] >= 0.0)
-    last = n_steps
+    positions = np.empty((n_steps + 1, len(ics), 3))
+    velocities = np.empty((n_steps + 1, len(ics), 3))
+    positions[0] = pos
+    velocities[0] = vel
+    # the last kept sample of each atom: the first with nonnegative energy
+    escaped = total_energy(trap, pos, vel) >= 0.0
+    last = np.where(escaped, 0, n_steps)
     for i in range(1, n_steps + 1):
-        if escaped:
-            last = i - 1
+        if escaped.all():
             break
         for _ in range(n_sub):
             pos, vel, acc = yoshida4_step(trap, pos, vel, h, acc)
-        positions[i] = pos[0]
-        velocities[i] = vel[0]
-        if total_energy(trap, pos, vel)[0] >= 0.0:
-            escaped = True
-            last = i
-    if escaped:
-        times = times[: last + 1]
-        positions = positions[: last + 1]
-        velocities = velocities[: last + 1]
-    return times, positions, velocities, escaped
+        positions[i] = pos
+        velocities[i] = vel
+        now = ~escaped & (total_energy(trap, pos, vel) >= 0.0)
+        last[now] = i
+        escaped |= now
+    out = [(times[:k + 1], positions[:k + 1, a], velocities[:k + 1, a], bool(escaped[a]))
+           for a, k in enumerate(last.tolist())]
+    return out[0] if single else out
 
 
 def _brute_trap_acceleration(trap, x, y, z):

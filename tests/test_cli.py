@@ -13,7 +13,7 @@ from atomlink.analysis import interference_contrast
 from atomlink.calibration import calibrate
 from atomlink.cli import _load_events, build_parser, main
 from atomlink.protocol import preset, save_scenario, sbr_model
-from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF, CAL_XI_MAX
+from atomlink.protocol.scenario import CAL_AP_SCALE, CAL_XI_MAX
 
 import oracles
 
@@ -299,12 +299,22 @@ class TestCalibrate:
         assert payload["converged"]
         assert all(abs(r) < 0.10 for r in payload["residuals"].values())
 
-    def test_notes_say_sigma_shot_eff_is_not_fitted(self):
+    def test_notes_say_ap_visibility_scale_is_not_fitted(self):
         result = calibrate()
-        assert result.parameters["sigma_shot_eff"] == CAL_SIGMA_SHOT_EFF
-        note = next(n for n in result.notes if n.startswith("sigma_shot_eff "))
-        assert "CAL_SIGMA_SHOT_EFF, returned unchanged" in note
+        assert result.parameters["ap_visibility_scale"] == CAL_AP_SCALE
+        note = next(n for n in result.notes if n.startswith("ap_visibility_scale "))
+        assert "CAL_AP_SCALE, returned unchanged" in note
         assert "refit" not in note
+
+    @pytest.mark.parametrize("targets", [{"fidelities": {"l6": 0.83}}, ["coherence_time_s"]],
+                             ids=["old-key", "not-an-object"])
+    def test_unknown_target_is_exit_2(self, tmp_path, capsys, targets):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(targets))
+        assert run_cli("calibrate", "--targets", str(path), "--out", str(tmp_path)) == 2
+        if isinstance(targets, dict):
+            assert "'fidelities'" in capsys.readouterr().err
+        assert not (tmp_path / "calibration.json").exists()
 
     def test_xi_max_is_the_shipped_constant(self):
         assert calibrate().parameters["xi_max"] == pytest.approx(CAL_XI_MAX, rel=1e-12)
@@ -336,10 +346,8 @@ class TestCalibrate:
 
     def test_contradictory_targets_exit_3(self, tmp_path):
         targets = tmp_path / "targets.json"
-        targets.write_text(json.dumps({
-            "fidelities": {"l6": 0.99, "l33": 0.15},
-            "fidelity_sigmas": {"l6": 0.01, "l33": 0.01},
-        }))
+        # one per-try overhead cannot give both presets the same rate
+        targets.write_text(json.dumps({"repetition_rates_hz": {"l6": 20e3, "l33": 20e3}}))
         code = run_cli("calibrate", "--targets", str(targets), "--out", str(tmp_path))
         assert code == 3
 

@@ -8,7 +8,7 @@ from atomlink import constants as C
 from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
 from atomlink.memory import channel
 from atomlink.memory.fields import vector_shift_gauss
-from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF, PRESETS, preset
+from atomlink.protocol.scenario import PRESETS, preset
 from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_state, fidelity
 
 from oracles import (
@@ -259,25 +259,24 @@ def _build_at(spin_dt, *args):
 def step_builds():
     """Same-seed builds at the shipped spin step, at half of it and at 100 ns.
 
-    The jobs are criterion 5's grid (first) and every preset's readout
-    times with the link's calibrated noise; the half step is built for
-    criterion 5's grid only.
+    The jobs are criterion 5's grid plus node 1's readout times (first;
+    node 1's environment is criterion 5's) and node 2's readout times, at
+    every preset; the half step is built on criterion 5's grid only.
     """
     n = 2000
     node = preset("l6").node1
-    jobs = {(node.trap, node.field_env, node.temperature):
-            set(np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12))}
+    grid = np.round(np.arange(0.0, 500e-6 + 1e-9, 1e-6), 12)
+    criterion5 = (node.trap, node.field_env, node.temperature)
+    jobs = {criterion5: set(grid)}
     for name in PRESETS:
         s = preset(name)
         for node, t in zip(s.nodes(), s.readout_times()):
-            env = node.field_env.replace(shot_noise_sigma=CAL_SIGMA_SHOT_EFF)
-            jobs.setdefault((node.trap, env, node.temperature), set()).add(round(t, 12))
-    assert len(jobs) == 3
-    builds = []
-    for i, ((trap, env, temperature), times) in enumerate(jobs.items()):
-        args = (trap, env, temperature, np.array(sorted(times)), n, 7)
-        steps = (channel.SPIN_DT, channel.SPIN_DT / 2, 1e-7) if i == 0 else (channel.SPIN_DT, 1e-7)
-        builds.append({dt: _build_at(dt, *args) for dt in steps})
+            jobs.setdefault((node.trap, node.field_env, node.temperature),
+                            set()).add(round(t, 12))
+    assert len(jobs) == 2
+    builds = [{dt: _build_at(dt, *physics, np.array(sorted(times)), n, 7)
+               for dt in (channel.SPIN_DT, 1e-7)} for physics, times in jobs.items()]
+    builds[0][channel.SPIN_DT / 2] = _build_at(channel.SPIN_DT / 2, *criterion5, grid, n, 7)
     return n, builds
 
 
@@ -285,7 +284,7 @@ class TestStepConvergence:
     def test_shipped_step_within_monte_carlo_budget(self, step_builds):
         # the shipped spin step against a 100 ns reference with the same
         # seed, on criterion 5's grid and at every preset's readout times
-        # (the link's calibrated noise): the discretization error must stay
+        # (each node's configured noise): the discretization error must stay
         # below a tenth of the Monte-Carlo standard error at n = 10 000
         n, builds = step_builds
         for job in builds:
@@ -301,9 +300,10 @@ class TestStepConvergence:
         # the spin step cuts the error by about 16; the midpoint rule for the
         # phase is second order and cuts it by about 4
         _, builds = step_builds
-        job = builds[0]    # criterion 5's grid
-        ref = job[1e-7].coherences[:, 2, 0]
-        err = [np.max(np.abs(job[dt].coherences[:, 2, 0] - ref))
+        job = builds[0]
+        grid = job[channel.SPIN_DT / 2].times    # criterion 5's grid
+        ref = np.array([job[1e-7].channel_at(t)[2, 0] for t in grid])
+        err = [np.max(np.abs([job[dt].channel_at(t)[2, 0] for t in grid] - ref))
                for dt in (channel.SPIN_DT, channel.SPIN_DT / 2)]
         assert err[0] >= 7.0 * err[1]
 

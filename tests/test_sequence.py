@@ -12,15 +12,25 @@ from atomlink.analysis import (
 )
 from atomlink.analysis.tables import CLICK_ORIGINS, PLANES
 from atomlink.memory import dephasing_channel_family
-from atomlink.protocol import duty_cycle, event_rate, preset, repetition_rate, run_sequence
+from atomlink.photonics.polarization import rotation_su2
+from atomlink.protocol import (
+    PRESETS,
+    duty_cycle,
+    event_rate,
+    fidelity_vs_length,
+    preset,
+    repetition_rate,
+    run_sequence,
+)
 from atomlink.protocol.rates import block_model, window_capture
-from atomlink.protocol.scenario import CAL_SIGMA_SHOT_EFF
 from atomlink.protocol.sequence import (
     SCHEDULES,
     _werner_atom_photon,
     coincidence_branches,
     event_readout,
     heralded_states,
+    mean_pair_operators,
+    signal_input,
     wall_times,
 )
 from atomlink.quantum import (
@@ -32,6 +42,9 @@ from atomlink.quantum import (
     MeasurementPlane,
     atom_bell_state,
     fidelity,
+    herald,
+    herald_input,
+    interference_pair_operators,
     joint_outcome_probabilities,
     swap_with_interference,
     tensor,
@@ -115,6 +128,16 @@ class TestEventStatistics:
         pairs = np.count_nonzero(l6_run.clicks.origin == CLICK_ORIGINS.index("mixed")) // 2
         background_dnull = pairs - np.count_nonzero(~l6_run.events.signal)
         assert 0 < background_dnull <= l6_run.summary["n_dnull"]
+
+    def test_herald_clicks_inside_hardware_window(self):
+        # coincidence_branches counts each photon's capture in the hardware
+        # window, so no herald may hold a click the hardware cannot record
+        s = preset("l6")
+        res = run_sequence(s, target_events=4000, seed=3, mode="sampled-clicks",
+                           n_trajectories=100)
+        lo = s.hardware_window_offset * 1e9
+        clicks = res.events.click_ns
+        assert np.all((clicks >= lo) & (clicks <= lo + s.hardware_window * 1e9))
 
     def test_schedule_round_robin(self, l6_run):
         settings = {}
@@ -231,10 +254,12 @@ class TestStateQuality:
         s = preset("l6")
         node1 = replace(s.node1, atom_photon_visibility=1.0,
                         qfc=replace(s.node1.qfc, background_rate=0.0),
-                        field_env=s.node1.field_env.replace(fictitious_field_scale=0.0))
+                        field_env=s.node1.field_env.replace(fictitious_field_scale=0.0,
+                                                            shot_noise_sigma=0.0))
         node2 = replace(s.node2, atom_photon_visibility=1.0,
                         qfc=replace(s.node2.qfc, background_rate=0.0),
-                        field_env=s.node2.field_env.replace(fictitious_field_scale=0.0))
+                        field_env=s.node2.field_env.replace(fictitious_field_scale=0.0,
+                                                            shot_noise_sigma=0.0))
         link = type(s.link1)
         ideal = replace(
             s, node1=node1, node2=node2, xi_max=1.0, ap_visibility_scale=1.0,
@@ -244,7 +269,7 @@ class TestStateQuality:
             readout_time1=1e-7, readout_time2=1e-7,
         )
         res = run_sequence(ideal, target_events=20, seed=2, mode="density-matrix",
-                           n_trajectories=200, memory_noise_sigma=0.0)
+                           n_trajectories=200)
         for fid in res.events.fidelity:
             assert fid == pytest.approx(1.0, abs=5e-4)
 
@@ -331,7 +356,8 @@ class TestBatchedHerald:
             outcomes = [list(BellOutcome)[h // len(cycle)] for h in range(n)]
             u1 = np.array([oracles.random_su2(rng) for _ in range(n)])
             u2 = np.array([oracles.random_su2(rng) for _ in range(n)])
-            states = heralded_states(signal_in, channels, xi, outcomes, u1, u2)
+            states = heralded_states(signal_in, channels,
+                                     interference_pair_operators(outcomes, xi, u1, u2))
             probs, fids = event_readout(states, cycle, setting_index, outcomes)
             for h in range(n):
                 lift = np.kron(np.kron(np.eye(3), u1[h]), np.kron(np.eye(3), u2[h]))
@@ -352,9 +378,8 @@ class TestBatchedHerald:
                            n_trajectories=n_traj)
         channels = []
         for i, (node, t) in enumerate(zip(s.nodes(), s.readout_times())):
-            env = node.field_env.replace(shot_noise_sigma=CAL_SIGMA_SHOT_EFF)
-            fam = dephasing_channel_family(node.trap, env, node.temperature, [round(t, 12)],
-                                           n_traj, seed=seed * 2 + i + 1)
+            fam = dephasing_channel_family(node.trap, node.field_env, node.temperature,
+                                           [round(t, 12)], n_traj, seed=seed * 2 + i + 1)
             channels.append(fam.rotating_channel_at(round(t, 12)))
         signal_in = tensor(*(_werner_atom_photon(min(1.0, n.atom_photon_visibility
                                                      * s.ap_visibility_scale))
@@ -392,3 +417,78 @@ class TestValidation:
     def test_negative_target(self):
         with pytest.raises(ValueError):
             run_sequence(preset("l6"), target_events=-5, seed=0)
+
+
+def _run_contrasts(run):
+    """X, Y, Z contrasts of a density-matrix run and their standard errors.
+
+    The contrasts are ``three_basis_summary``'s, pooled over both outcomes;
+    each error propagates the spread of the accepted heralds' expected
+    P_corr within every (setting, outcome) group.
+    """
+    per_outcome = three_basis_summary(run.dataset)["per_outcome"]
+    contrasts = [np.mean([c["contrasts"][k] for c in per_outcome.values()]) for k in "XYZ"]
+    ev = run.events
+    p_corr = ev.probabilities[:, 0] + ev.probabilities[:, 3]
+    variances = np.zeros(3)
+    for k, (alpha, beta, plane) in enumerate(SCHEDULES["three-basis"]):
+        at = (ev.accepted & np.isclose(ev.alpha_rad, alpha) & np.isclose(ev.beta_rad, beta)
+              & (ev.plane == PLANES.index(plane)))
+        for outcome in (0, 1):
+            group = p_corr[at & (ev.outcome == outcome)]
+            variances[k // 2] += group.var(ddof=1) / len(group)
+    return np.array(contrasts), np.sqrt(variances) / 2.0
+
+
+class TestFidelityModel:
+    def test_residual_average_matches_monte_carlo(self):
+        # stage 5's residual draw, 10^5 pairs per outcome, against the closed form
+        eps, xi, n = 0.05, 0.8, 100_000
+        rng = np.random.default_rng(11)
+        for outcome in BellOutcome:
+            u = rotation_su2(rng.normal(size=(n, 2, 3)),
+                             rng.normal(0.0, 2.0 * np.sqrt(eps), (n, 2)))
+            ops = interference_pair_operators([outcome] * n, xi, u[:, 0], u[:, 1])
+            mean, stderr = ops.mean(axis=0), ops.std(axis=0) / np.sqrt(n)
+            closed = mean_pair_operators([outcome], xi, eps)[0]
+            assert np.all(np.abs(mean - closed) <= 5.0 * stderr + 1e-12)
+            # the average departs from the ideal fibre by many standard errors
+            ideal = mean_pair_operators([outcome], xi, 0.0)[0]
+            assert np.max(np.abs(ideal - closed) / (stderr + 1e-12)) > 50.0
+
+    def test_herald_probability_is_a_quarter_for_any_residual(self):
+        rng = np.random.default_rng(12)
+        n = 200
+        u1 = np.array([oracles.random_su2(rng) for _ in range(n)])
+        u2 = np.array([oracles.random_su2(rng) for _ in range(n)])
+        outcomes = [list(BellOutcome)[h % 2] for h in range(n)]
+        inputs = herald_input(signal_input(preset("l33")).matrix)
+        for xi in (0.0, 0.5, 0.97):
+            prob, _ = herald(inputs, interference_pair_operators(outcomes, xi, u1, u2))
+            assert np.max(np.abs(prob - 0.25)) < 1e-12
+
+    def test_deterministic(self):
+        scenarios = [preset("l6"), preset("l33")]
+        assert (fidelity_vs_length(scenarios, n_trajectories=200, seed=3)
+                == fidelity_vs_length(scenarios, n_trajectories=200, seed=3))
+
+    def test_contrasts_match_density_matrix_runs(self):
+        # the model at (n_trajectories, seed) uses the run's own memory
+        # channels, so each seed pairs a run with the model on the same
+        # channels: the channel Monte Carlo is common to both sides, and
+        # sigma is the run mean's herald-sampling error
+        seeds, n_traj = range(8), 100
+        for name in PRESETS:
+            s = preset(name)
+            runs, model, var = [], [], np.zeros(3)
+            for seed in seeds:
+                c, se = _run_contrasts(run_sequence(s, target_events=2000, seed=seed,
+                                                    mode="density-matrix",
+                                                    n_trajectories=n_traj))
+                (row,) = fidelity_vs_length([s], n_trajectories=n_traj, seed=seed)
+                runs.append(c)
+                model.append([row[f"contrast_{k}"] for k in "xyz"])
+                var += se**2
+            sigma = np.sqrt(var) / len(seeds)
+            gap = np.mean(runs, axis=0) - np.mean(model, axis=0)
+            assert np.all(np.abs(gap) <= 3.0 * sigma), (name, gap, sigma)
