@@ -7,6 +7,28 @@ import numpy as np
 from ..quantum import OUTCOME_KEYS, chsh_s
 from .tables import BELL_OUTCOMES, PLANES, EventTable
 
+# the (alpha, beta, plane) readout settings of each run schedule
+SCHEDULES = {
+    "three-basis": (
+        [(0.0, 0.0, "equator"), (np.pi / 2, 0.0, "equator"),
+         (np.pi / 4, np.pi / 4, "equator"), (3 * np.pi / 4, np.pi / 4, "equator"),
+         (0.0, 0.0, "z"), (np.pi / 2, 0.0, "z")]
+    ),
+    "fringe": (
+        [(np.radians(a), 0.0, "equator") for a in (0, 22.5, 45, 67.5, 90)]
+        + [(np.radians(a), np.pi / 4, "equator") for a in (45, 67.5, 90, 112.5, 135)]
+    ),
+    "chsh": (
+        [(np.radians(22.5), 0.0, "equator"), (np.radians(67.5), 0.0, "equator"),
+         (np.radians(67.5), np.radians(45), "equator"),
+         (np.radians(112.5), np.radians(45), "equator")]
+    ),
+}
+
+# basis -> its (aligned, flipped) settings, consecutive in the three-basis schedule
+BASIS_PAIRS = dict(zip(("X", "Y", "Z"), zip(SCHEDULES["three-basis"][0::2],
+                                            SCHEDULES["three-basis"][1::2])))
+
 
 @dataclass(frozen=True)
 class SettingCounts:
@@ -277,26 +299,20 @@ def fringe_visibility_summary(dataset: CorrelationDataset, outcome: str):
     return v_bar, v_sig, fits
 
 
-def three_basis_summary(dataset: CorrelationDataset, outcomes=("PsiMinus", "PsiPlus")):
-    """Average three-basis contrast and the fidelity bound, pooling outcomes.
+def three_basis_summary(dataset: CorrelationDataset):
+    """Average three-basis contrast and the fidelity bound, pooling both outcomes.
 
-    X and Y pairs sit on the equator at (0, 45) degrees with their flipped
-    partners 90 degrees away; Z pairs use the pole settings.  Returns a dict
-    with contrasts, mean contrast, fidelity and errors.
+    Each basis compares its aligned and flipped settings of ``BASIS_PAIRS``.
+    Returns a dict with contrasts, mean contrast, fidelity and errors.
     """
     per_outcome = []
-    for outcome in outcomes:
+    for outcome in ("PsiMinus", "PsiPlus"):
         pairs = {}
         variances = {}
-        specs = {
-            "X": ((0.0, 0.0), (np.pi / 2, 0.0), "equator"),
-            "Y": ((np.pi / 4, np.pi / 4), (3 * np.pi / 4, np.pi / 4), "equator"),
-            "Z": ((0.0, 0.0), (np.pi / 2, 0.0), "z"),
-        }
-        for k, (same, flip, plane) in specs.items():
+        for k, settings in BASIS_PAIRS.items():
             try:
-                c_same = dataset.counts(*same, plane=plane, outcome=outcome)
-                c_flip = dataset.counts(*flip, plane=plane, outcome=outcome)
+                c_same, c_flip = (dataset.counts(a, b, plane=plane, outcome=outcome)
+                                  for a, b, plane in settings)
             except KeyError:
                 continue
             p_same, _ = correlation_probability(c_same)
@@ -321,20 +337,12 @@ def three_basis_summary(dataset: CorrelationDataset, outcomes=("PsiMinus", "PsiP
     }
 
 
-CHSH_SETTINGS = (
-    (np.radians(22.5), 0.0),
-    (np.radians(67.5), 0.0),
-    (np.radians(67.5), np.radians(45.0)),
-    (np.radians(112.5), np.radians(45.0)),
-)
-
-
-def chsh_from_dataset(dataset: CorrelationDataset, outcome: str = "PsiMinus"):
-    """CHSH S and its error from the four fringe-scan settings."""
+def chsh_from_dataset(dataset: CorrelationDataset):
+    """CHSH S and its error from the four chsh-schedule settings of the PsiMinus heralds."""
     correlators = []
     variances = []
-    for alpha, beta in CHSH_SETTINGS:
-        c = dataset.counts(alpha, beta, plane="equator", outcome=outcome)
+    for alpha, beta, plane in SCHEDULES["chsh"]:
+        c = dataset.counts(alpha, beta, plane=plane, outcome="PsiMinus")
         p_corr, _ = correlation_probability(c)
         correlators.append(np.clip(2.0 * p_corr - 1.0, -1.0, 1.0))
         variances.append(statistical_error(c, "correlator") ** 2)

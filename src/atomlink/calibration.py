@@ -21,6 +21,9 @@ DEFAULT_TARGETS = {
     "coherence_time_s": 330e-6,
 }
 
+# largest |residual| of a converged calibration; above it the targets contradict
+RESIDUAL_TOLERANCE = 0.10
+
 
 def _flight(scenario: LinkScenario) -> float:
     return max(propagation_delay(scenario.link1), propagation_delay(scenario.link2))
@@ -78,13 +81,13 @@ class CalibrationResult:
     notes: list = field(default_factory=list)
 
 
-def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
-              ) -> CalibrationResult:
+def calibrate(targets: dict | None = None) -> CalibrationResult:
     """Fit the calibrated constants to a target dictionary.
 
     Missing target entries keep the shipped defaults; a key that is not a
-    ``DEFAULT_TARGETS`` key is an error.  Residuals above the tolerance mark
-    the result as non-converged (contradictory targets).
+    ``DEFAULT_TARGETS`` key is an error.  Residuals above
+    ``RESIDUAL_TOLERANCE`` mark the result as non-converged (contradictory
+    targets).
     """
     t = dict(DEFAULT_TARGETS)
     if targets:
@@ -128,7 +131,7 @@ def calibrate(targets: dict | None = None, residual_tolerance: float = 0.10
     notes.append("ap_visibility_scale is the shipped CAL_AP_SCALE, returned unchanged; "
                  "no target fits it")
     worst = max(abs(v) for v in residuals.values())
-    converged = worst <= residual_tolerance
+    converged = worst <= RESIDUAL_TOLERANCE
     if not converged:
-        notes.append(f"worst residual {worst:.3f} exceeds tolerance {residual_tolerance}")
+        notes.append(f"worst residual {worst:.3f} exceeds tolerance {RESIDUAL_TOLERANCE}")
     return CalibrationResult(params, residuals, converged, notes)

@@ -470,14 +470,9 @@ def cmd_dephasing(args) -> int:
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_output(path, out, args.force)
-    env = node.field_env
-    if args.sigma_mg is not None:
-        env = env.replace(shot_noise_sigma=args.sigma_mg * 1e-3)
-    if args.fictitious_scale is not None:
-        env = env.replace(fictitious_field_scale=args.fictitious_scale)
     times = np.round(np.arange(0.0, args.t_max + args.dt / 2, args.dt), 12)
     family = dephasing_channel_family(
-        node.trap, env, node.temperature, times, args.trajectories, seed=args.seed,
+        node.trap, node.field_env, node.temperature, times, args.trajectories, seed=args.seed,
     )
     with _open_output(path) as fh:
         fh.write(f"# config_hash={config_hash(scenario)}\n")
@@ -588,7 +583,7 @@ def cmd_calibrate(args) -> int:
         "residuals": result.residuals,
         "converged": result.converged,
         "notes": result.notes,
-        "targets": targets or DEFAULT_TARGETS,
+        "targets": {**DEFAULT_TARGETS, **(targets or {})},
     }
     with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
@@ -649,9 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     dep.add_argument("--t-max", type=float, default=500e-6)
     dep.add_argument("--dt", type=float, default=1e-6)
     dep.add_argument("--trajectories", type=int, default=10000)
-    dep.add_argument("--sigma-mg", type=float, default=None,
-                     help="override shot-noise sigma (milligauss)")
-    dep.add_argument("--fictitious-scale", type=float, default=None)
     dep.add_argument("--output", default="envelope.csv")
     dep.set_defaults(func=cmd_dephasing)
 
@@ -664,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--seed", type=int, default=1)
     rat.add_argument("--out", default=None)
     rat.add_argument("--force", action="store_true")
-    rat.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     rat.set_defaults(func=cmd_rates)
 
     cal = sub.add_parser("calibrate", help="fit model constants to targets")

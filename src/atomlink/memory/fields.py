@@ -8,7 +8,6 @@ odd in x, vanishes on the beam axis, and scales with the local intensity
 over k*w^2.
 """
 
-import dataclasses
 import numbers
 from dataclasses import dataclass
 
@@ -40,9 +39,6 @@ class FieldEnvironment:
             object.__setattr__(self, name, float(value))
         if self.shot_noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-
-    def replace(self, **kwargs) -> "FieldEnvironment":
-        return dataclasses.replace(self, **kwargs)
 
 
 def vector_shift_gauss(trap: TrapParams, env: FieldEnvironment) -> float:

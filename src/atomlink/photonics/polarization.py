@@ -194,16 +194,16 @@ def _gradient_descent(cost, theta0: np.ndarray, max_iter: int
 
 
 def simulate_drift_with_control(drift_rate: float, cadence: float, duration: float,
-                                dt: float, seed: int,
-                                controller: PolarizationController | None = None):
+                                dt: float, seed: int):
     """Drifting fibre with periodic compensation; returns (times, errors).
 
     The error trace is the probe residual measured every ``dt`` with the
     settings held between control runs.  The fibre follows one
     ``drift_walk`` seeded by ``seed``; a control run is due at the first
-    sample at or after each multiple of ``cadence``.
+    sample at or after each multiple of ``cadence``.  The controller starts
+    from zero settings.
     """
-    ctrl = controller if controller is not None else PolarizationController()
+    ctrl = PolarizationController()
     times, controls = [], []
     t = next_control = 0.0
     while t <= duration:

@@ -3,11 +3,11 @@
 import numpy as np
 
 from ..analysis import basis_contrast, fidelity_bound
+from ..analysis.estimators import BASIS_PAIRS, SCHEDULES
 from ..quantum import BellOutcome
 from .rates import sbr_model
 from .sequence import (
     _MIXED_PAIR,
-    SCHEDULES,
     coincidence_branches,
     event_readout,
     heralded_states,
@@ -15,8 +15,6 @@ from .sequence import (
     memory_coherences,
     signal_input,
 )
-
-_BASES = ("X", "Y", "Z")
 
 
 def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
@@ -49,8 +47,8 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
         probs, _ = event_readout(np.repeat(states, len(settings), axis=0), settings,
                                  setting_index, outcomes)
         # P_corr per outcome, basis and (aligned, flipped) setting
-        p_corr = (probs[:, 0] + probs[:, 3]).reshape(len(BellOutcome), len(_BASES), 2)
-        per_outcome = [basis_contrast(dict(zip(_BASES, map(tuple, p.tolist()))))
+        p_corr = (probs[:, 0] + probs[:, 3]).reshape(len(BellOutcome), len(BASIS_PAIRS), 2)
+        per_outcome = [basis_contrast(dict(zip(BASIS_PAIRS, map(tuple, p.tolist()))))
                        for p in p_corr]
         mean = float(np.mean([m for _, m in per_outcome]))
         rows.append({
@@ -62,7 +60,7 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
             "envelope2": float(abs(coherences[1][2, 0])),
             "background_weight": w,
             **{f"contrast_{k.lower()}": float(np.mean([c[k] for c, _ in per_outcome]))
-               for k in _BASES},
+               for k in BASIS_PAIRS},
             "mean_contrast": mean,
             "fidelity": fidelity_bound(min(mean, 1.0)),
         })

@@ -88,38 +88,31 @@ def event_rate(scenario: LinkScenario, success_prob: float | None = None,
     return p * rep * d
 
 
-def background_rate_at_station(scenario: LinkScenario) -> dict:
-    """Flat click rates at the middle station: per-node Raman plus darks."""
+def background_rate_at_station(scenario: LinkScenario) -> float:
+    """Flat click rate at the middle station: both nodes' Raman light plus darks."""
     raman1 = scenario.node1.qfc.background_rate * link_transmission(scenario.link1)
     raman2 = scenario.node2.qfc.background_rate * link_transmission(scenario.link2)
-    darks = 4.0 * scenario.detectors.dark_rate
-    return {"raman1": raman1, "raman2": raman2, "darks": darks,
-            "total": raman1 + raman2 + darks}
+    return raman1 + raman2 + 4.0 * scenario.detectors.dark_rate
 
 
-def window_capture(scenario: LinkScenario, node_index: int,
-                   window: float | None = None, offset: float | None = None) -> float:
-    """Probability that a detected photon falls inside the analysis window."""
+def window_capture(scenario: LinkScenario, node_index: int) -> float:
+    """Probability that a detected photon falls inside the acceptance window."""
     node = scenario.nodes()[node_index]
-    w = scenario.acceptance_window if window is None else window
-    off = scenario.acceptance_offset if offset is None else offset
-    return window_capture_probability(node.wavepacket, off, off + w)
+    off = scenario.acceptance_offset
+    return window_capture_probability(node.wavepacket, off, off + scenario.acceptance_window)
 
 
-def sbr_model(scenario: LinkScenario, window: float | None = None,
-              offset: float | None = None) -> dict:
-    """Modelled signal-to-background ratios in a given analysis window.
+def sbr_model(scenario: LinkScenario) -> dict:
+    """Modelled signal-to-background ratios in the acceptance window.
 
     A heralding coincidence is spoiled when a background click replaces
     either photon (see ``background_herald_probability``).
     """
-    w = scenario.acceptance_window if window is None else window
-    rates = background_rate_at_station(scenario)
-    bg_mean = rates["total"] * w
+    bg_mean = background_rate_at_station(scenario) * scenario.acceptance_window
     out = {}
     etas = []
     for i in (0, 1):
-        eta_w = node_detection_efficiency(scenario, i) * window_capture(scenario, i, w, offset)
+        eta_w = node_detection_efficiency(scenario, i) * window_capture(scenario, i)
         etas.append(eta_w)
         out[f"node{i + 1}"] = eta_w / bg_mean if bg_mean > 0 else np.inf
     p_sig = 0.5 * etas[0] * etas[1]

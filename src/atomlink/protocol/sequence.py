@@ -23,6 +23,7 @@ from ..analysis import (
     acceptance_filter,
     dataset_from_events,
 )
+from ..analysis.estimators import SCHEDULES
 from ..analysis.tables import BELL_OUTCOMES, CLICK_ORIGINS, DETECTORS, PLANES
 from ..memory import dephasing_channel_family
 from ..photonics import (
@@ -60,23 +61,6 @@ HISTOGRAM_SPAN = (-500e-9, 500e-9)
 MAX_SINGLES = 20000
 # heralds per block of the state pass (2.7 MB of 9x9 states)
 _STATE_BLOCK = 2048
-
-SCHEDULES = {
-    "three-basis": (
-        [(0.0, 0.0, "equator"), (np.pi / 2, 0.0, "equator"),
-         (np.pi / 4, np.pi / 4, "equator"), (3 * np.pi / 4, np.pi / 4, "equator"),
-         (0.0, 0.0, "z"), (np.pi / 2, 0.0, "z")]
-    ),
-    "fringe": (
-        [(np.radians(a), 0.0, "equator") for a in (0, 22.5, 45, 67.5, 90)]
-        + [(np.radians(a), np.pi / 4, "equator") for a in (45, 67.5, 90, 112.5, 135)]
-    ),
-    "chsh": (
-        [(np.radians(22.5), 0.0, "equator"), (np.radians(67.5), 0.0, "equator"),
-         (np.radians(67.5), np.radians(45), "equator"),
-         (np.radians(112.5), np.radians(45), "equator")]
-    ),
-}
 
 
 @dataclass
@@ -169,7 +153,7 @@ def coincidence_branches(scenario: LinkScenario) -> tuple[list[float], float, np
     xi = indistinguishability(scenario.node1.wavepacket, scenario.node2.wavepacket,
                               scenario.wavepacket_delay, scenario.xi_max)
     dist = coincidence_distribution(xi)
-    bg_mean = background_rate_at_station(scenario)["total"] * scenario.hardware_window
+    bg_mean = background_rate_at_station(scenario) * scenario.hardware_window
     p_bg = background_herald_probability(*eta, bg_mean)
     weights = np.array([[eta[0] * eta[1] * dist[c] for c in _CLASSES], [p_bg / 2] * 3])
     return eta, xi, weights
@@ -334,7 +318,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     n_tries = int(tries[-1]) if n else 0
     signal_code, mixed_code, background_code = range(len(CLICK_ORIGINS))
     single = DETECTORS.index("single")
-    bg_rate = background_rate_at_station(scenario)["total"]
+    bg_rate = background_rate_at_station(scenario)
     singles = []
     for i, node in enumerate(scenario.nodes()):
         n_photons = int(rng.binomial(n_tries, eta[i]))

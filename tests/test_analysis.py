@@ -232,7 +232,7 @@ class TestDatasetPipeline:
     def test_chsh_pipeline(self):
         from atomlink.analysis import chsh_from_dataset
         ds = self._ideal_dataset()
-        s, sig = chsh_from_dataset(ds, "PsiMinus")
+        s, sig = chsh_from_dataset(ds)
         assert s == pytest.approx(2 * np.sqrt(2), abs=0.02)
 
     def test_chsh_sampling_convergence_rate(self):
@@ -257,7 +257,7 @@ class TestDatasetPipeline:
                                         "outcome": "PsiMinus", "uu": int(draws[0]),
                                         "ud": int(draws[1]), "du": int(draws[2]),
                                         "dd": int(draws[3])})
-                s, _ = chsh_from_dataset(ds, "PsiMinus")
+                s, _ = chsh_from_dataset(ds)
                 reps.append(s)
             devs[n_per] = np.std(reps)
         ratio = devs[200] / devs[3200]

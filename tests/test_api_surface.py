@@ -1,4 +1,4 @@
-"""Every public name in the package has a caller inside the package.
+"""Every public name and every optional parameter in the package has a caller inside it.
 
 A public top-level definition (function, class or module constant) or a
 public method counts as called when some module of ``src/atomlink`` loads it
@@ -7,6 +7,14 @@ body.  The ``__init__`` modules only re-export, so they do not count.  A
 name that only tests use belongs in ``tests/oracles.py`` or in the test
 itself; the few that stay are the API the README or an acceptance criterion
 names, listed below with the reason.
+
+An optional parameter (one with a default) of a top-level function or of a
+method counts as set when some call in the package names the function and
+passes the parameter by keyword, positionally, or through ``*args`` or
+``**kwargs``; a recursive call counts, since it passes a second value.  A
+parameter no caller sets has one value in use and belongs in the body as a
+constant; the few that stay are listed in ``ALLOWED_PARAMETERS`` with the
+reason.
 """
 
 import ast
@@ -21,6 +29,11 @@ ALLOWED = {
     "photonics.bsm.classify_coincidence": "criterion 1's coincidence taxonomy",
     "photonics.polarization.simulate_drift_with_control": "criterion 9's polarization model",
     "protocol.sequence.RunResult.dataset": "README run result; criterion 7 reads it",
+}
+
+# qualified function name and parameter -> why it stays without a caller that sets it
+ALLOWED_PARAMETERS = {
+    "cli.main(argv)": "the console script calls main() on sys.argv; tests pass argv",
 }
 
 
@@ -86,3 +99,70 @@ def test_allowlist_is_current():
     uncalled = set(uncalled_names())
     stale = [name for name in ALLOWED if name not in uncalled]
     assert not stale, f"allowlisted names that have a caller or no longer exist: {stale}"
+
+
+def _functions(tree: ast.Module):
+    """(name, definition, bound) of each top-level function and method.
+
+    A method is called bound, so its first parameter is never passed positionally.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub, True
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+
+
+def _optional_parameters(definition: ast.FunctionDef, bound: bool):
+    """(name, positional index or None) of each parameter that has a default."""
+    args = definition.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call: ast.Call, name: str, index) -> bool:
+    """Whether ``call`` passes parameter ``name`` (positional ``index``, None if keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args[:index + 1]))
+
+
+def unset_parameters() -> list[str]:
+    modules = list(_modules())
+    calls = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, tree in modules:
+        for qualname, definition, bound in _functions(tree):
+            for name, index in _optional_parameters(definition, bound):
+                if not any(_sets(c, name, index) for c in calls.get(definition.name, [])):
+                    out.append(f"{module}.{qualname}({name})")
+    return out
+
+
+def test_every_optional_parameter_is_set():
+    unexplained = [p for p in unset_parameters() if p not in ALLOWED_PARAMETERS]
+    assert not unexplained, ("optional parameters that no call in the package sets: "
+                             + ", ".join(unexplained))
+
+
+def test_parameter_allowlist_is_current():
+    unset = set(unset_parameters())
+    stale = [p for p in ALLOWED_PARAMETERS if p not in unset]
+    assert not stale, f"allowlisted parameters that a call sets or that no longer exist: {stale}"

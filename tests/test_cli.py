@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests."""
 
+import csv
 import importlib.util
 import json
 from dataclasses import fields, replace
@@ -10,9 +11,9 @@ import pytest
 
 import atomlink.cli
 from atomlink.analysis import interference_contrast
-from atomlink.calibration import calibrate
+from atomlink.calibration import DEFAULT_TARGETS, calibrate
 from atomlink.cli import _load_events, build_parser, main
-from atomlink.protocol import preset, save_scenario, sbr_model
+from atomlink.protocol import config_hash, load_scenario, preset, save_scenario, sbr_model
 from atomlink.protocol.scenario import CAL_AP_SCALE, CAL_XI_MAX
 
 import oracles
@@ -316,6 +317,14 @@ class TestCalibrate:
             assert "'fidelities'" in capsys.readouterr().err
         assert not (tmp_path / "calibration.json").exists()
 
+    def test_records_every_target_used(self, tmp_path):
+        # the defaults fill the keys a targets file leaves out
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"success_probability_l6": 2.0e-6}))
+        assert run_cli("calibrate", "--targets", str(targets), "--out", str(tmp_path)) == 0
+        recorded = json.loads((tmp_path / "calibration.json").read_text())["targets"]
+        assert recorded == {**DEFAULT_TARGETS, "success_probability_l6": 2.0e-6}
+
     def test_xi_max_is_the_shipped_constant(self):
         assert calibrate().parameters["xi_max"] == pytest.approx(CAL_XI_MAX, rel=1e-12)
 
@@ -379,17 +388,24 @@ class TestDephasing:
         assert max(stderr) > 0.0
 
     def test_flat_envelope_without_noise(self, tmp_path):
-        code = run_cli("dephasing", "--preset", "l6", "--node", "1",
+        # the noise comes from the scenario, so both outputs carry its hash
+        base = preset("l6")
+        quiet = replace(base, node1=replace(base.node1, field_env=replace(
+            base.node1.field_env, shot_noise_sigma=0.0, fictitious_field_scale=0.0)))
+        path = tmp_path / "quiet.ini"
+        save_scenario(quiet, path)
+        chash = config_hash(load_scenario(path))
+        assert chash != config_hash(base)
+        code = run_cli("dephasing", "--scenario", str(path), "--node", "1",
                        "--t-max", "20e-6", "--dt", "4e-6",
                        "--trajectories", "300", "--seed", "3",
-                       "--sigma-mg", "0", "--fictitious-scale", "0",
                        "--out", str(tmp_path))
         assert code == 0
-        import csv
         with open(tmp_path / "envelope.csv") as fh:
-            fh.readline()
+            assert fh.readline() == f"# config_hash={chash}\n"
             rows = list(csv.DictReader(fh))
         assert all(float(r["envelope"]) > 0.999 for r in rows)
+        assert json.loads((tmp_path / "manifest.json").read_text())["config_hash"] == chash
 
     @pytest.mark.parametrize("dt", ["0", "-1e-6"])
     def test_nonpositive_dt_is_config_error(self, tmp_path, dt):
@@ -429,3 +445,13 @@ class TestBenchmarkCommandLines:
             assert args.command == argv[0]
             assert args.jobs == int(argv[argv.index("--jobs") + 1])
         assert parser.parse_args(bench.analyze_args("out")).command == "analyze"
+
+
+@pytest.mark.parametrize("argv", [("dephasing", "--sigma-mg", "0"),
+                                  ("dephasing", "--fictitious-scale", "0"),
+                                  ("rates", "--jobs", "2")])
+def test_removed_flags_are_usage_errors(tmp_path, argv):
+    # noise is set in the scenario file; only simulate and dephasing take --jobs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path))
+    assert exc.value.code == 2

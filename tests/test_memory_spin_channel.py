@@ -1,5 +1,7 @@
 """Spin-1 evolution, field environment and the averaged dephasing channel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -124,7 +126,7 @@ class TestLocalField:
         assert fictitious_field(self.ENV, pos)[0] == 0.0
 
     def test_scale_zero_disables(self):
-        env = self.ENV.replace(fictitious_field_scale=0.0)
+        env = dataclasses.replace(self.ENV, fictitious_field_scale=0.0)
         pos = np.array([[0.4e-6, 0.0, 0.0]])
         assert fictitious_field(env, pos)[0] == 0.0
 

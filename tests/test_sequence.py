@@ -254,12 +254,12 @@ class TestStateQuality:
         s = preset("l6")
         node1 = replace(s.node1, atom_photon_visibility=1.0,
                         qfc=replace(s.node1.qfc, background_rate=0.0),
-                        field_env=s.node1.field_env.replace(fictitious_field_scale=0.0,
-                                                            shot_noise_sigma=0.0))
+                        field_env=replace(s.node1.field_env, fictitious_field_scale=0.0,
+                                          shot_noise_sigma=0.0))
         node2 = replace(s.node2, atom_photon_visibility=1.0,
                         qfc=replace(s.node2.qfc, background_rate=0.0),
-                        field_env=s.node2.field_env.replace(fictitious_field_scale=0.0,
-                                                            shot_noise_sigma=0.0))
+                        field_env=replace(s.node2.field_env, fictitious_field_scale=0.0,
+                                          shot_noise_sigma=0.0))
         link = type(s.link1)
         ideal = replace(
             s, node1=node1, node2=node2, xi_max=1.0, ap_visibility_scale=1.0,
