@@ -22,14 +22,21 @@ DETECTORS = DETECTOR_LABELS + ("single",)
 CLICK_ORIGINS = ("signal", "mixed", "background")
 
 
-def _check_rows(table):
-    lengths = {len(getattr(table, f.name)) for f in fields(table)}
-    if len(lengths) > 1:
-        raise ValueError(f"{type(table).__name__} columns differ in length: {sorted(lengths)}")
+class _Columns:
+    """The fields of a frozen dataclass as equal-length columns, one row each."""
+
+    def __post_init__(self):
+        lengths = {len(getattr(self, f.name)) for f in fields(self)}
+        if len(lengths) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length: {sorted(lengths)}")
+
+    def rows(self, index):
+        """The table of the rows that ``index`` (a slice or an index array) selects."""
+        return type(self)(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
 @dataclass(frozen=True, eq=False)
-class EventTable:
+class EventTable(_Columns):
     """Heralded events as equal-length columns, one row per ``events.jsonl`` record."""
 
     wall_time_s: np.ndarray      # (n,)
@@ -46,24 +53,18 @@ class EventTable:
     probabilities: np.ndarray    # (n, 4) readout probabilities in OUTCOME_KEYS order
     readout: np.ndarray          # (n,) index into READOUTS, -1 where none was sampled
 
-    def __post_init__(self):
-        _check_rows(self)
-
     def __len__(self) -> int:
         return len(self.wall_time_s)
 
 
 @dataclass(frozen=True, eq=False)
-class ClickTable:
+class ClickTable(_Columns):
     """Detector clicks as equal-length columns, in stream order."""
 
     window: np.ndarray           # (m,) index into WINDOWS
     detector: np.ndarray         # (m,) index into DETECTORS
     origin: np.ndarray           # (m,) index into CLICK_ORIGINS
     time_s: np.ndarray           # (m,) click time relative to the nominal arrival
-
-    def __post_init__(self):
-        _check_rows(self)
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -82,7 +83,7 @@ class ClickTable:
         times = np.concatenate([b[3] for b in blocks] or [np.empty(0)])
         return cls(*codes, times)
 
-    def blocks(self):
+    def runs(self):
         """Yield (window, detector, origin, start, stop) of each run of equal codes."""
         key = (self.window.astype(np.int32) * len(DETECTORS) + self.detector) \
             * len(CLICK_ORIGINS) + self.origin

@@ -7,6 +7,7 @@ refuse to mix incompatible runs.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -109,13 +110,13 @@ def _check_output(path, out, force):
         raise CliError(f"cannot write {path}: {parent} is not a directory", EXIT_IO)
 
 
-def _write_manifest(out, args, scenario, extra=None):
+def _write_manifest(out, args, scenario, chash, extra=None):
     manifest = {
         "tool": "atomlink",
         "version": __version__,
         "command": args.command,
         "scenario": scenario.name,
-        "config_hash": config_hash(scenario),
+        "config_hash": chash,
         "seed": getattr(args, "seed", None),
         "mode": getattr(args, "mode", None),
         "events": getattr(args, "events", None),
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
         json.dump(result.summary, fh, indent=2, sort_keys=True, default=float)
     with _open_output(clicks_path) as fh:
         _write_clicks(fh, chash, result.clicks)
-    _write_manifest(out, args, scenario)
+    _write_manifest(out, args, scenario, chash)
     print(f"wrote {len(result.events)} events to {events_path}")
     return EXIT_OK
 
@@ -169,6 +170,8 @@ _EVENT_LINE = (
     '{"uu": %r, "ud": %r, "du": %r, "dd": %r}, "outcome1": %s, "outcome2": %s, '
     '"config_hash": %s}\n')
 _CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
+# rows of a run file that are formatted, or parsed, at a time
+_FILE_BLOCK = 2048
 
 
 def _quoted(vocabulary, codes):
@@ -177,32 +180,40 @@ def _quoted(vocabulary, codes):
 
 
 def _write_events(fh, header, events: EventTable):
-    """The header line, then one JSON record per event."""
+    """The header line, then one JSON record per event, _FILE_BLOCK events at a time."""
     fh.write(json.dumps(header) + "\n")
-    # readout code -1 (none sampled) picks the trailing null
-    node_readouts = [_quoted([r[node] for r in READOUTS] + [None], events.readout)
-                     for node in (0, 1)]
-    columns = (
-        events.wall_time_s.tolist(), events.try_index.tolist(),
-        _quoted(BELL_OUTCOMES, events.outcome),
-        _quoted(DETECTORS, events.detectors[:, 0]), _quoted(DETECTORS, events.detectors[:, 1]),
-        events.click_ns[:, 0].tolist(), events.click_ns[:, 1].tolist(),
-        _quoted((False, True), events.accepted.astype(int)),
-        _quoted(("background", "signal"), events.signal.astype(int)),
-        events.alpha_rad.tolist(), events.beta_rad.tolist(), _quoted(PLANES, events.plane),
-        events.fidelity.tolist(), *events.probabilities.T.tolist(), *node_readouts,
-        [json.dumps(header["config_hash"])] * len(events))
-    fh.writelines(_EVENT_LINE % row for row in zip(*columns))
+    quoted_hash = json.dumps(header["config_hash"])
+    for start in range(0, len(events), _FILE_BLOCK):
+        block = events.rows(slice(start, start + _FILE_BLOCK))
+        # readout code -1 (none sampled) picks the trailing null
+        node_readouts = [_quoted([r[node] for r in READOUTS] + [None], block.readout)
+                         for node in (0, 1)]
+        columns = (
+            block.wall_time_s.tolist(), block.try_index.tolist(),
+            _quoted(BELL_OUTCOMES, block.outcome),
+            _quoted(DETECTORS, block.detectors[:, 0]), _quoted(DETECTORS, block.detectors[:, 1]),
+            block.click_ns[:, 0].tolist(), block.click_ns[:, 1].tolist(),
+            _quoted((False, True), block.accepted.astype(int)),
+            _quoted(("background", "signal"), block.signal.astype(int)),
+            block.alpha_rad.tolist(), block.beta_rad.tolist(), _quoted(PLANES, block.plane),
+            block.fidelity.tolist(), *block.probabilities.T.tolist(), *node_readouts,
+            [quoted_hash] * len(block))
+        fh.writelines(_EVENT_LINE % row for row in zip(*columns))
 
 
 def _write_clicks(fh, chash, clicks: ClickTable):
-    """The hash line and the CSV header, then each run of equal codes in one format call."""
+    """The hash line and the CSV header, then _FILE_BLOCK clicks at a time.
+
+    Each run of equal codes in a block is formatted in one call.
+    """
     fh.write(f"# config_hash={chash}\n")
     fh.write(",".join(_CLICK_HEADER) + "\r\n")
-    stamps = (clicks.time_s * 1e9).tolist()
-    for window, detector, origin, start, stop in clicks.blocks():
-        row = f"{WINDOWS[window]},{DETECTORS[detector]},%.3f,{CLICK_ORIGINS[origin]}\r\n"
-        fh.write(row * (stop - start) % tuple(stamps[start:stop]))
+    for first in range(0, len(clicks), _FILE_BLOCK):
+        block = clicks.rows(slice(first, first + _FILE_BLOCK))
+        stamps = (block.time_s * 1e9).tolist()
+        for window, detector, origin, start, stop in block.runs():
+            row = f"{WINDOWS[window]},{DETECTORS[detector]},%.3f,{CLICK_ORIGINS[origin]}\r\n"
+            fh.write(row * (stop - start) % tuple(stamps[start:stop]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ _CLICK_DTYPE = [(name, "f8" if name == "timestamp_ns" else _LABEL_DTYPE)
 
 
 def _click_row_ok(line):
-    fields = line.split(",")
+    fields = line.rstrip("\r\n").split(",")
     if len(fields) != len(_CLICK_HEADER):
         return False
     window, detector, stamp, origin = fields
@@ -297,29 +308,14 @@ def _click_row_ok(line):
     return window in WINDOWS and detector in DETECTORS and origin in CLICK_ORIGINS
 
 
-def _load_clicks(path):
-    """Config hash (None without a hash line) and ClickTable of a clicks.csv file."""
+def _click_block(path, first_lineno, lines):
+    """(window, detector, origin codes, times in s) of consecutive clicks.csv body lines.
+
+    ``first_lineno`` is the file line number of ``lines[0]``.
+    """
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
-    with fh:
-        first = fh.readline()
-        chash = None
-        header_lineno = 1
-        if first.startswith("# config_hash="):
-            chash = first.strip().split("=", 1)[1]
-            first = fh.readline()
-            header_lineno = 2
-        lines = fh.read().splitlines()
-    if tuple(c.strip() for c in first.strip().split(",")) != _CLICK_HEADER:
-        raise CliError(f"{path}:{header_lineno}: expected the CSV header "
-                       f"{','.join(_CLICK_HEADER)}", EXIT_IO)
-    rows = np.empty(0, dtype=_CLICK_DTYPE)
-    codes = []
-    try:
-        if any(lines):
-            rows = np.loadtxt(lines, delimiter=",", dtype=_CLICK_DTYPE, comments=None, ndmin=1)
+        rows = np.loadtxt(lines, delimiter=",", dtype=_CLICK_DTYPE, comments=None, ndmin=1)
+        codes = []
         for name, vocabulary in zip(("window", "detector", "origin"),
                                     (WINDOWS, DETECTORS, CLICK_ORIGINS)):
             code = np.full(len(rows), -1, dtype=np.int8)
@@ -329,10 +325,40 @@ def _load_clicks(path):
                 raise ValueError(f"unknown {name}")
             codes.append(code)
     except ValueError:
-        bad = next((i for i, line in enumerate(lines) if line and not _click_row_ok(line)), None)
-        where = path if bad is None else f"{path}:{header_lineno + 1 + bad}"
+        bad = next((i for i, line in enumerate(lines)
+                    if line.rstrip("\r\n") and not _click_row_ok(line)), None)
+        where = path if bad is None else f"{path}:{first_lineno + bad}"
         raise CliError(f"{where}: malformed CSV row", EXIT_IO)
-    return chash, ClickTable(*codes, rows["timestamp_ns"] * 1e-9)
+    return (*codes, rows["timestamp_ns"] * 1e-9)
+
+
+def _load_clicks(path):
+    """Config hash (None without a hash line) and ClickTable of a clicks.csv file.
+
+    The body is parsed _FILE_BLOCK lines at a time into int8 codes and
+    float64 times, so no more than one block of text is held.
+    """
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
+    with fh:
+        first = fh.readline()
+        chash = None
+        lineno = 1
+        if first.startswith("# config_hash="):
+            chash = first.strip().split("=", 1)[1]
+            first = fh.readline()
+            lineno = 2
+        if tuple(c.strip() for c in first.strip().split(",")) != _CLICK_HEADER:
+            raise CliError(f"{path}:{lineno}: expected the CSV header "
+                           f"{','.join(_CLICK_HEADER)}", EXIT_IO)
+        blocks = []
+        while lines := list(itertools.islice(fh, _FILE_BLOCK)):
+            if any(line.rstrip("\r\n") for line in lines):
+                blocks.append(_click_block(path, lineno + 1, lines))
+            lineno += len(lines)
+    return chash, ClickTable.from_blocks(blocks)
 
 
 def _load_summary(path):
@@ -474,8 +500,9 @@ def cmd_dephasing(args) -> int:
     family = dephasing_channel_family(
         node.trap, node.field_env, node.temperature, times, args.trajectories, seed=args.seed,
     )
+    chash = config_hash(scenario)
     with _open_output(path) as fh:
-        fh.write(f"# config_hash={config_hash(scenario)}\n")
+        fh.write(f"# config_hash={chash}\n")
         w = csv.writer(fh)
         w.writerow(["time_us", "basis", "expectation", "envelope", "envelope_stderr"])
         envelope, stderr = family.envelope(), family.stderr()
@@ -485,7 +512,7 @@ def cmd_dephasing(args) -> int:
                 w.writerow([f"{t * 1e6:.3f}", basis, f"{x:.6f}", f"{v:.6f}", f"{se:.6f}"])
     one_over_e = family.one_over_e_time()
     print(f"wrote envelope to {path}; 1/e time {one_over_e * 1e6:.1f} us")
-    _write_manifest(out, args, scenario, {"one_over_e_us": one_over_e * 1e6})
+    _write_manifest(out, args, scenario, chash, {"one_over_e_us": one_over_e * 1e6})
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ structure of cooling, presence checks and trap reloads (``wall_times``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,8 +59,8 @@ from .scenario import LinkScenario, config_hash
 HISTOGRAM_SPAN = (-500e-9, 500e-9)
 # singles kept per node for that histogram; beyond it the stream is subsampled
 MAX_SINGLES = 20000
-# heralds per block of the state pass (2.7 MB of 9x9 states)
-_STATE_BLOCK = 2048
+# heralds per block of the state pass (0.7 MB of 9x9 states)
+_STATE_BLOCK = 512
 
 
 @dataclass
@@ -216,6 +216,22 @@ def heralded_states(signal_in: DensityMatrix, coherences, pair_ops: np.ndarray) 
     return states
 
 
+@lru_cache(maxsize=len(SCHEDULES))
+def _readout_rows(settings: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (s * 4, 81) readout rows of a settings cycle and (2, 81) Bell-state rows.
+
+    <v|rho|v> is the dot product of conj(v) (x) v with the flattened state.
+    """
+    ops = quantum.readout_operators(*zip(*(
+        (AtomBasisSetting(a, MeasurementPlane(p)), AtomBasisSetting(b, MeasurementPlane(p)))
+        for a, b, p in settings))).reshape(-1, 81)
+    bell = np.array([np.outer(v.conj(), v).ravel()
+                     for v in (atom_bell_state(o).amplitudes for o in BellOutcome)])
+    for rows in (ops, bell):
+        rows.setflags(write=False)
+    return ops, bell
+
+
 def event_readout(states: np.ndarray, settings, setting_index,
                   outcomes) -> tuple[np.ndarray, np.ndarray]:
     """Readout probabilities (n, 4) and Bell fidelities (n,) of (n, 9, 9) states.
@@ -226,14 +242,9 @@ def event_readout(states: np.ndarray, settings, setting_index,
     """
     flat = states.reshape(-1, 81)
     rows = np.arange(len(flat))
-    ops = quantum.readout_operators(*zip(*(
-        (AtomBasisSetting(a, MeasurementPlane(p)), AtomBasisSetting(b, MeasurementPlane(p)))
-        for a, b, p in settings))).reshape(-1, 81)
+    ops, bell = _readout_rows(tuple(settings))
     probs = (flat @ ops.T).real.reshape(len(flat), len(settings), 4)[rows, setting_index]
     kinds = list(BellOutcome)
-    # <v|rho|v> is the dot product of conj(v) (x) v with the flattened state
-    bell = np.array([np.outer(v.conj(), v).ravel()
-                     for v in (atom_bell_state(o).amplitudes for o in kinds)])
     fids = (flat @ bell.T).real[rows, np.array([kinds.index(o) for o in outcomes], dtype=int)]
     return probs, fids
 
@@ -384,9 +395,10 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         + singles)
 
     wall_time = float(wall[-1]) if herald_count else 0.0
+    chash = config_hash(scenario)
     summary = {
         "scenario": scenario.name,
-        "config_hash": config_hash(scenario),
+        "config_hash": chash,
         "mode": mode,
         "schedule": schedule,
         "seed": seed,
@@ -411,6 +423,6 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": float(dead[-1]) if herald_count else 0.0,
     }
-    return RunResult(scenario.name, config_hash(scenario), mode, seed, events, summary,
+    return RunResult(scenario.name, chash, mode, seed, events, summary,
                      clicks, states)
 

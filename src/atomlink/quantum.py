@@ -243,6 +243,11 @@ def herald_input(matrix: np.ndarray) -> np.ndarray:
     return t.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(16, 81)
 
 
+# the contraction order einsum(optimize=True) picks for the fold below at
+# every herald count, planned once instead of on every call
+_FOLD_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def interference_pair_operators(outcomes: Sequence[BellOutcome], xi: float,
                                 u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """(n, 16) photon-pair operators sum_m w_m conj(k_m) (x) k_m of n heralds.
@@ -260,7 +265,7 @@ def interference_pair_operators(outcomes: Sequence[BellOutcome], xi: float,
     kets = np.concatenate([bell, np.broadcast_to([_HV, _VH], (len(bell), 2, 2, 2))], axis=1)
     # distinguishable (H,V) pairs split evenly between the D+ and D- groups
     weights = np.array([xi, 0.5 * (1.0 - xi), 0.5 * (1.0 - xi)])
-    folded = np.einsum("nja,nmjl,nlb->nmab", u1.conj(), kets, u2.conj(), optimize=True)
+    folded = np.einsum("nja,nmjl,nlb->nmab", u1.conj(), kets, u2.conj(), optimize=_FOLD_PATH)
     return np.einsum("m,nmjl,nmJL->njlJL", weights, folded.conj(), folded).reshape(-1, 16)
 
 

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,8 +13,24 @@ import pytest
 import atomlink.cli
 from atomlink.analysis import interference_contrast
 from atomlink.calibration import DEFAULT_TARGETS, calibrate
-from atomlink.cli import _load_events, build_parser, main
-from atomlink.protocol import config_hash, load_scenario, preset, save_scenario, sbr_model
+from atomlink.analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS, ClickTable
+from atomlink.cli import (
+    CliError,
+    _load_clicks,
+    _load_events,
+    _write_clicks,
+    _write_events,
+    build_parser,
+    main,
+)
+from atomlink.protocol import (
+    config_hash,
+    load_scenario,
+    preset,
+    run_sequence,
+    save_scenario,
+    sbr_model,
+)
 from atomlink.protocol.scenario import CAL_AP_SCALE, CAL_XI_MAX
 
 import oracles
@@ -260,6 +277,99 @@ class TestRunFiles:
                        "--clicks", str(bad), "--estimators", "sbr", "--out", str(tmp_path))
         assert code == 4
         assert f"{bad}:5:" in capsys.readouterr().err
+
+
+class TestFileBlocks:
+    """The run files written and read in blocks of a few rows."""
+
+    BLOCK = 5
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        result = run_sequence(preset("l6"), target_events=23, seed=5, mode="sampled-clicks",
+                              n_trajectories=300)
+        # up to 12 clicks of every run of equal codes: the coincidences' short
+        # runs and a cut of each singles run, which spans block boundaries
+        keep = np.concatenate([np.arange(start, min(stop, start + 12))
+                               for *_, start, stop in result.clicks.runs()])
+        return result, result.clicks.rows(keep)
+
+    def _write(self, path, write, *args):
+        with open(path, "w", newline="") as fh:
+            write(fh, *args)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("size", ["partial", "multiple", "header-only"])
+    def test_same_bytes_and_exact_round_trip(self, run, size, tmp_path, monkeypatch):
+        monkeypatch.setattr(atomlink.cli, "_FILE_BLOCK", self.BLOCK)
+        result, clicks = run
+        rows = {"partial": len, "multiple": lambda t: len(t) // self.BLOCK * self.BLOCK,
+                "header-only": lambda t: 0}[size]
+        events = result.events.rows(slice(0, rows(result.events)))
+        clicks = clicks.rows(slice(0, rows(clicks)))
+        if size == "multiple":
+            assert len(events) > self.BLOCK and len(clicks) > self.BLOCK
+        elif size == "partial":
+            assert len(events) % self.BLOCK and len(clicks) % self.BLOCK
+        header = {"type": "header", "config_hash": result.config_hash, "scenario": "l6"}
+        chash = result.config_hash
+
+        events_bytes = self._write(tmp_path / "events.jsonl", _write_events, header, events)
+        assert events_bytes == self._write(tmp_path / "ref.jsonl", oracles.write_event_records,
+                                           header, oracles.event_records(events))
+        clicks_bytes = self._write(tmp_path / "clicks.csv", _write_clicks, chash, clicks)
+        assert clicks_bytes == self._write(tmp_path / "ref.csv", oracles.write_click_tuples,
+                                           chash, oracles.click_tuples(clicks))
+
+        read_header, read_events = _load_events(tmp_path / "events.jsonl")
+        assert read_header == header
+        for f in fields(events):
+            assert np.array_equal(getattr(read_events, f.name), getattr(events, f.name)), f.name
+        read_hash, read_clicks = _load_clicks(tmp_path / "clicks.csv")
+        assert read_hash == chash
+        for name in ("window", "detector", "origin"):
+            assert np.array_equal(getattr(read_clicks, name), getattr(clicks, name)), name
+        _, ref_rows = oracles.load_click_rows(tmp_path / "clicks.csv")
+        assert np.array_equal(read_clicks.time_s,
+                              [float(r["timestamp_ns"]) * 1e-9 for r in ref_rows])
+        # three int8 codes and a float64 time per click
+        assert sum(getattr(read_clicks, f.name).itemsize for f in fields(read_clicks)) == 11
+        assert self._write(tmp_path / "again.csv", _write_clicks, chash,
+                           read_clicks) == clicks_bytes
+
+    @pytest.mark.parametrize("where", ["second", "last"])
+    def test_malformed_row_names_its_line(self, run, where, tmp_path, monkeypatch):
+        monkeypatch.setattr(atomlink.cli, "_FILE_BLOCK", self.BLOCK)
+        result, clicks = run
+        path = tmp_path / "clicks.csv"
+        lines = self._write(path, _write_clicks, result.config_hash,
+                            clicks).decode().splitlines(keepends=True)
+        # lines 1 and 2 are the hash and the CSV header
+        index = {"second": 2 + self.BLOCK + 2, "last": len(lines) - 1}[where]
+        lines[index] = "node3," + lines[index].split(",", 1)[1]
+        path.write_bytes("".join(lines).encode())
+        with pytest.raises(CliError) as err:
+            _load_clicks(path)
+        assert err.value.code == 4
+        assert str(err.value).startswith(f"{path}:{index + 1}: malformed CSV row")
+
+    def test_reader_holds_one_block(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(3)
+        codes = [np.sort(rng.integers(0, len(v), n)).astype(np.int8)
+                 for v in (WINDOWS, DETECTORS, CLICK_ORIGINS)]
+        path = tmp_path / "clicks.csv"
+        self._write(path, _write_clicks, "0" * 16,
+                    ClickTable(*codes, rng.uniform(-500e-9, 500e-9, n)))
+        tracemalloc.start()
+        try:
+            _, clicks = _load_clicks(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clicks) == n
+        # the 1.1 MB of columns, twice while the blocks are joined, and one block of text
+        assert peak < 5e6
 
 
 class TestRates:

@@ -212,6 +212,13 @@ class TestHeraldBlocks:
         mat = (pair_ops @ inputs).reshape(-1, 9, 9) / prob[:, None, None]
         assert np.array_equal(states, (mat + mat.conj().swapaxes(1, 2)) / 2.0)
 
+    @pytest.mark.parametrize("n", [1, 7, 512, 5000])
+    def test_fold_path_is_the_planned_one(self, n):
+        u = np.zeros((n, 2, 2), complex)
+        kets = np.zeros((n, 3, 2, 2), complex)
+        path, _ = np.einsum_path("nja,nmjl,nlb->nmab", u, kets, u, optimize=True)
+        assert path == q._FOLD_PATH
+
     @pytest.mark.parametrize("entries, change, message", [
         ([(0, 1)], 1e-6j, "not Hermitian"),
         ([(0, 0)], 1e-6, "trace"),

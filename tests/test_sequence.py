@@ -22,6 +22,7 @@ from atomlink.protocol import (
     repetition_rate,
     run_sequence,
 )
+from atomlink.protocol import sequence
 from atomlink.protocol.rates import block_model, window_capture
 from atomlink.protocol.sequence import (
     SCHEDULES,
@@ -81,6 +82,27 @@ class TestDeterminism:
         b = run_sequence(preset("l6"), target_events=40, seed=6,
                          mode="sampled-clicks", n_trajectories=N_TRAJ)
         assert a.events.wall_time_s[0] != b.events.wall_time_s[0]
+
+    @pytest.mark.parametrize("mode", ["density-matrix", "sampled-clicks"])
+    def test_state_block_size_changes_no_bit(self, mode, monkeypatch):
+        # 7 does not divide the 200 heralds, so the last block is partial
+        def run():
+            return run_sequence(preset("l6"), target_events=200, seed=5, mode=mode,
+                                n_trajectories=N_TRAJ)
+
+        default = run()
+        assert len(default.events) <= sequence._STATE_BLOCK    # one block
+        monkeypatch.setattr(sequence, "_STATE_BLOCK", 7)
+        small = run()
+        for table in ("events", "clicks"):
+            for f in fields(getattr(default, table)):
+                assert np.array_equal(getattr(getattr(small, table), f.name),
+                                      getattr(getattr(default, table), f.name)), f.name
+        if mode == "density-matrix":
+            assert np.array_equal(small.states, default.states)
+        else:
+            assert small.states is None and default.states is None
+        assert small.summary == default.summary
 
     def test_zero_targets(self):
         res = run_sequence(preset("l6"), target_events=0, seed=1,
