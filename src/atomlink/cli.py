@@ -54,6 +54,7 @@ from .protocol import (
 )
 from .protocol.rates import window_capture
 from .protocol.scenario import save_scenario
+from .protocol.sequence import HISTOGRAM_SPAN
 from .quantum import OUTCOME_KEYS
 
 EXIT_OK = 0
@@ -296,22 +297,11 @@ _CLICK_DTYPE = [(name, "f8" if name == "timestamp_ns" else _LABEL_DTYPE)
                 for name in _CLICK_HEADER]
 
 
-def _click_row_ok(line):
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != len(_CLICK_HEADER):
-        return False
-    window, detector, stamp, origin = fields
-    try:
-        float(stamp)
-    except ValueError:
-        return False
-    return window in WINDOWS and detector in DETECTORS and origin in CLICK_ORIGINS
-
-
 def _click_block(path, first_lineno, lines):
     """(window, detector, origin codes, times in s) of consecutive clicks.csv body lines.
 
-    ``first_lineno`` is the file line number of ``lines[0]``.
+    ``first_lineno`` is the file line number of ``lines[0]``.  A malformed
+    block is parsed again one non-blank line at a time to name the bad line.
     """
     try:
         rows = np.loadtxt(lines, delimiter=",", dtype=_CLICK_DTYPE, comments=None, ndmin=1)
@@ -325,10 +315,12 @@ def _click_block(path, first_lineno, lines):
                 raise ValueError(f"unknown {name}")
             codes.append(code)
     except ValueError:
-        bad = next((i for i, line in enumerate(lines)
-                    if line.rstrip("\r\n") and not _click_row_ok(line)), None)
-        where = path if bad is None else f"{path}:{first_lineno + bad}"
-        raise CliError(f"{where}: malformed CSV row", EXIT_IO)
+        if len(lines) == 1:
+            raise CliError(f"{path}:{first_lineno}: malformed CSV row", EXIT_IO)
+        for i, line in enumerate(lines):
+            if line.rstrip("\r\n"):
+                _click_block(path, first_lineno + i, [line])
+        raise CliError(f"{path}: malformed CSV row", EXIT_IO)
     return (*codes, rows["timestamp_ns"] * 1e-9)
 
 
@@ -449,7 +441,7 @@ def cmd_analyze(args) -> int:
             elif name == "sbr":
                 if clicks is None:
                     raise CliError("sbr estimator needs --clicks", EXIT_CONFIG)
-                edges = np.arange(-500e-9, 500e-9 + 1e-12, 2e-9)
+                edges = np.arange(HISTOGRAM_SPAN[0], HISTOGRAM_SPAN[1] + 1e-12, 2e-9)
                 hist = DetectionHistogram.from_click_times(clicks.times_by_window(), edges)
                 # side bands start where the wavepacket tail is negligible
                 est = sbr(hist, window=(0.0, 70e-9), exclusion=(-100e-9, 250e-9))

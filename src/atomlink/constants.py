@@ -20,11 +20,6 @@ G_F = -0.5
 
 GAUSS_TO_TESLA = 1e-4
 
-# Single-quantum Larmor rate |g_F| mu_B / hbar, in rad/s per gauss.
-GAMMA_1 = abs(G_F) * MU_B / HBAR * GAUSS_TO_TESLA
-# m=+1 vs m=-1 coherence precesses at twice that.
-GAMMA_2 = 2.0 * GAMMA_1
-
 # Speed of light in fibre, the 2c/3 approximation used for all delays.
 FIBRE_SPEED = 2.0 * C_LIGHT / 3.0
 

@@ -76,9 +76,9 @@ def window_capture_probability(w: PhotonWavepacket, t_start: float, t_end: float
 
 def _emg_cdf(x: float, w: PhotonWavepacket) -> float:
     mu, sigma, tau = w.emission_offset, w.excitation_sigma, w.decay_time
-    z = (x - mu) / sigma if sigma > 0 else np.inf if x > mu else -np.inf
     if sigma == 0.0:
         return 1.0 - np.exp(-(x - mu) / tau) if x > mu else 0.0
+    z = (x - mu) / sigma
     u = sigma / tau
     arg = sigma**2 / (2.0 * tau**2) - (x - mu) / tau
     tail = np.exp(arg) * _ndtr(z - u) if arg < 700.0 else 0.0

@@ -28,10 +28,14 @@ def success_probability(scenario: LinkScenario) -> float:
     return 0.5 * node_detection_efficiency(scenario, 0) * node_detection_efficiency(scenario, 1)
 
 
+def flight_time(scenario: LinkScenario) -> float:
+    """The longer one-way photon flight from a node to the middle station."""
+    return max(propagation_delay(scenario.link1), propagation_delay(scenario.link2))
+
+
 def repetition_rate(scenario: LinkScenario) -> float:
     """Try rate during bursts: overhead plus the longer one-way photon flight."""
-    flight = max(propagation_delay(scenario.link1), propagation_delay(scenario.link2))
-    return 1.0 / (scenario.t_overhead + flight)
+    return 1.0 / (scenario.t_overhead + flight_time(scenario))
 
 
 def block_model(sequence: SequenceConfig, try_period: float) -> tuple[int, float]:

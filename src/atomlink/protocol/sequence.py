@@ -67,10 +67,8 @@ _STATE_BLOCK = 512
 class RunResult:
     """A run's events and clicks as columns, plus its states in density-matrix mode."""
 
-    scenario_name: str
     config_hash: str
     mode: str
-    seed: int
     events: EventTable
     summary: dict
     clicks: ClickTable
@@ -423,6 +421,5 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": float(dead[-1]) if herald_count else 0.0,
     }
-    return RunResult(scenario.name, chash, mode, seed, events, summary,
-                     clicks, states)
+    return RunResult(chash, mode, events, summary, clicks, states)
 

@@ -47,6 +47,11 @@ from atomlink.quantum import OUTCOME_KEYS
 
 SQ2 = np.sqrt(2.0)
 
+# Single-quantum Larmor rate |g_F| mu_B / hbar, in rad/s per gauss.
+GAMMA_1 = abs(G_F) * MU_B / HBAR * GAUSS_TO_TESLA
+# m=+1 vs m=-1 coherence precesses at twice that.
+GAMMA_2 = 2.0 * GAMMA_1
+
 # basis order (m=-1, m=0, m=+1) and (H, V), matching the package convention
 DOWN_Z = np.array([1, 0, 0], dtype=complex)
 ZERO = np.array([0, 1, 0], dtype=complex)
@@ -244,6 +249,25 @@ def brute_block_clock(gaps, period: float, sequence) -> list[float]:
                 q = 0
         walls.append(wall)
     return walls
+
+
+def brute_t_overhead(scenarios: dict, rates: dict) -> float:
+    """Per-try overhead on the 5-40 us grid of 7001 points with the least worst
+    relative repetition-rate error, one grid point and one scenario at a time.
+
+    A try takes the overhead plus the longer link's length over its
+    propagation speed; the first point of the least error wins.
+    """
+    best, best_error = None, math.inf
+    for t in np.linspace(5e-6, 40e-6, 7001):
+        error = 0.0
+        for name, s in scenarios.items():
+            flight = max(link.length_km * 1e3 / link.propagation_speed
+                         for link in (s.link1, s.link2))
+            error = max(error, abs(1.0 / (t + flight) - rates[name]) / rates[name])
+        if error < best_error:
+            best, best_error = float(t), error
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Every public name and every optional parameter in the package has a caller inside it.
 
-A public top-level definition (function, class or module constant) or a
-public method counts as called when some module of ``src/atomlink`` loads it
-by name (``ast.Name``) or as an attribute (``ast.Attribute``) outside its own
-body.  The ``__init__`` modules only re-export, so they do not count.  A
+A public top-level definition (function, class or module constant) counts
+as called when some module of ``src/atomlink`` loads it outside its own body
+by bare name (``ast.Name``), or as an attribute of a name that module
+imported as the defining module (``channel.X`` after ``from .memory import
+channel``).  An attribute of anything else, such as a column of a table
+that shares the name, does not count for it.  A public method counts as
+called when some module loads it as an attribute outside its own body.  The
+``__init__`` modules only re-export, so they do not count.  A
 name that only tests use belongs in ``tests/oracles.py`` or in the test
 itself; the few that stay are the API the README or an acceptance criterion
 names, listed below with the reason.
@@ -25,6 +29,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "atomlink"
 # qualified name -> why it stays without a caller in the package
 ALLOWED = {
     "quantum.bell_project": "README scalar API; criterion 2's entanglement swap",
+    "quantum.fidelity": "README scalar API; criterion 2 reads it",
     "quantum.joint_outcome_probabilities": "README scalar API",
     "photonics.bsm.classify_coincidence": "criterion 1's coincidence taxonomy",
     "photonics.polarization.simulate_drift_with_control": "criterion 9's polarization model",
@@ -63,28 +68,55 @@ def _definitions(module: str, tree: ast.Module):
                     yield f"{module}.{target.id}", target.id, False, node
 
 
-def _loads(trees):
-    """(name, node) of every load by name or attribute in the package."""
-    for tree in trees:
+def _module_aliases(module: str, tree: ast.Module) -> dict:
+    """Local name -> dotted path in the package of each name ``module`` imports from it."""
+    package = module.split(".")[:-1]
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module.split(".") if node.module else []
+        if node.level:
+            parts = package[:len(package) - node.level + 1] + source
+        elif source[:1] == [PACKAGE.name]:
+            parts = source[1:]
+        else:
+            continue
+        for alias in node.names:
+            aliases[alias.asname or alias.name] = ".".join(parts + [alias.name])
+    return aliases
+
+
+def _loads(modules):
+    """(name, node, via) of every load by name or attribute in the package.
+
+    ``via`` is None for a bare-name load, the package module for an
+    attribute of a module alias, and "" for any other attribute.
+    """
+    for module, tree in modules:
+        aliases = _module_aliases(module, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                yield node.id, node, False
+                yield node.id, node, None
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                yield node.attr, node, True
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                yield node.attr, node, aliases.get(owner, "")
 
 
 def uncalled_names() -> list[str]:
     modules = list(_modules())
     loads = {}
-    for name, node, is_attribute in _loads(tree for _, tree in modules):
-        loads.setdefault(name, []).append((node, is_attribute))
+    for name, node, via in _loads(modules):
+        loads.setdefault(name, []).append((node, via))
     out = []
     for module, tree in modules:
         for qualname, name, is_method, definition in _definitions(module, tree):
             own = {id(n) for n in ast.walk(definition)}
-            # a method is reached through an attribute; a top-level name either way
-            if not any(id(node) not in own and (is_attribute or not is_method)
-                       for node, is_attribute in loads.get(name, [])):
+            # a method is reached through any attribute; a top-level name by
+            # bare name or through an alias of its own module
+            if not any(id(node) not in own
+                       and (via is not None if is_method else via in (None, module))
+                       for node, via in loads.get(name, [])):
                 out.append(qualname)
     return out
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import atomlink.calibration
 import atomlink.cli
 from atomlink.analysis import interference_contrast
-from atomlink.calibration import DEFAULT_TARGETS, calibrate
+from atomlink.calibration import DEFAULT_TARGETS, calibrate, fit_t_overhead
 from atomlink.analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS, ClickTable
 from atomlink.cli import (
     CliError,
@@ -417,14 +418,15 @@ class TestCalibrate:
         assert "CAL_AP_SCALE, returned unchanged" in note
         assert "refit" not in note
 
-    @pytest.mark.parametrize("targets", [{"fidelities": {"l6": 0.83}}, ["coherence_time_s"]],
-                             ids=["old-key", "not-an-object"])
+    @pytest.mark.parametrize("targets", [{"fidelities": {"l6": 0.83}}, ["coherence_time_s"],
+                                         {"coherence_time_s": 330e-6}],
+                             ids=["old-key", "not-an-object", "coherence-time"])
     def test_unknown_target_is_exit_2(self, tmp_path, capsys, targets):
         path = tmp_path / "targets.json"
         path.write_text(json.dumps(targets))
         assert run_cli("calibrate", "--targets", str(path), "--out", str(tmp_path)) == 2
         if isinstance(targets, dict):
-            assert "'fidelities'" in capsys.readouterr().err
+            assert repr(next(iter(targets))) in capsys.readouterr().err
         assert not (tmp_path / "calibration.json").exists()
 
     def test_records_every_target_used(self, tmp_path):
@@ -449,6 +451,42 @@ class TestCalibrate:
         w = sbr_model(fitted)["background_weight"]
         assert params["xi_max"] * (1.0 - w) == pytest.approx(0.955, rel=1e-12)
         assert sbr_model(base)["background_weight"] < 0.9 * w
+
+    @pytest.mark.parametrize("rates", [DEFAULT_TARGETS["repetition_rates_hz"],
+                                       {"l6": 20e3, "l11": 15e3, "l33": 20e3}],
+                             ids=["published", "three-presets"])
+    def test_t_overhead_matches_a_point_by_point_search(self, rates):
+        t_best, _ = fit_t_overhead(rates)
+        assert t_best == oracles.brute_t_overhead({n: preset(n) for n in rates}, rates)
+
+    @staticmethod
+    def _fitted(params):
+        base = preset("l6")
+        nodes = {k: replace(getattr(base, k), collection_efficiency=params["collection_efficiency"])
+                 for k in ("node1", "node2")}
+        return replace(base, xi_max=params["xi_max"], **nodes)
+
+    def test_herald_probability_residual_is_a_round_trip(self, monkeypatch):
+        # a herald probability not proportional to c1 c2 leaves an error the
+        # closed-form fit cannot remove, and the residual must report it
+        model = atomlink.calibration.success_probability
+        monkeypatch.setattr(atomlink.calibration, "success_probability",
+                            lambda s: model(s) + 1e-6)
+        result = calibrate()
+        target = DEFAULT_TARGETS["success_probability_l6"]
+        error = (model(self._fitted(result.parameters)) + 1e-6 - target) / target
+        assert abs(error) > 0.01
+        assert result.residuals["success_probability_l6"] == pytest.approx(error, rel=1e-9)
+
+    def test_contrast_residual_is_a_round_trip(self, monkeypatch):
+        # likewise a contrast that is not linear in xi_max
+        model = atomlink.calibration.accepted_contrast
+        monkeypatch.setattr(atomlink.calibration, "accepted_contrast", lambda s: model(s) + 0.05)
+        result = calibrate()
+        target = DEFAULT_TARGETS["interference_contrast"]
+        error = (model(self._fitted(result.parameters)) + 0.05 - target) / target
+        assert abs(error) > 1e-3
+        assert result.residuals["interference_contrast"] == pytest.approx(error, rel=1e-9)
 
     def test_xi_max_above_one_exit_3(self, tmp_path):
         targets = tmp_path / "targets.json"

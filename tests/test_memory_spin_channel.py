@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from atomlink import constants as C
 from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
 from atomlink.memory import channel
 from atomlink.memory.fields import vector_shift_gauss
@@ -15,6 +14,7 @@ from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_
 
 from oracles import (
     DOWN_Z,
+    GAMMA_2,
     UP_Z,
     apply_to_subsystem,
     brute_channel_coherence,
@@ -78,7 +78,7 @@ class TestEvolveSpin1:
         coh = res.spin_states[:, 2] * np.conj(res.spin_states[:, 0])
         phase = np.unwrap(np.angle(coh))
         rate = (phase[-1] - phase[0]) / (n * dt)
-        assert abs(rate) == pytest.approx(C.GAMMA_2 * b, rel=1e-9)
+        assert abs(rate) == pytest.approx(GAMMA_2 * b, rel=1e-9)
         assert abs(rate) / (2 * np.pi) == pytest.approx(105.7e3, rel=0.005)
 
     def test_transverse_field_coherence_oscillates_at_double_larmor(self):
@@ -93,7 +93,7 @@ class TestEvolveSpin1:
         freqs = np.fft.rfftfreq(len(sig), dt)
         spectrum = np.abs(np.fft.rfft(sig))
         peak = freqs[1 + np.argmax(spectrum[1:])]
-        assert peak == pytest.approx(C.GAMMA_2 * b / (2 * np.pi), rel=0.05)
+        assert peak == pytest.approx(GAMMA_2 * b / (2 * np.pi), rel=0.05)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(9)
@@ -199,10 +199,10 @@ class TestDephasingChannel:
         times = np.round(np.array([0, 50e-6, 100e-6, 200e-6, 321.6e-6, 400e-6]), 12)
         fam = dephasing_channel_family(TRAP, env, 1e-15, times, 2000, seed=6)
         envelope = fam.envelope()
-        expected = np.exp(-0.5 * (C.GAMMA_2 * sigma * times) ** 2)
+        expected = np.exp(-0.5 * (GAMMA_2 * sigma * times) ** 2)
         assert np.allclose(envelope, expected, atol=5e-3)
         # analytic 1/e time sqrt(2)/(gamma2 sigma) = 321.6 us
-        t_e = np.sqrt(2.0) / (C.GAMMA_2 * sigma)
+        t_e = np.sqrt(2.0) / (GAMMA_2 * sigma)
         assert t_e == pytest.approx(321.6e-6, rel=0.01)
 
     def test_determinism(self):
