@@ -83,16 +83,6 @@ class ClickTable(_Columns):
         times = np.concatenate([b[3] for b in blocks] or [np.empty(0)])
         return cls(*codes, times)
 
-    def runs(self):
-        """Yield (window, detector, origin, start, stop) of each run of equal codes."""
-        key = (self.window.astype(np.int32) * len(DETECTORS) + self.detector) \
-            * len(CLICK_ORIGINS) + self.origin
-        edges = np.concatenate([[0], np.flatnonzero(np.diff(key)) + 1, [len(key)]])
-        for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
-            if stop > start:
-                yield (int(self.window[start]), int(self.detector[start]),
-                       int(self.origin[start]), start, stop)
-
     def times_by_window(self) -> dict:
         """Click times of each window that has clicks."""
         codes = np.flatnonzero(np.bincount(self.window)).tolist()

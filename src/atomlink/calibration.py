@@ -5,12 +5,13 @@ each residual puts the fitted constants back through that model: it is the
 relative error by which the fitted model misses its target.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .protocol.rates import accepted_contrast, flight_time, repetition_rate, success_probability
-from .protocol.scenario import CAL_AP_SCALE, LinkScenario, preset
+from .protocol.scenario import CAL_AP_SCALE, PRESETS, LinkScenario, preset
 
 DEFAULT_TARGETS = {
     "repetition_rates_hz": {name: preset(name).published_values["repetition_rate_hz"]
@@ -56,13 +57,29 @@ def fit_collection_efficiency(p_target: float, scenario: LinkScenario) -> float:
     return float(np.sqrt(c_squared))
 
 
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def check_targets(targets) -> None:
-    """Raise ValueError unless ``targets`` is a dict of ``DEFAULT_TARGETS`` keys."""
+    """Raise ValueError unless ``targets`` is a dict of ``DEFAULT_TARGETS`` keys with usable values.
+
+    The herald probability and the contrast are real numbers in (0, 1]; the
+    repetition rates are a non-empty object of preset names to positive rates.
+    """
     if not isinstance(targets, dict):
         raise ValueError("targets must be a JSON object")
     unknown = [k for k in targets if k not in DEFAULT_TARGETS]
     if unknown:
         raise ValueError(f"unknown target {unknown[0]!r}; known: {sorted(DEFAULT_TARGETS)}")
+    rates = targets.get("repetition_rates_hz", DEFAULT_TARGETS["repetition_rates_hz"])
+    if not (isinstance(rates, dict) and rates and all(
+            name in PRESETS and _real(r) and r > 0.0 for name, r in rates.items())):
+        raise ValueError("target 'repetition_rates_hz' must map preset names "
+                         f"{list(PRESETS)} to positive rates")
+    for key in ("success_probability_l6", "interference_contrast"):
+        if key in targets and not (_real(targets[key]) and 0.0 < targets[key] <= 1.0):
+            raise ValueError(f"target {key!r} must be a real number in (0, 1]")
 
 
 @dataclass
@@ -76,8 +93,8 @@ class CalibrationResult:
 def calibrate(targets: dict | None = None) -> CalibrationResult:
     """Fit the calibrated constants to a target dictionary.
 
-    Missing target entries keep the shipped defaults; a key that is not a
-    ``DEFAULT_TARGETS`` key is an error.  Residuals above
+    Missing target entries keep the shipped defaults; a target that
+    ``check_targets`` rejects is an error.  Residuals above
     ``RESIDUAL_TOLERANCE`` mark the result as non-converged (contradictory
     targets).
     """
@@ -102,9 +119,7 @@ def calibrate(targets: dict | None = None) -> CalibrationResult:
                      node2=replace(base.node2, collection_efficiency=coll))
     residuals["success_probability_l6"] = _relative(success_probability(fitted), p_target)
 
-    contrast = float(t["interference_contrast"])
-    if not 0.0 < contrast <= 1.0:
-        raise ValueError("contrast target out of range")
+    contrast = t["interference_contrast"]
     # the accepted contrast is linear in xi_max, and its background weight
     # is that of the fitted collection efficiency
     xi = contrast / accepted_contrast(replace(fitted, xi_max=1.0))

@@ -171,6 +171,11 @@ _EVENT_LINE = (
     '{"uu": %r, "ud": %r, "du": %r, "dd": %r}, "outcome1": %s, "outcome2": %s, '
     '"config_hash": %s}\n')
 _CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
+# one clicks.csv row template per (window, detector, origin) code triple, at
+# index (window * len(DETECTORS) + detector) * len(CLICK_ORIGINS) + origin
+_CLICK_ROWS = np.array([f"{w},{d},%.3f,{o}\r\n"
+                        for w, d, o in itertools.product(WINDOWS, DETECTORS, CLICK_ORIGINS)],
+                       dtype=object)
 # rows of a run file that are formatted, or parsed, at a time
 _FILE_BLOCK = 2048
 
@@ -205,16 +210,15 @@ def _write_events(fh, header, events: EventTable):
 def _write_clicks(fh, chash, clicks: ClickTable):
     """The hash line and the CSV header, then _FILE_BLOCK clicks at a time.
 
-    Each run of equal codes in a block is formatted in one call.
+    Each block is formatted in one call, from the row templates of its codes.
     """
     fh.write(f"# config_hash={chash}\n")
     fh.write(",".join(_CLICK_HEADER) + "\r\n")
     for first in range(0, len(clicks), _FILE_BLOCK):
         block = clicks.rows(slice(first, first + _FILE_BLOCK))
-        stamps = (block.time_s * 1e9).tolist()
-        for window, detector, origin, start, stop in block.runs():
-            row = f"{WINDOWS[window]},{DETECTORS[detector]},%.3f,{CLICK_ORIGINS[origin]}\r\n"
-            fh.write(row * (stop - start) % tuple(stamps[start:stop]))
+        key = (block.window.astype(np.intp) * len(DETECTORS) + block.detector) \
+            * len(CLICK_ORIGINS) + block.origin
+        fh.write("".join(_CLICK_ROWS[key].tolist()) % tuple((block.time_s * 1e9).tolist()))
 
 
 # ---------------------------------------------------------------------------

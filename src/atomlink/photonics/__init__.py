@@ -9,10 +9,8 @@ from .bsm import (
     DETECTOR_PAIRS,
 )
 from .polarization import (
-    FibreUnitary,
-    PolarizationController,
+    compensator_settings,
     drift_walk,
-    polarization_control_cycle,
     rotation_su2,
     simulate_drift_with_control,
     stokes_rotation,
@@ -24,7 +22,6 @@ __all__ = [
     "PhotonWavepacket", "indistinguishability", "window_capture_probability",
     "CoincidenceClass", "DetectorParams", "classify_coincidence",
     "coincidence_distribution", "DETECTOR_PAIRS",
-    "FibreUnitary", "PolarizationController",
-    "drift_walk", "polarization_control_cycle", "rotation_su2",
+    "compensator_settings", "drift_walk", "rotation_su2",
     "simulate_drift_with_control", "stokes_rotation",
 ]

@@ -7,7 +7,6 @@ expectation values of (sigma_z, sigma_x, sigma_y) on the Jones vector.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,23 +14,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI = np.stack((SIGMA_Z, SIGMA_X, SIGMA_Y))
-
-
-@dataclass(frozen=True)
-class FibreUnitary:
-    """Jones-matrix polarization transformation of one fibre."""
-
-    matrix: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-9:
-            raise ValueError("matrix is not unitary")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def rotation_su2(axis, angle) -> np.ndarray:
@@ -54,10 +36,10 @@ def rotation_su2(axis, angle) -> np.ndarray:
     return u
 
 
-def stokes_rotation(u: np.ndarray | FibreUnitary) -> np.ndarray:
+def stokes_rotation(u: np.ndarray) -> np.ndarray:
     """SO(3) Stokes rotation R[i, j] = tr(s_i U s_j U^dagger) / 2 of a Jones
     unitary U, or of a (..., 2, 2) stack of them."""
-    m = u.matrix if isinstance(u, FibreUnitary) else np.asarray(u)
+    m = np.asarray(u)
     return 0.5 * np.einsum("iab,...bc,jcd,...ed->...ij", _PAULI, m, _PAULI, m.conj()).real
 
 
@@ -88,11 +70,10 @@ def drift_walk(fibres: int, steps: int, dt: float, drift_rate: float,
 # Automated compensation
 # ---------------------------------------------------------------------------
 
-_COST_TOL = 8e-7         # summed probe cost at which the descent stops
-_RANDOM_RESTARTS = 2     # random starts tried after the current and zero settings
-_RESTART_SEED = 0
-_FD_EPS = 1e-6           # finite-difference step of the probe gradient
-_FD_STEPS = _FD_EPS * np.eye(3)
+# sin t2 at or below which the compensator counts as at a pole: there the
+# general formulas' rounding error (about eps / sin t2) would exceed the
+# O(sin t2) error of setting t1 = 0
+_POLE = 1e-8
 
 
 def _about_s3(t: float) -> np.ndarray:
@@ -123,74 +104,25 @@ def residual_error_from_cost(cost):
     return cost / 8.0
 
 
-@dataclass
-class PolarizationController:
-    """Three-paddle compensator driven by probe-based gradient descent."""
+def compensator_settings(r_fibre: np.ndarray) -> np.ndarray:
+    """Paddle angles (t1, t2, t3) whose Rz(t3) Rx(t2) Rz(t1) inverts a Stokes rotation.
 
-    settings: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    max_iterations: int = 600
-
-
-def polarization_control_cycle(u: FibreUnitary, controller: PolarizationController
-                               ) -> tuple[np.ndarray, float, bool]:
-    """One automated compensation run against the current fibre unitary.
-
-    Alternating V and D probes are (virtually) sent through the fibre and
-    compensator; the three paddle angles are optimized by finite-difference
-    gradient descent on the summed Stokes distance.  Returns the new
-    settings, the residual polarization error, and a convergence flag.
-    The controller never keeps settings worse than the ones it started with.
+    They are the zxz Euler angles (z = S3, x = S1) of the transpose
+    M = R^T, read off M's last row and column: M[2] is (sin t2 sin t1,
+    sin t2 cos t1, cos t2) and M[:, 2] is (sin t2 sin t3, -sin t2 cos t3,
+    cos t2).  At a pole (sin t2 = 0) only t1 + t3 (t2 = 0) or t3 - t1
+    (t2 = pi) is fixed; there t1 = 0 and t3 comes from M[0, 0] = cos t3,
+    M[1, 0] = sin t3.  ``r_fibre`` may be a (..., 3, 3) stack; the angles
+    are (..., 3).
     """
-    r_fibre = stokes_rotation(u)
-
-    def cost(theta):
-        return _probe_cost(theta, r_fibre)
-
-    rng = np.random.default_rng(_RESTART_SEED)
-    starts = [np.asarray(controller.settings, dtype=float), np.zeros(3),
-              *rng.uniform(-np.pi, np.pi, size=(_RANDOM_RESTARTS, 3))]
-
-    best_theta = starts[0]
-    best_cost = cost(best_theta)
-    budget = controller.max_iterations
-    for theta0 in starts:
-        theta, c, used = _gradient_descent(cost, theta0, budget)
-        budget -= used
-        if c < best_cost:
-            best_theta, best_cost = theta, c
-        if best_cost < _COST_TOL or budget <= 0:
-            break
-
-    controller.settings = best_theta
-    converged = residual_error_from_cost(best_cost) < 0.01
-    return best_theta, residual_error_from_cost(best_cost), converged
-
-
-def _gradient_descent(cost, theta0: np.ndarray, max_iter: int
-                      ) -> tuple[np.ndarray, float, int]:
-    theta = np.array(theta0, dtype=float)
-    c = cost(theta)
-    step = 0.5
-    used = 0
-    for _ in range(max(0, max_iter)):
-        used += 1
-        grad = np.array([cost(theta + e) - cost(theta - e) for e in _FD_STEPS]) / (2.0 * _FD_EPS)
-        g_norm = np.linalg.norm(grad)
-        if g_norm < 1e-12 or c < _COST_TOL:
-            break
-        improved = False
-        for _ in range(25):
-            trial = theta - step * grad / g_norm
-            c_trial = cost(trial)
-            if c_trial < c:
-                theta, c = trial, c_trial
-                step *= 1.25
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return theta, c, used
+    m = np.swapaxes(np.asarray(r_fibre, dtype=float), -1, -2)
+    sin_t2 = np.hypot(m[..., 2, 0], m[..., 2, 1])
+    pole = sin_t2 <= _POLE
+    t1 = np.where(pole, 0.0, np.arctan2(m[..., 2, 0], m[..., 2, 1]))
+    t2 = np.arctan2(sin_t2, m[..., 2, 2])
+    t3 = np.where(pole, np.arctan2(m[..., 1, 0], m[..., 0, 0]),
+                  np.arctan2(m[..., 0, 2], -m[..., 1, 2]))
+    return np.stack((t1, t2, t3), axis=-1)
 
 
 def simulate_drift_with_control(drift_rate: float, cadence: float, duration: float,
@@ -200,10 +132,9 @@ def simulate_drift_with_control(drift_rate: float, cadence: float, duration: flo
     The error trace is the probe residual measured every ``dt`` with the
     settings held between control runs.  The fibre follows one
     ``drift_walk`` seeded by ``seed``; a control run is due at the first
-    sample at or after each multiple of ``cadence``.  The controller starts
-    from zero settings.
+    sample at or after each multiple of ``cadence``, and sets the
+    compensator to the inverse of the fibre's rotation at that sample.
     """
-    ctrl = PolarizationController()
     times, controls = [], []
     t = next_control = 0.0
     while t <= duration:
@@ -214,9 +145,8 @@ def simulate_drift_with_control(drift_rate: float, cadence: float, duration: flo
         t += dt
     path = drift_walk(1, len(times), dt, drift_rate, np.random.default_rng(seed))[0, :-1]
     r_fibre = stokes_rotation(path)
+    settings = compensator_settings(r_fibre[controls])
     errors = np.empty(len(times))
-    for start, stop in zip(controls, controls[1:] + [len(times)]):
-        polarization_control_cycle(FibreUnitary(path[start]), ctrl)
-        errors[start:stop] = residual_error_from_cost(_probe_cost(ctrl.settings,
-                                                                  r_fibre[start:stop]))
+    for theta, start, stop in zip(settings, controls, controls[1:] + [len(times)]):
+        errors[start:stop] = residual_error_from_cost(_probe_cost(theta, r_fibre[start:stop]))
     return np.asarray(times), errors

@@ -10,7 +10,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,13 +36,7 @@ from atomlink.analysis.tables import (
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
 from atomlink.memory.trap import MotionKernel, TrapParams, thermal_sigmas
-from atomlink.photonics import (
-    FibreUnitary,
-    PolarizationController,
-    polarization_control_cycle,
-    rotation_su2,
-    stokes_rotation,
-)
+from atomlink.photonics import compensator_settings, rotation_su2
 from atomlink.quantum import OUTCOME_KEYS
 
 SQ2 = np.sqrt(2.0)
@@ -776,6 +770,24 @@ def reference_report(events_path, clicks_path, summary_path, estimators) -> dict
 # cost and its one-einsum Stokes map.
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class FibreUnitary:
+    """Jones-matrix polarization transformation of one fibre, checked unitary."""
+
+    matrix: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError("expected a 2x2 matrix")
+        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-9:
+            raise ValueError("matrix is not unitary")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
 STOKES_V = np.array([-1.0, 0.0, 0.0])
 STOKES_D = np.array([0.0, 1.0, 0.0])
 _PAULI_STOKES = (
@@ -826,42 +838,21 @@ def probe_cost_loop(settings, r_fibre: np.ndarray) -> float:
     return sum(float(np.sum((r @ s - s) ** 2)) for s in (STOKES_V, STOKES_D))
 
 
-def invert_rotation_settings(u: FibreUnitary) -> np.ndarray:
-    """Direct zxz Euler construction of compensator settings inverting u.
-
-    The analytic reference the optimizer is checked against.
-    """
-    r = stokes_rotation(u)
-    r_inv = r.T
-    # r_inv = Rz(t3) Rx(t2) Rz(t1) in Stokes space, axes (S3, S1, S3)
-    # standard zxz Euler extraction with z <-> S3 and x <-> S1
-    t2 = np.arccos(np.clip(r_inv[2, 2], -1.0, 1.0))
-    if abs(np.sin(t2)) > 1e-9:
-        t3 = np.arctan2(r_inv[0, 2], -r_inv[1, 2])
-        t1 = np.arctan2(r_inv[2, 0], r_inv[2, 1])
-    else:
-        t3 = np.arctan2(r_inv[1, 0], r_inv[0, 0]) if r_inv[2, 2] > 0 else np.arctan2(
-            -r_inv[1, 0], r_inv[0, 0]
-        )
-        t1 = 0.0
-    return np.array([t1, t2, t3])
-
-
 def drift_with_control_loop(drift_rate: float, cadence: float, duration: float,
                             dt: float, seed: int):
     """Drifting fibre with periodic compensation, one drift step and one
     probe residual per sample time; returns (times, errors)."""
     rng = np.random.default_rng(seed)
-    ctrl = PolarizationController()
     u = FibreUnitary()
     times, errors = [], []
     t = next_control = 0.0
     while t <= duration:
+        r_fibre = stokes_rotation_traces(u.matrix)
         if t >= next_control:
-            polarization_control_cycle(u, ctrl)
+            settings = compensator_settings(r_fibre)
             next_control += cadence
         times.append(t)
-        errors.append(probe_cost_loop(ctrl.settings, stokes_rotation_traces(u.matrix)) / 8.0)
+        errors.append(probe_cost_loop(settings, r_fibre) / 8.0)
         u = drift_step(u, dt, drift_rate, rng)
         t += dt
     return np.asarray(times), np.asarray(errors)

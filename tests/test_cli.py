@@ -291,8 +291,12 @@ class TestFileBlocks:
                               n_trajectories=300)
         # up to 12 clicks of every run of equal codes: the coincidences' short
         # runs and a cut of each singles run, which spans block boundaries
+        clicks = result.clicks
+        key = (clicks.window.astype(int) * len(DETECTORS) + clicks.detector) \
+            * len(CLICK_ORIGINS) + clicks.origin
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(key)) + 1, [len(key)]])
         keep = np.concatenate([np.arange(start, min(stop, start + 12))
-                               for *_, start, stop in result.clicks.runs()])
+                               for start, stop in zip(edges[:-1], edges[1:])])
         return result, result.clicks.rows(keep)
 
     def _write(self, path, write, *args):
@@ -418,9 +422,12 @@ class TestCalibrate:
         assert "CAL_AP_SCALE, returned unchanged" in note
         assert "refit" not in note
 
-    @pytest.mark.parametrize("targets", [{"fidelities": {"l6": 0.83}}, ["coherence_time_s"],
-                                         {"coherence_time_s": 330e-6}],
-                             ids=["old-key", "not-an-object", "coherence-time"])
+    @pytest.mark.parametrize("targets", [
+        {"fidelities": {"l6": 0.83}}, ["coherence_time_s"], {"coherence_time_s": 330e-6},
+        {"success_probability_l6": "x"}, {"repetition_rates_hz": {}},
+        {"repetition_rates_hz": {"l6": -5}}, {"repetition_rates_hz": {"l99": 3e4}}],
+        ids=["old-key", "not-an-object", "coherence-time", "string-probability", "no-rates",
+             "negative-rate", "unknown-preset"])
     def test_unknown_target_is_exit_2(self, tmp_path, capsys, targets):
         path = tmp_path / "targets.json"
         path.write_text(json.dumps(targets))
