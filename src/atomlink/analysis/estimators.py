@@ -140,7 +140,7 @@ def correlation_probability(counts) -> tuple[float, float]:
     return p_corr, 1.0 - p_corr
 
 
-def binomial_sigma(p: float, n: int) -> float:
+def binomial_sigma(p: float, n: float) -> float:
     """One-standard-deviation binomial error of an estimated probability."""
     if n <= 0:
         raise ValueError("need at least one event")
@@ -256,7 +256,8 @@ def statistical_error(counts, quantity: str = "p_corr") -> float:
     """One-sigma error of an estimator evaluated on one setting's counts."""
     if isinstance(counts, SettingCounts):
         counts = counts.as_tuple()
-    n = int(sum(counts))
+    # density-matrix counts are summed probabilities, so the total stays a float
+    n = float(sum(counts))
     p = (counts[0] + counts[3]) / n if n else 0.0
     sig_p = binomial_sigma(p, n)
     if quantity == "p_corr":

@@ -192,6 +192,15 @@ class TestStatisticalError:
         assert sig == pytest.approx(0.05)
         assert statistical_error((25, 25, 25, 25), "correlator") == pytest.approx(0.1)
 
+    def test_summed_probability_total(self):
+        # density-matrix counts are summed probabilities; these totals fall
+        # one rounding short of 23 and of 1 and must not truncate to 22 and 0
+        counts = (9.7, 6.2, 6.7, 0.4)
+        assert sum(counts) < 23.0
+        p = 10.1 / 23.0
+        assert statistical_error(counts) == pytest.approx(np.sqrt(p * (1 - p) / 23.0), rel=1e-12)
+        assert statistical_error((0.7, 0.1, 0.1, 0.1)) == pytest.approx(0.4, rel=1e-12)
+
     def test_coverage(self):
         # ~68% of replicas must fall within +-1 sigma of the truth
         rng = np.random.default_rng(8)
