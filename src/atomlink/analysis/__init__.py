@@ -1,9 +1,7 @@
 from .windows import DetectionHistogram, SbrEstimate, acceptance_filter, sbr
-from .tables import ClickTable, EventTable
+from .tables import ClickTable, CorrelationDataset, EventTable
 from .estimators import (
-    CorrelationDataset,
     FringeFit,
-    SettingCounts,
     basis_contrast,
     binomial_sigma,
     chsh_from_dataset,
@@ -19,7 +17,7 @@ from .estimators import (
 
 __all__ = [
     "DetectionHistogram", "SbrEstimate", "acceptance_filter", "sbr",
-    "CorrelationDataset", "FringeFit", "SettingCounts", "basis_contrast",
+    "CorrelationDataset", "FringeFit", "basis_contrast",
     "binomial_sigma", "chsh_from_dataset", "correlation_probability",
     "dataset_from_events", "EventTable", "ClickTable",
     "fidelity_bound", "fringe_fit", "interference_contrast",

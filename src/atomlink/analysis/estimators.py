@@ -1,11 +1,11 @@
 """Estimators applied to correlation datasets: fringes, contrasts, fidelity, CHSH."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..quantum import OUTCOME_KEYS, chsh_s
-from .tables import BELL_OUTCOMES, PLANES, EventTable
+from ..quantum import chsh_s
+from .tables import BELL_OUTCOMES, PLANES, CorrelationDataset, EventTable, round_angles
 
 # the (alpha, beta, plane) readout settings of each run schedule
 SCHEDULES = {
@@ -30,62 +30,11 @@ BASIS_PAIRS = dict(zip(("X", "Y", "Z"), zip(SCHEDULES["three-basis"][0::2],
                                             SCHEDULES["three-basis"][1::2])))
 
 
-@dataclass(frozen=True)
-class SettingCounts:
-    """Joint readout counts for one analyzer-setting pair."""
-
-    alpha: float                 # node-1 analyzer angle (rad) or 0/pi-half for Z
-    beta: float                  # node-2 analyzer angle
-    plane: str = "equator"       # "equator" or "z"
-    outcome: str = "PsiMinus"    # heralded Bell state
-    n_uu: int = 0
-    n_ud: int = 0
-    n_du: int = 0
-    n_dd: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n_uu, self.n_ud, self.n_du, self.n_dd)
-
-
-@dataclass
-class CorrelationDataset:
-    """Counts N_uu, N_ud, N_du, N_dd per analyzer-setting pair."""
-
-    rows: list = field(default_factory=list)
-
-    def _find(self, alpha, beta, plane, outcome):
-        for row in self.rows:
-            if (abs(row["alpha"] - alpha) < 1e-12 and abs(row["beta"] - beta) < 1e-12
-                    and row["plane"] == plane and row["outcome"] == outcome):
-                return row
-        return None
-
-    def counts(self, alpha, beta, plane="equator", outcome="PsiMinus") -> SettingCounts:
-        row = self._find(alpha, beta, plane, outcome)
-        if row is None:
-            raise KeyError(f"no counts for setting ({alpha}, {beta}, {plane}, {outcome})")
-        return SettingCounts(alpha, beta, plane, outcome,
-                             row["uu"], row["ud"], row["du"], row["dd"])
-
-    def settings(self, outcome=None, plane=None):
-        out = []
-        for row in self.rows:
-            if outcome is not None and row["outcome"] != outcome:
-                continue
-            if plane is not None and row["plane"] != plane:
-                continue
-            out.append(SettingCounts(row["alpha"], row["beta"], row["plane"],
-                                     row["outcome"], row["uu"], row["ud"],
-                                     row["du"], row["dd"]))
-        return out
-
-
 def _setting_codes(angles: np.ndarray) -> np.ndarray:
     """Index of each angle, rounded to 12 digits, among the distinct rounded angles."""
     distinct, inverse = np.unique(angles, return_inverse=True)
-    # Python's round, which is correctly rounded, on the few distinct values
-    rounded = np.array([round(a, 12) for a in distinct.tolist()])
-    _, merged = np.unique(rounded, return_inverse=True)
+    # round only the few distinct values
+    _, merged = np.unique(round_angles(distinct), return_inverse=True)
     return merged[inverse]
 
 
@@ -102,14 +51,13 @@ def dataset_from_events(events: EventTable, mode: str) -> CorrelationDataset:
     if mode == "sampled-clicks":
         keep = keep & (events.readout >= 0)
     idx = np.flatnonzero(keep)
-    ds = CorrelationDataset()
-    if not len(idx):
-        return ds
     alpha = events.alpha_rad[idx]
     beta = events.beta_rad[idx]
+    plane = events.plane[idx]
+    outcome = events.outcome[idx]
     a_code, b_code = _setting_codes(alpha), _setting_codes(beta)
-    key = ((a_code * (b_code.max() + 1) + b_code) * len(PLANES)
-           + events.plane[idx]) * len(BELL_OUTCOMES) + events.outcome[idx]
+    key = (((a_code * (b_code.max(initial=0) + 1) + b_code) * len(PLANES) + plane)
+           * len(BELL_OUTCOMES) + outcome)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     group = np.argsort(order)[inverse]
@@ -120,24 +68,17 @@ def dataset_from_events(events: EventTable, mode: str) -> CorrelationDataset:
         # bincount adds the weights one by one in event order
         counts = np.stack([np.bincount(group, weights=events.probabilities[idx, k], minlength=n)
                            for k in range(4)], axis=1)
-    for h, row in zip(first[order].tolist(), counts.tolist()):
-        ds.rows.append({"alpha": round(float(alpha[h]), 12), "beta": round(float(beta[h]), 12),
-                        "plane": PLANES[events.plane[idx[h]]],
-                        "outcome": BELL_OUTCOMES[events.outcome[idx[h]]],
-                        **dict(zip(OUTCOME_KEYS, row))})
-    return ds
+    h = first[order]
+    return CorrelationDataset(alpha[h], beta[h], plane[h], outcome[h], counts)
 
 
-def correlation_probability(counts) -> tuple[float, float]:
-    """(P_corr, P_acorr) from (n_uu, n_ud, n_du, n_dd)."""
-    if isinstance(counts, SettingCounts):
-        counts = counts.as_tuple()
+def correlation_probability(counts) -> float:
+    """P_corr of (n_uu, n_ud, n_du, n_dd)."""
     n_uu, n_ud, n_du, n_dd = counts
     total = n_uu + n_ud + n_du + n_dd
     if total <= 0:
         raise ValueError("no events for this setting pair")
-    p_corr = (n_uu + n_dd) / total
-    return p_corr, 1.0 - p_corr
+    return float((n_uu + n_dd) / total)
 
 
 def binomial_sigma(p: float, n: float) -> float:
@@ -254,12 +195,8 @@ def fidelity_bound(v_bar: float) -> float:
 
 def statistical_error(counts, quantity: str = "p_corr") -> float:
     """One-sigma error of an estimator evaluated on one setting's counts."""
-    if isinstance(counts, SettingCounts):
-        counts = counts.as_tuple()
     # density-matrix counts are summed probabilities, so the total stays a float
-    n = float(sum(counts))
-    p = (counts[0] + counts[3]) / n if n else 0.0
-    sig_p = binomial_sigma(p, n)
+    sig_p = binomial_sigma(correlation_probability(counts), float(sum(counts)))
     if quantity == "p_corr":
         return sig_p
     if quantity == "correlator":
@@ -280,17 +217,15 @@ def fringe_visibility_summary(dataset: CorrelationDataset, outcome: str):
 
     Returns (v_bar, v_bar_sigma, fits_by_beta).
     """
-    rows = dataset.settings(outcome=outcome, plane="equator")
-    betas = sorted({round(r.beta, 9) for r in rows})
+    scans = dataset.select("equator", outcome)
     fits = {}
-    for beta in betas:
-        sub = [r for r in rows if abs(r.beta - beta) < 1e-9]
-        if len({round(r.alpha, 9) for r in sub}) < 4:
+    for beta in sorted(set(scans.beta.tolist())):
+        scan = scans.rows(scans.beta == beta)
+        if len(set(scan.alpha.tolist())) < 4:
             continue
-        alphas = np.array([r.alpha for r in sub])
-        ps = np.array([correlation_probability(r)[0] for r in sub])
-        errs = np.array([max(statistical_error(r), 1e-6) for r in sub])
-        fits[beta] = fringe_fit(alphas, ps, errs)
+        ps = [correlation_probability(c) for c in scan.counts]
+        errs = [max(statistical_error(c), 1e-6) for c in scan.counts]
+        fits[beta] = fringe_fit(scan.alpha, ps, errs)
     if not fits:
         raise ValueError("no fringe scans with enough distinct angles")
     vs = np.array([f.visibility for f in fits.values()])
@@ -312,13 +247,11 @@ def three_basis_summary(dataset: CorrelationDataset):
         variances = {}
         for k, settings in BASIS_PAIRS.items():
             try:
-                c_same, c_flip = (dataset.counts(a, b, plane=plane, outcome=outcome)
+                c_same, c_flip = (dataset.counts_at(a, b, plane, outcome)
                                   for a, b, plane in settings)
             except KeyError:
                 continue
-            p_same, _ = correlation_probability(c_same)
-            p_flip, _ = correlation_probability(c_flip)
-            pairs[k] = (p_same, p_flip)
+            pairs[k] = (correlation_probability(c_same), correlation_probability(c_flip))
             variances[k] = statistical_error(c_same) ** 2 + statistical_error(c_flip) ** 2
         if pairs:
             contrasts, mean = basis_contrast(pairs)
@@ -343,9 +276,8 @@ def chsh_from_dataset(dataset: CorrelationDataset):
     correlators = []
     variances = []
     for alpha, beta, plane in SCHEDULES["chsh"]:
-        c = dataset.counts(alpha, beta, plane=plane, outcome="PsiMinus")
-        p_corr, _ = correlation_probability(c)
-        correlators.append(np.clip(2.0 * p_corr - 1.0, -1.0, 1.0))
+        c = dataset.counts_at(alpha, beta, plane, "PsiMinus")
+        correlators.append(np.clip(2.0 * correlation_probability(c) - 1.0, -1.0, 1.0))
         variances.append(statistical_error(c, "correlator") ** 2)
     s = chsh_s(*correlators)
     return s, float(np.sqrt(np.sum(variances)))

@@ -87,3 +87,49 @@ class ClickTable(_Columns):
         """Click times of each window that has clicks."""
         codes = np.flatnonzero(np.bincount(self.window)).tolist()
         return {WINDOWS[c]: self.time_s[self.window == c] for c in codes}
+
+
+def round_angles(angles) -> np.ndarray:
+    """Analyzer angles rounded to 12 digits: the rule for "same setting".
+
+    Python's ``round`` is correctly rounded, unlike numpy's.
+    """
+    return np.array([round(a, 12) for a in np.asarray(angles, dtype=float).tolist()],
+                    dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelationDataset(_Columns):
+    """Readout counts of each analyzer setting and Bell outcome, one row each.
+
+    The table keeps its angles through ``round_angles``, so two settings
+    are the same when their angle columns are equal.
+    """
+
+    alpha: np.ndarray            # (k,) node-1 analyzer angle (rad)
+    beta: np.ndarray             # (k,) node-2 analyzer angle
+    plane: np.ndarray            # (k,) index into PLANES
+    outcome: np.ndarray          # (k,) index into BELL_OUTCOMES
+    counts: np.ndarray           # (k, 4) in OUTCOME_KEYS order: counts or summed probabilities
+
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, round_angles(getattr(self, name)))
+        super().__post_init__()
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def select(self, plane: str, outcome: str) -> "CorrelationDataset":
+        """The rows of one readout plane and Bell outcome."""
+        return self.rows((self.plane == PLANES.index(plane))
+                         & (self.outcome == BELL_OUTCOMES.index(outcome)))
+
+    def counts_at(self, alpha: float, beta: float, plane: str, outcome: str) -> np.ndarray:
+        """The counts of one setting and Bell outcome; KeyError if the table has none."""
+        rows = self.select(plane, outcome)
+        a, b = round_angles([alpha, beta])
+        hit = np.flatnonzero((rows.alpha == a) & (rows.beta == b))
+        if not len(hit):
+            raise KeyError(f"no counts for setting ({alpha}, {beta}, {plane}, {outcome})")
+        return rows.counts[hit[0]]

@@ -469,11 +469,11 @@ def cmd_analyze(args) -> int:
             w = csv.writer(fh)
             w.writerow(["outcome", "beta_deg", "alpha_deg", "p_corr", "sigma"])
             for outcome in ("PsiMinus", "PsiPlus"):
-                for row in dataset.settings(outcome=outcome, plane="equator"):
-                    p, _ = correlation_probability(row)
-                    w.writerow([outcome, f"{np.degrees(row.beta):.1f}",
-                                f"{np.degrees(row.alpha):.1f}", f"{p:.6f}",
-                                f"{statistical_error(row):.6f}"])
+                scans = dataset.select("equator", outcome)
+                for alpha, beta, c in zip(scans.alpha, scans.beta, scans.counts):
+                    w.writerow([outcome, f"{np.degrees(beta):.1f}", f"{np.degrees(alpha):.1f}",
+                                f"{correlation_probability(c):.6f}",
+                                f"{statistical_error(c):.6f}"])
     print(f"wrote report to {report_path}")
     return EXIT_OK
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from ..analysis import basis_contrast, fidelity_bound
+from ..analysis import CorrelationDataset, three_basis_summary
 from ..analysis.estimators import BASIS_PAIRS, SCHEDULES
+from ..analysis.tables import BELL_OUTCOMES, PLANES
 from ..quantum import BellOutcome
 from .rates import sbr_model
 from .sequence import (
@@ -28,13 +29,17 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
     field environment), mixed with the background heralds' maximally mixed
     pair at the accepted-window background weight of ``sbr_model``.  The
     six three-basis settings are read out with ``event_readout`` for both
-    Bell outcomes, and the contrasts pool the outcomes as
-    ``three_basis_summary`` does.  No herald is drawn, so the rows depend
-    only on the memory channels' Monte Carlo (``n_trajectories``, ``seed``).
+    Bell outcomes, and the readout probabilities, as the counts of a
+    ``CorrelationDataset``, go through ``three_basis_summary`` as a run's
+    counts do.  No herald is drawn, so the rows depend only on the memory
+    channels' Monte Carlo (``n_trajectories``, ``seed``).
     """
     settings = SCHEDULES["three-basis"]
     outcomes = [o for o in BellOutcome for _ in settings]
     setting_index = np.tile(np.arange(len(settings)), len(BellOutcome))
+    # (alpha, beta, plane, outcome) columns of the readout rows
+    keys = [np.array(c) for c in zip(*[(a, b, PLANES.index(p), BELL_OUTCOMES.index(o.value))
+                                       for o in BellOutcome for a, b, p in settings])]
     rows = []
     for s in scenarios:
         _, xi, _ = coincidence_branches(s)
@@ -46,11 +51,8 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
         states = (1.0 - w) * signal + w * _MIXED_PAIR
         probs, _ = event_readout(np.repeat(states, len(settings), axis=0), settings,
                                  setting_index, outcomes)
-        # P_corr per outcome, basis and (aligned, flipped) setting
-        p_corr = (probs[:, 0] + probs[:, 3]).reshape(len(BellOutcome), len(BASIS_PAIRS), 2)
-        per_outcome = [basis_contrast(dict(zip(BASIS_PAIRS, map(tuple, p.tolist()))))
-                       for p in p_corr]
-        mean = float(np.mean([m for _, m in per_outcome]))
+        summary = three_basis_summary(CorrelationDataset(*keys, probs))
+        per_outcome = summary["per_outcome"].values()
         rows.append({
             "name": s.name,
             "total_length_km": s.total_length_km,
@@ -59,9 +61,9 @@ def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
             "envelope1": float(abs(coherences[0][2, 0])),
             "envelope2": float(abs(coherences[1][2, 0])),
             "background_weight": w,
-            **{f"contrast_{k.lower()}": float(np.mean([c[k] for c, _ in per_outcome]))
+            **{f"contrast_{k.lower()}": float(np.mean([o["contrasts"][k] for o in per_outcome]))
                for k in BASIS_PAIRS},
-            "mean_contrast": mean,
-            "fidelity": fidelity_bound(min(mean, 1.0)),
+            "mean_contrast": summary["mean_contrast"],
+            "fidelity": summary["fidelity"],
         })
     return rows

@@ -696,11 +696,24 @@ def dataset_from_records(records, mode: str):
             agg = counts.setdefault(key, dict.fromkeys(OUTCOME_KEYS, 0.0))
             for k in OUTCOME_KEYS:
                 agg[k] += rec["probabilities"][k]
-    ds = CorrelationDataset()
-    for (alpha, beta, plane, outcome), agg in counts.items():
-        ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
-                        "outcome": outcome, **agg})
-    return ds
+    return correlation_table([(*key, [agg[k] for k in OUTCOME_KEYS])
+                              for key, agg in counts.items()])
+
+
+def correlation_table(rows):
+    """CorrelationDataset of (alpha, beta, plane, outcome, counts) rows, in row order.
+
+    Plane and outcome are the vocabulary strings; counts are in OUTCOME_KEYS
+    order.
+    """
+    rows = list(rows)
+    return CorrelationDataset(
+        alpha=np.array([r[0] for r in rows], dtype=float),
+        beta=np.array([r[1] for r in rows], dtype=float),
+        plane=np.array([PLANES.index(r[2]) for r in rows], dtype=int),
+        outcome=np.array([BELL_OUTCOMES.index(r[3]) for r in rows], dtype=int),
+        counts=np.array([r[4] for r in rows]).reshape(len(rows), 4),
+    )
 
 
 def reference_report(events_path, clicks_path, summary_path, estimators) -> dict:

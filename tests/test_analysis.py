@@ -5,7 +5,6 @@ import pytest
 
 from atomlink import quantum as q
 from atomlink.analysis import (
-    CorrelationDataset,
     DetectionHistogram,
     acceptance_filter,
     basis_contrast,
@@ -20,6 +19,8 @@ from atomlink.analysis import (
 )
 from atomlink.analysis.estimators import fidelity_sigma, fringe_visibility_summary
 from atomlink.quantum import AtomBasisSetting, BellOutcome
+
+import oracles
 
 
 class TestAcceptanceFilter:
@@ -87,12 +88,10 @@ class TestInterferenceContrast:
 
 class TestCorrelationProbability:
     def test_fully_correlated(self):
-        assert correlation_probability((50, 0, 0, 50))[0] == 1.0
+        assert correlation_probability((50, 0, 0, 50)) == 1.0
 
     def test_uniform(self):
-        p_corr, p_acorr = correlation_probability((25, 25, 25, 25))
-        assert p_corr == 0.5
-        assert p_corr + p_acorr == 1.0
+        assert correlation_probability((25, 25, 25, 25)) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -106,14 +105,14 @@ class TestCorrelationProbability:
         )
         n = 2000
         draws = rng.multinomial(n, [probs[k] for k in ("uu", "ud", "du", "dd")])
-        p_corr, _ = correlation_probability(tuple(draws))
+        p_corr = correlation_probability(tuple(draws))
         assert p_corr < 3.0 * binomial_sigma(0.5, n)
 
     def test_label_symmetry(self):
         # swapping both nodes' outcome labels leaves P_corr unchanged
         counts = (40, 13, 27, 20)
         swapped = (20, 27, 13, 40)
-        assert correlation_probability(counts)[0] == correlation_probability(swapped)[0]
+        assert correlation_probability(counts) == correlation_probability(swapped)
 
 
 class TestFringeFit:
@@ -218,7 +217,7 @@ class TestStatisticalError:
 class TestDatasetPipeline:
     def _ideal_dataset(self, n_per=100000):
         rng = np.random.default_rng(5)
-        ds = CorrelationDataset()
+        rows = []
         aa = q.atom_bell_state(BellOutcome.PSI_MINUS).density_matrix()
         for beta in (0.0, np.pi / 4):
             for alpha in np.radians(np.arange(0, 180, 22.5)):
@@ -226,11 +225,8 @@ class TestDatasetPipeline:
                     aa, AtomBasisSetting(alpha), AtomBasisSetting(beta)
                 )
                 draws = rng.multinomial(n_per, [probs[k] for k in ("uu", "ud", "du", "dd")])
-                row = {"alpha": alpha, "beta": beta, "plane": "equator",
-                       "outcome": "PsiMinus", "uu": int(draws[0]), "ud": int(draws[1]),
-                       "du": int(draws[2]), "dd": int(draws[3])}
-                ds.rows.append(row)
-        return ds
+                rows.append((alpha, beta, "equator", "PsiMinus", draws))
+        return oracles.correlation_table(rows)
 
     def test_fringe_pipeline_on_ideal_singlet(self):
         ds = self._ideal_dataset()
@@ -253,7 +249,7 @@ class TestDatasetPipeline:
             rng = np.random.default_rng(99)
             aa = q.atom_bell_state(BellOutcome.PSI_MINUS).density_matrix()
             for _ in range(40):
-                ds = CorrelationDataset()
+                rows = []
                 for beta in (0.0, np.pi / 4):
                     for alpha in np.radians(np.arange(0, 180, 22.5)):
                         probs = q.joint_outcome_probabilities(
@@ -262,11 +258,8 @@ class TestDatasetPipeline:
                         draws = rng.multinomial(
                             n_per, [probs[k] for k in ("uu", "ud", "du", "dd")]
                         )
-                        ds.rows.append({"alpha": alpha, "beta": beta, "plane": "equator",
-                                        "outcome": "PsiMinus", "uu": int(draws[0]),
-                                        "ud": int(draws[1]), "du": int(draws[2]),
-                                        "dd": int(draws[3])})
-                s, _ = chsh_from_dataset(ds)
+                        rows.append((alpha, beta, "equator", "PsiMinus", draws))
+                s, _ = chsh_from_dataset(oracles.correlation_table(rows))
                 reps.append(s)
             devs[n_per] = np.std(reps)
         ratio = devs[200] / devs[3200]
@@ -274,7 +267,7 @@ class TestDatasetPipeline:
 
     def test_three_basis_summary_ideal(self):
         rng = np.random.default_rng(3)
-        ds = CorrelationDataset()
+        rows = []
         for outcome in ("PsiMinus", "PsiPlus"):
             aa = q.atom_bell_state(getattr(BellOutcome, "PSI_MINUS" if outcome == "PsiMinus"
                                            else "PSI_PLUS")).density_matrix()
@@ -287,10 +280,8 @@ class TestDatasetPipeline:
                         AtomBasisSetting(beta, _plane(plane)),
                     )
                     draws = rng.multinomial(20000, [probs[k] for k in ("uu", "ud", "du", "dd")])
-                    ds.rows.append({"alpha": alpha, "beta": beta, "plane": plane,
-                                    "outcome": outcome, "uu": int(draws[0]), "ud": int(draws[1]),
-                                    "du": int(draws[2]), "dd": int(draws[3])})
-        summary = three_basis_summary(ds)
+                    rows.append((alpha, beta, plane, outcome, draws))
+        summary = three_basis_summary(oracles.correlation_table(rows))
         assert summary["mean_contrast"] == pytest.approx(1.0, abs=0.01)
         assert summary["fidelity"] == pytest.approx(1.0, abs=0.01)
 
@@ -312,6 +303,6 @@ class TestPipelineIdentity:
             )
             n = 1000.0
             counts = (n * probs["uu"], n * probs["ud"], n * probs["du"], n * probs["dd"])
-            p_est, _ = correlation_probability(counts)
+            p_est = correlation_probability(counts)
             p_direct = probs["uu"] + probs["dd"]
             assert abs(p_est - p_direct) < 1e-10

@@ -310,12 +310,14 @@ def mode_runs():
 class TestModeConsistency:
     def test_sampled_matches_density_matrix(self, mode_runs):
         dm, sp = mode_runs
-        for row in dm.dataset.settings():
-            p_dm, _ = correlation_probability(row)
-            counts = sp.dataset.counts(row.alpha, row.beta, row.plane, row.outcome)
-            p_sp, _ = correlation_probability(counts)
-            tol = 3.5 * 0.5 / np.sqrt(sum(counts.as_tuple()))   # per-setting binomial bound
-            assert abs(p_dm - p_sp) < tol, (row.alpha, row.beta, row.plane, row.outcome)
+        ds, ss = dm.dataset, sp.dataset
+        for key in zip(ds.alpha, ds.beta, ds.plane, ds.outcome, ds.counts):
+            (i,) = np.flatnonzero((ss.alpha == key[0]) & (ss.beta == key[1])
+                                  & (ss.plane == key[2]) & (ss.outcome == key[3]))
+            p_dm = correlation_probability(key[4])
+            p_sp = correlation_probability(ss.counts[i])
+            tol = 3.5 * 0.5 / np.sqrt(ss.counts[i].sum())   # per-setting binomial bound
+            assert abs(p_dm - p_sp) < tol, key
 
     def test_modes_share_every_draw(self, mode_runs):
         # the readout uniforms are drawn last, so only the readout column differs
@@ -329,8 +331,11 @@ class TestModeConsistency:
     def test_dataset_matches_per_record_builder(self, mode_runs):
         # same settings in the same order, and sums taken in the same order
         for res in mode_runs:
-            records = oracles.event_records(res.events)
-            assert res.dataset.rows == oracles.dataset_from_records(records, res.mode).rows
+            ref = oracles.dataset_from_records(oracles.event_records(res.events), res.mode)
+            for f in fields(ref):
+                built, want = (np.asarray(getattr(d, f.name), dtype=float)
+                               for d in (res.dataset, ref))
+                assert built.shape == want.shape and built.tobytes() == want.tobytes(), f.name
 
     def test_estimator_consistency(self, mode_runs):
         dm, sp = mode_runs
