@@ -224,7 +224,10 @@ def fringe_visibility_summary(dataset: CorrelationDataset, outcome: str):
         if len(set(scan.alpha.tolist())) < 4:
             continue
         ps = [correlation_probability(c) for c in scan.counts]
-        errs = [max(statistical_error(c), 1e-6) for c in scan.counts]
+        # the binomial error at (k + 1/2) / (n + 1) stays finite where P_corr
+        # reads 0 or 1, so no single setting pins the fit
+        errs = [binomial_sigma((c[0] + c[3] + 0.5) / (sum(c) + 1.0), float(sum(c)))
+                for c in scan.counts]
         fits[beta] = fringe_fit(scan.alpha, ps, errs)
     if not fits:
         raise ValueError("no fringe scans with enough distinct angles")

@@ -234,6 +234,17 @@ class TestDatasetPipeline:
         assert v_bar == pytest.approx(1.0, abs=0.01)
         assert len(fits) == 2
 
+    def test_extreme_setting_does_not_pin_fringe(self):
+        # seven well-sampled points of a V = 0.8 fringe and one setting whose
+        # two heralds both correlate: its P_corr of 1 must weigh as two heralds
+        alphas = np.radians(np.arange(0, 180, 22.5))
+        rows = [(a, 0.0, "equator", "PsiMinus", [5000 * p, 5000 * (1 - p), 0, 0])
+                for a, p in zip(alphas, 0.5 - 0.4 * np.cos(2 * alphas))]
+        rows[2] = (alphas[2], 0.0, "equator", "PsiMinus", [2, 0, 0, 0])
+        v_bar, v_sig, _ = fringe_visibility_summary(oracles.correlation_table(rows), "PsiMinus")
+        assert v_bar == pytest.approx(0.8, abs=1e-3)
+        assert v_sig < 0.02
+
     def test_chsh_pipeline(self):
         from atomlink.analysis import chsh_from_dataset
         ds = self._ideal_dataset()
