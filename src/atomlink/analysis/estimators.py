@@ -88,6 +88,17 @@ def binomial_sigma(p: float, n: float) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
 
 
+def fringe_sigma(counts) -> float:
+    """The P_corr error a fringe fit weights one setting's (n_uu, n_ud, n_du, n_dd) by.
+
+    It is the binomial error at (k + 1/2) / (n + 1), k of the n counts
+    correlated, which stays above zero where P_corr reads 0 or 1, so that
+    no single setting pins the fit.
+    """
+    k, n = counts[0] + counts[3], sum(counts)
+    return binomial_sigma((k + 0.5) / (n + 1.0), float(n))
+
+
 def interference_contrast(n_null: float, n_plus: float, n_minus: float) -> float:
     """Two-photon interference contrast 1 - 2 N_null / (N_plus + N_minus)."""
     if n_plus + n_minus <= 0:
@@ -224,11 +235,7 @@ def fringe_visibility_summary(dataset: CorrelationDataset, outcome: str):
         if len(set(scan.alpha.tolist())) < 4:
             continue
         ps = [correlation_probability(c) for c in scan.counts]
-        # the binomial error at (k + 1/2) / (n + 1) stays finite where P_corr
-        # reads 0 or 1, so no single setting pins the fit
-        errs = [binomial_sigma((c[0] + c[3] + 0.5) / (sum(c) + 1.0), float(sum(c)))
-                for c in scan.counts]
-        fits[beta] = fringe_fit(scan.alpha, ps, errs)
+        fits[beta] = fringe_fit(scan.alpha, ps, [fringe_sigma(c) for c in scan.counts])
     if not fits:
         raise ValueError("no fringe scans with enough distinct angles")
     vs = np.array([f.visibility for f in fits.values()])

@@ -10,7 +10,10 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
+from dataclasses import fields
+
 import numpy as np
 
 from . import __version__
@@ -21,12 +24,11 @@ from .analysis import (
     fringe_visibility_summary,
     interference_contrast,
     sbr,
-    statistical_error,
     three_basis_summary,
 )
 # the dataset builder keeps the name that perfbench/traced_cli.py wraps
 from .analysis import dataset_from_events as _dataset_from_records
-from .analysis.estimators import contrast_sigma
+from .analysis.estimators import contrast_sigma, fringe_sigma
 from .analysis.tables import (
     BELL_OUTCOMES,
     CLICK_ORIGINS,
@@ -178,6 +180,9 @@ _CLICK_ROWS = np.array([f"{w},{d},%.3f,{o}\r\n"
                        dtype=object)
 # rows of a run file that are formatted, or parsed, at a time
 _FILE_BLOCK = 2048
+# events.jsonl lines parsed at a time: a line is about twenty clicks.csv rows
+# long, and its parse holds about 2 kB
+_EVENT_BLOCK = 192
 
 
 def _quoted(vocabulary, codes):
@@ -225,74 +230,222 @@ def _write_clicks(fh, chash, clicks: ClickTable):
 # analyze
 # ---------------------------------------------------------------------------
 
-def _codes(vocabulary):
-    return {v: i for i, v in enumerate(vocabulary)}
+# the fixed text around _EVENT_LINE's fields, each field's key, and the fields
+# a number fills (%r, %d); every other field holds a JSON token (%s)
+_EVENT_TEXT = [part.encode() for part in re.split("%[rds]", _EVENT_LINE)]
+_EVENT_KEYS = [part.decode().rsplit('"', 2)[1] for part in _EVENT_TEXT[:-1]]
+_EVENT_NUMBERS = [i for i, kind in enumerate(re.findall("%([rds])", _EVENT_LINE)) if kind != "s"]
+# every part but the last ends in '": ', so a part starts at a fixed offset
+# before its last colon; the index of that colon among a line's colons
+_TEXT_COLON = np.cumsum([part.count(b":") for part in _EVENT_TEXT[:-1]]) - 1
+_TEXT_OFFSET = np.array([part.rindex(b":") for part in _EVENT_TEXT[:-1]])
+# the longest field read (a float repr has at most 24 bytes), and the masks
+# that keep the first k bytes of a field's three 8-byte words, at index k
+_FIELD_WIDTH = 24
+_FIELD_MASKS = np.array([np.frombuffer(b"\xff" * k + bytes(_FIELD_WIDTH - k), np.uint64)
+                         for k in range(_FIELD_WIDTH + 1)])
+# the parts in pieces of up to 16 bytes: each piece's part, its offset in
+# the part, and its bytes as two 8-byte words with the masks that keep them
+_PIECES = [(k, offset, part[offset:offset + 16]) for k, part in enumerate(_EVENT_TEXT)
+           for offset in range(0, len(part), 16)]
+_PIECE_PART = np.array([k for k, _, _ in _PIECES])
+_PIECE_OFFSET = np.array([offset for _, offset, _ in _PIECES])
+_PIECE_WORDS = np.array([np.frombuffer(piece.ljust(16, b"\0"), np.uint64)
+                         for _, _, piece in _PIECES])
+_PIECE_MASKS = _FIELD_MASKS[[len(piece) for _, _, piece in _PIECES], :2]
+# the values each %s field may hold, but the config hash, which is not read
+# and may be any JSON string; a node's readout is decoded alone, then paired
+_NODE_READOUTS = ("up", "down", None)
+_EVENT_VOCABULARIES = {"bell_outcome": BELL_OUTCOMES, "detector1": DETECTORS,
+                       "detector2": DETECTORS, "accepted": (False, True),
+                       "origin": ("background", "signal"), "plane": PLANES,
+                       "outcome1": _NODE_READOUTS, "outcome2": _NODE_READOUTS}
+_EVENT_TOKENS = [_EVENT_KEYS.index(key) for key in _EVENT_VOCABULARIES]
+_EVENT_HASH = _EVENT_KEYS.index("config_hash")
+# each value of those vocabularies and its JSON token as json.dumps spells
+# it; the tokens as a field's words, in the order of their first word, which
+# tells them apart; and each value's code in each %s field (-1 where the
+# field cannot hold it)
+_VALUE_TOKENS = {v: json.dumps(v) for vocabulary in _EVENT_VOCABULARIES.values()
+                 for v in vocabulary}
+_TOKEN_WORDS = np.array([np.frombuffer(token.encode().ljust(_FIELD_WIDTH, b"\0"), np.uint64)
+                         for token in _VALUE_TOKENS.values()])
+_TOKEN_ORDER = np.argsort(_TOKEN_WORDS[:, 0])
+_TOKEN_CODES = np.array([[vocabulary.index(v) if v in vocabulary else -1
+                          for vocabulary in _EVENT_VOCABULARIES.values()]
+                         for v in _VALUE_TOKENS], dtype=np.int8)
+# the READOUTS index of each (node 1, node 2) pair of _NODE_READOUTS indices;
+# -1 for no readout, -2 for a pair no run writes
+_READOUT_CODES = np.full((len(_NODE_READOUTS),) * 2, -2, dtype=np.int8)
+_READOUT_CODES[-1, -1] = -1
+_READOUT_CODES[tuple(np.array([[_NODE_READOUTS.index(r) for r in pair]
+                               for pair in READOUTS]).T)] = range(len(READOUTS))
 
 
-_OUTCOME_CODES = _codes(BELL_OUTCOMES)
-_DETECTOR_CODES = _codes(DETECTORS)
-_PLANE_CODES = _codes(PLANES)
-_READOUT_CODES = {**_codes(READOUTS), (None, None): -1}
-_ORIGIN_SIGNAL = {"signal": True, "background": False}
+def _decode(words) -> np.ndarray:
+    """(n, k) codes of the (n, k, 3) words of the _EVENT_TOKENS fields.
+
+    A code indexes the field's vocabulary in _EVENT_VOCABULARIES.  Raises
+    ValueError for a token that is not one of the field's values as
+    json.dumps spells it.
+    """
+    index = _TOKEN_ORDER[np.minimum(np.searchsorted(_TOKEN_WORDS[:, 0], words[..., 0],
+                                                    sorter=_TOKEN_ORDER), len(_TOKEN_ORDER) - 1)]
+    codes = _TOKEN_CODES[index, np.arange(len(_EVENT_TOKENS))]
+    if not (np.array_equal(_TOKEN_WORDS[index], words) and np.all(codes >= 0)):
+        raise ValueError("a field holds a value outside its vocabulary")
+    return codes
 
 
-def _event_row(rec):
-    """The numbers of one events.jsonl record, in _event_table's column order."""
-    probs = rec["probabilities"]
-    return (rec["wall_time_s"], rec["try_index"], _OUTCOME_CODES[rec["bell_outcome"]],
-            _DETECTOR_CODES[rec["detector1"]], _DETECTOR_CODES[rec["detector2"]],
-            rec["click1_ns"], rec["click2_ns"], rec["accepted"], _ORIGIN_SIGNAL[rec["origin"]],
-            rec["alpha_rad"], rec["beta_rad"], _PLANE_CODES[rec["plane"]], rec["fidelity"],
-            *(probs[k] for k in OUTCOME_KEYS),
-            _READOUT_CODES[rec["outcome1"], rec["outcome2"]])
+def _template_rows(lines) -> EventTable:
+    """EventTable of events.jsonl lines (bytes) in the writer's form, _EVENT_LINE.
 
-
-_EVENT_WIDTH = 18    # numbers per _event_row
-
-
-def _event_table(rows: np.ndarray) -> EventTable:
-    """EventTable of the (n, _EVENT_WIDTH) numbers of n _event_row calls."""
-    def code(j):
-        return rows[:, j].astype(np.int8)
-
+    Each line must hold _EVENT_TEXT verbatim, a number in each %r and %d
+    field, a value of the field's vocabulary in each other field as
+    json.dumps spells it, and one JSON string as the config hash.  A number
+    is read as Python's float reads it, which for a JSON number is the value
+    json.loads gives.  Raises ValueError for any other line.
+    """
+    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)))
+    if len(lines) and not lines[-1].endswith(b"\n"):
+        raise ValueError("the last line has no newline")
+    text = np.frombuffer(b"".join([*lines, bytes(_FIELD_WIDTH)]), np.uint8)
+    colons = np.flatnonzero(text == ord(":"))
+    if len(colons) != len(lines) * (_TEXT_COLON[-1] + 1):
+        raise ValueError("not in the form of _EVENT_LINE")
+    colons = colons.reshape(len(lines), _TEXT_COLON[-1] + 1)
+    parts = np.concatenate([colons[:, _TEXT_COLON] - _TEXT_OFFSET,
+                            line_ends[:, None] - len(_EVENT_TEXT[-1])], axis=1)
+    # each array is dropped once read, so that the parse holds about 2 kB a line
+    del colons
+    # the _FIELD_WIDTH bytes from each position of the text
+    windows = np.lib.stride_tricks.as_strided(text, (len(text) - _FIELD_WIDTH + 1, _FIELD_WIDTH),
+                                              (1, 1), writeable=False)
+    held = windows[parts[:, _PIECE_PART] + _PIECE_OFFSET, :16].view(np.uint64)
+    held &= _PIECE_MASKS
+    if not (np.array_equal(parts[:, 0], np.concatenate([[0], line_ends])[:-1])
+            and np.all(held == _PIECE_WORDS)):
+        raise ValueError("not in the form of _EVENT_LINE")
+    del held
+    starts = parts[:, :-1] + [len(part) for part in _EVENT_TEXT[:-1]]
+    lengths = parts[:, 1:] - starts
+    del parts
+    if not np.all((lengths >= 0) & (lengths <= _FIELD_WIDTH)):
+        raise ValueError("a field longer than the parser reads")
+    words = windows[starts].view(np.uint64)
+    del text, windows, starts
+    for j in range(words.shape[-1]):
+        words[..., j] &= _FIELD_MASKS[lengths, j]
+    tokens = words.view(f"S{_FIELD_WIDTH}")[..., 0]
+    # the config hash, which is not read, is one JSON string on every line
+    if len(lines) and not (np.all(words[:, _EVENT_HASH] == words[0, _EVENT_HASH])
+                           and isinstance(json.loads(tokens[0, _EVENT_HASH]), str)):
+        raise ValueError("the config hash is not one JSON string")
+    floats = dict(zip([_EVENT_KEYS[i] for i in _EVENT_NUMBERS],
+                      tokens[:, _EVENT_NUMBERS].astype(float).T))
+    codes = dict(zip(_EVENT_VOCABULARIES, _decode(words[:, _EVENT_TOKENS]).T))
+    readout = _READOUT_CODES[codes["outcome1"], codes["outcome2"]]
+    if np.any(readout < -1):
+        raise ValueError("one node's readout without the other's")
     return EventTable(
-        wall_time_s=rows[:, 0].copy(), try_index=rows[:, 1].astype(np.int64), outcome=code(2),
-        detectors=rows[:, 3:5].astype(np.int8), click_ns=rows[:, 5:7].copy(),
-        accepted=rows[:, 7] != 0, signal=rows[:, 8] != 0, alpha_rad=rows[:, 9].copy(),
-        beta_rad=rows[:, 10].copy(), plane=code(11), fidelity=rows[:, 12].copy(),
-        probabilities=rows[:, 13:17].copy(), readout=code(17))
+        wall_time_s=floats["wall_time_s"], try_index=floats["try_index"].astype(np.int64),
+        outcome=codes["bell_outcome"],
+        detectors=np.stack([codes["detector1"], codes["detector2"]], axis=1),
+        click_ns=np.stack([floats["click1_ns"], floats["click2_ns"]], axis=1),
+        accepted=codes["accepted"] == 1, signal=codes["origin"] == 1,
+        alpha_rad=floats["alpha_rad"], beta_rad=floats["beta_rad"], plane=codes["plane"],
+        fidelity=floats["fidelity"],
+        probabilities=np.stack([floats[k] for k in OUTCOME_KEYS], axis=1), readout=readout)
+
+
+def _template_line(rec) -> bytes:
+    """An events.jsonl record written through _EVENT_LINE, with an empty config hash."""
+    flat = {**rec, **rec["probabilities"], "config_hash": '""'}
+    values = [flat[key] for key in _EVENT_KEYS]
+    for i in _EVENT_TOKENS:
+        values[i] = _VALUE_TOKENS[values[i]]
+    return (_EVENT_LINE % tuple(values)).encode()
+
+
+def _is_header(rec) -> bool:
+    return isinstance(rec, dict) and rec.get("type") == "header"
+
+
+def _event_block(path, lineno, lines, headers) -> EventTable:
+    """EventTable of consecutive events.jsonl lines, the first at file line ``lineno``.
+
+    Lines in the writer's form are parsed together.  If any line is not,
+    each line of the block is read with json.loads instead: a header record
+    goes to ``headers``, and each event record is written back through
+    _EVENT_LINE, so the block is parsed as the writer's lines are.
+    """
+    try:
+        return _template_rows(lines)
+    except ValueError:
+        pass
+    written, linenos = [], []
+    for i, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise CliError(f"{path}:{i}: malformed JSON line ({exc})", EXIT_IO)
+        if _is_header(rec):
+            headers.append(rec)
+            continue
+        try:
+            written.append(_template_line(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
+        linenos.append(i)
+    try:
+        return _template_rows(written)
+    except ValueError:
+        for i, line in zip(linenos, written):
+            try:
+                _template_rows([line])
+            except ValueError as exc:
+                raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
+        raise
 
 
 def _load_events(path):
-    """Header record and EventTable of an events.jsonl file."""
+    """Header record and EventTable of an events.jsonl file.
+
+    After a first header line, the file is parsed _EVENT_BLOCK lines at a
+    time into columns allocated once from its line count, so the run is
+    held once.
+    """
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
     headers = []
-
-    def numbers():
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}:{lineno}: malformed JSON line ({exc})", EXIT_IO)
-            if isinstance(rec, dict) and rec.get("type") == "header":
-                headers.append(rec)
-                continue
-            try:
-                yield from map(float, _event_row(rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"{path}:{lineno}: malformed event record ({exc!r})", EXIT_IO)
-
     with fh:
-        flat = np.fromiter(numbers(), dtype=float)
+        n_lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+        fh.seek(0)
+        try:
+            first = json.loads(fh.readline())
+        except ValueError:
+            first = None
+        if _is_header(first):
+            headers.append(first)
+        else:
+            fh.seek(0)
+        empty = _template_rows([])
+        columns = {f.name: np.empty((n_lines, *getattr(empty, f.name).shape[1:]),
+                                    getattr(empty, f.name).dtype) for f in fields(empty)}
+        row, lineno = 0, 1 + len(headers)
+        while lines := list(itertools.islice(fh, _EVENT_BLOCK)):
+            part = _event_block(path, lineno, lines, headers)
+            for name, column in columns.items():
+                column[row:row + len(part)] = getattr(part, name)
+            row += len(part)
+            lineno += len(lines)
     if not headers:
         raise CliError(f"{path}: missing header line", EXIT_IO)
-    return headers[-1], _event_table(flat.reshape(-1, _EVENT_WIDTH))
+    return headers[-1], EventTable(**columns).rows(slice(0, row))
 
 
 # strings longer than every label, so that a truncated field cannot match one
@@ -472,8 +625,7 @@ def cmd_analyze(args) -> int:
                 scans = dataset.select("equator", outcome)
                 for alpha, beta, c in zip(scans.alpha, scans.beta, scans.counts):
                     w.writerow([outcome, f"{np.degrees(beta):.1f}", f"{np.degrees(alpha):.1f}",
-                                f"{correlation_probability(c):.6f}",
-                                f"{statistical_error(c):.6f}"])
+                                f"{correlation_probability(c):.6f}", f"{fringe_sigma(c):.6f}"])
     print(f"wrote report to {report_path}")
     return EXIT_OK
 

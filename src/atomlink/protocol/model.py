@@ -18,7 +18,7 @@ from .sequence import (
 )
 
 
-def fidelity_vs_length(scenarios, n_trajectories=4000, seed=1000):
+def fidelity_vs_length(scenarios, n_trajectories, seed):
     """Expected three-basis contrasts and fidelity bound of each scenario's heralds.
 
     The herald probability is 1/4 for every fibre residual, so the mean

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import atomlink.analysis.estimators
 import atomlink.calibration
 import atomlink.cli
 from atomlink.analysis import interference_contrast
 from atomlink.calibration import DEFAULT_TARGETS, calibrate, fit_t_overhead
-from atomlink.analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS, ClickTable
+from atomlink.analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS, ClickTable, EventTable
 from atomlink.cli import (
     CliError,
     _load_clicks,
@@ -186,6 +187,25 @@ class TestAnalyze:
         assert code == 4
         assert ":4:" in capsys.readouterr().err
 
+    def test_fringe_csv_sigma_is_the_fit_weight(self, tmp_path, monkeypatch):
+        # at seed 1 the PsiMinus setting alpha = beta = 0 reads P_corr = 0
+        run = tmp_path / "run"
+        assert run_cli("simulate", "--preset", "l6", "--seed", "1", "--schedule", "fringe",
+                       "--events", "600", "--out", str(run), "--trajectories", "300") == 0
+        weights, fit = [], atomlink.analysis.estimators.fringe_fit
+
+        def weighted_fit(angles, p, errors):
+            weights.extend(errors)
+            return fit(angles, p, errors)
+
+        monkeypatch.setattr(atomlink.analysis.estimators, "fringe_fit", weighted_fit)
+        fringe_csv = tmp_path / "fringe.csv"
+        assert run_cli("analyze", "--events", str(run / "events.jsonl"), "--estimators", "fringe",
+                       "--fringe-csv", str(fringe_csv), "--out", str(tmp_path / "a")) == 0
+        rows = list(csv.DictReader(fringe_csv.read_text().splitlines()[1:]))
+        assert any(float(r["p_corr"]) == 0.0 and float(r["sigma"]) > 0.0 for r in rows)
+        assert sorted(r["sigma"] for r in rows) == sorted(f"{w:.6f}" for w in weights)
+
     def test_fringe_csv_checked_before_report(self, small_run, tmp_path):
         out = tmp_path / "fringe"
         fringe_csv = tmp_path / "fringe.csv"
@@ -307,6 +327,7 @@ class TestFileBlocks:
     @pytest.mark.parametrize("size", ["partial", "multiple", "header-only"])
     def test_same_bytes_and_exact_round_trip(self, run, size, tmp_path, monkeypatch):
         monkeypatch.setattr(atomlink.cli, "_FILE_BLOCK", self.BLOCK)
+        monkeypatch.setattr(atomlink.cli, "_EVENT_BLOCK", self.BLOCK)
         result, clicks = run
         rows = {"partial": len, "multiple": lambda t: len(t) // self.BLOCK * self.BLOCK,
                 "header-only": lambda t: 0}[size]
@@ -375,6 +396,63 @@ class TestFileBlocks:
         assert len(clicks) == n
         # the 1.1 MB of columns, twice while the blocks are joined, and one block of text
         assert peak < 5e6
+
+    def test_events_reader_holds_the_run_once(self, tmp_path):
+        n = 20_000
+        rng = np.random.default_rng(4)
+        angles = np.radians([0.0, 22.5, 45.0, 67.5, 90.0])
+        events = EventTable(
+            wall_time_s=np.cumsum(rng.exponential(0.03, n)),
+            try_index=np.cumsum(rng.geometric(1e-5, n)), outcome=rng.integers(0, 2, n),
+            detectors=rng.integers(0, 4, (n, 2)), click_ns=rng.normal(30.0, 20.0, (n, 2)),
+            accepted=rng.random(n) < 0.7, signal=rng.random(n) < 0.95,
+            alpha_rad=rng.choice(angles, n), beta_rad=rng.choice(angles, n),
+            plane=rng.integers(0, 2, n), fidelity=rng.random(n),
+            probabilities=rng.dirichlet(np.ones(4), n), readout=rng.integers(-1, 4, n))
+        path = tmp_path / "events.jsonl"
+        self._write(path, _write_events, {"type": "header", "config_hash": "0" * 16}, events)
+        tracemalloc.start()
+        try:
+            _, read = _load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for f in fields(events):
+            assert np.array_equal(getattr(read, f.name), getattr(events, f.name)), f.name
+        # the 1.9 MB of columns and one block of lines as it is parsed
+        assert peak < 2.5e6
+
+    def _events_lines(self, run, tmp_path, monkeypatch):
+        monkeypatch.setattr(atomlink.cli, "_EVENT_BLOCK", self.BLOCK)
+        result, _ = run
+        header = {"type": "header", "config_hash": result.config_hash, "scenario": "l6"}
+        path = tmp_path / "events.jsonl"
+        lines = self._write(path, _write_events, header,
+                            result.events).decode().splitlines(keepends=True)
+        return result, path, lines
+
+    @pytest.mark.parametrize("index", [2, 2 * BLOCK + 3])
+    def test_reordered_keys_load_through_json(self, run, index, tmp_path, monkeypatch):
+        result, path, lines = self._events_lines(run, tmp_path, monkeypatch)
+        record = json.loads(lines[index])
+        lines[index] = json.dumps(dict(reversed(record.items()))) + "\n"
+        path.write_text("".join(lines))
+        _, events = _load_events(path)
+        for f in fields(events):
+            assert np.array_equal(getattr(events, f.name), getattr(result.events, f.name)), f.name
+
+    @pytest.mark.parametrize("edit", ["json", "record"])
+    @pytest.mark.parametrize("index", [2, 2 * BLOCK + 3])
+    def test_malformed_event_line_names_its_line(self, run, index, edit, tmp_path, monkeypatch):
+        _, path, lines = self._events_lines(run, tmp_path, monkeypatch)
+        lines[index] = {"json": lines[index][:40] + "\n",
+                        "record": lines[index].replace('"plane"', '"planes"')}[edit]
+        path.write_text("".join(lines))
+        code = run_cli("analyze", "--events", str(path), "--out", str(tmp_path / "a"))
+        with pytest.raises(CliError) as err:
+            _load_events(path)
+        assert code == err.value.code == 4
+        assert str(err.value).startswith(f"{path}:{index + 1}: malformed")
 
 
 class TestRates:

@@ -1,5 +1,6 @@
 """Discrete-event run tests: determinism, statistics, mode consistency."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -85,24 +86,25 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode", ["density-matrix", "sampled-clicks"])
     def test_state_block_size_changes_no_bit(self, mode, monkeypatch):
-        # 7 does not divide the 200 heralds, so the last block is partial
-        def run():
+        # one block of all 200 heralds, the default blocks and 7-herald
+        # blocks, of which the last is partial
+        def run(block):
+            monkeypatch.setattr(sequence, "_STATE_BLOCK", block)
             return run_sequence(preset("l6"), target_events=200, seed=5, mode=mode,
                                 n_trajectories=N_TRAJ)
 
-        default = run()
-        assert len(default.events) <= sequence._STATE_BLOCK    # one block
-        monkeypatch.setattr(sequence, "_STATE_BLOCK", 7)
-        small = run()
-        for table in ("events", "clicks"):
-            for f in fields(getattr(default, table)):
-                assert np.array_equal(getattr(getattr(small, table), f.name),
-                                      getattr(getattr(default, table), f.name)), f.name
-        if mode == "density-matrix":
-            assert np.array_equal(small.states, default.states)
-        else:
-            assert small.states is None and default.states is None
-        assert small.summary == default.summary
+        default = sequence._STATE_BLOCK
+        whole = run(200)
+        for other in (run(default), run(7)):
+            for table in ("events", "clicks"):
+                for f in fields(getattr(whole, table)):
+                    assert np.array_equal(getattr(getattr(other, table), f.name),
+                                          getattr(getattr(whole, table), f.name)), f.name
+            if mode == "density-matrix":
+                assert np.array_equal(other.states, whole.states)
+            else:
+                assert other.states is None and whole.states is None
+            assert other.summary == whole.summary
 
     def test_zero_targets(self):
         res = run_sequence(preset("l6"), target_events=0, seed=1,
@@ -110,6 +112,21 @@ class TestDeterminism:
         assert len(res.events) == 0
         assert len(res.clicks) == 0
         assert res.summary["n_events"] == 0
+
+
+class TestStatePassMemory:
+    def test_state_pass_holds_one_block(self):
+        tracemalloc.start()
+        try:
+            result = run_sequence(preset("l6"), target_events=2000, seed=3,
+                                  mode="sampled-clicks", n_trajectories=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.events) == 2000
+        # the 0.7 MB run result and one block of the state pass: 1.6 MB in all
+        # at 128 heralds a block, 3.5 MB at 512
+        assert peak < 2.5e6
 
 
 class TestEventStatistics:
