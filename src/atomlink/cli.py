@@ -318,10 +318,11 @@ def _template_rows(lines) -> EventTable:
                             line_ends[:, None] - len(_EVENT_TEXT[-1])], axis=1)
     # each array is dropped once read, so that the parse holds about 2 kB a line
     del colons
-    # the _FIELD_WIDTH bytes from each position of the text
-    windows = np.lib.stride_tricks.as_strided(text, (len(text) - _FIELD_WIDTH + 1, _FIELD_WIDTH),
-                                              (1, 1), writeable=False)
-    held = windows[parts[:, _PIECE_PART] + _PIECE_OFFSET, :16].view(np.uint64)
+    # the 16 and the _FIELD_WIDTH bytes from each position of the text, as one item
+    pieces, windows = (np.ndarray((len(text) - width + 1,), f"V{width}", text, strides=(1,))
+                       for width in (16, _FIELD_WIDTH))
+    held = pieces[(parts[:, _PIECE_PART] + _PIECE_OFFSET).ravel()].view(np.uint64)
+    held = held.reshape(len(parts), *_PIECE_MASKS.shape)
     held &= _PIECE_MASKS
     if not (np.array_equal(parts[:, 0], np.concatenate([[0], line_ends])[:-1])
             and np.all(held == _PIECE_WORDS)):
@@ -332,10 +333,9 @@ def _template_rows(lines) -> EventTable:
     del parts
     if not np.all((lengths >= 0) & (lengths <= _FIELD_WIDTH)):
         raise ValueError("a field longer than the parser reads")
-    words = windows[starts].view(np.uint64)
-    del text, windows, starts
-    for j in range(words.shape[-1]):
-        words[..., j] &= _FIELD_MASKS[lengths, j]
+    words = windows[starts.ravel()].view(np.uint64).reshape(*starts.shape, _FIELD_WIDTH // 8)
+    del text, pieces, windows, starts
+    words &= _FIELD_MASKS[lengths]
     tokens = words.view(f"S{_FIELD_WIDTH}")[..., 0]
     # the config hash, which is not read, is one JSON string on every line
     if len(lines) and not (np.all(words[:, _EVENT_HASH] == words[0, _EVENT_HASH])
