@@ -20,6 +20,14 @@ WINDOWS = ("node1", "node2")
 DETECTORS = DETECTOR_LABELS + ("single",)
 # simulation truth: "mixed" marks the clicks of a background-assisted herald
 CLICK_ORIGINS = ("signal", "mixed", "background")
+# The events.jsonl record of one event, as json.dumps writes it; every
+# string is written already quoted.
+EVENT_LINE = (
+    '{"wall_time_s": %r, "try_index": %d, "bell_outcome": %s, "detector1": %s, '
+    '"detector2": %s, "click1_ns": %r, "click2_ns": %r, "accepted": %s, "origin": %s, '
+    '"alpha_rad": %r, "beta_rad": %r, "plane": %s, "fidelity": %r, "probabilities": '
+    '{"uu": %r, "ud": %r, "du": %r, "dd": %r}, "outcome1": %s, "outcome2": %s, '
+    '"config_hash": %s}\n')
 
 
 class _Columns:

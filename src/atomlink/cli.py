@@ -10,7 +10,6 @@ import csv
 import itertools
 import json
 import os
-import re
 import sys
 from dataclasses import fields
 
@@ -30,6 +29,7 @@ from .analysis import (
 from .analysis import dataset_from_events as _dataset_from_records
 from .analysis.estimators import contrast_sigma, fringe_sigma
 from .analysis.tables import (
+    EVENT_LINE,
     BELL_OUTCOMES,
     CLICK_ORIGINS,
     DETECTORS,
@@ -57,7 +57,6 @@ from .protocol import (
 from .protocol.rates import window_capture
 from .protocol.scenario import save_scenario
 from .protocol.sequence import HISTOGRAM_SPAN
-from .quantum import OUTCOME_KEYS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,14 +163,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# The events.jsonl record of one event, as json.dumps writes it; every
-# string is written already quoted.
-_EVENT_LINE = (
-    '{"wall_time_s": %r, "try_index": %d, "bell_outcome": %s, "detector1": %s, '
-    '"detector2": %s, "click1_ns": %r, "click2_ns": %r, "accepted": %s, "origin": %s, '
-    '"alpha_rad": %r, "beta_rad": %r, "plane": %s, "fidelity": %r, "probabilities": '
-    '{"uu": %r, "ud": %r, "du": %r, "dd": %r}, "outcome1": %s, "outcome2": %s, '
-    '"config_hash": %s}\n')
 _CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
 # one clicks.csv row template per (window, detector, origin) code triple, at
 # index (window * len(DETECTORS) + detector) * len(CLICK_ORIGINS) + origin
@@ -209,7 +200,7 @@ def _write_events(fh, header, events: EventTable):
             block.alpha_rad.tolist(), block.beta_rad.tolist(), _quoted(PLANES, block.plane),
             block.fidelity.tolist(), *block.probabilities.T.tolist(), *node_readouts,
             [quoted_hash] * len(block))
-        fh.writelines(_EVENT_LINE % row for row in zip(*columns))
+        fh.writelines(EVENT_LINE % row for row in zip(*columns))
 
 
 def _write_clicks(fh, chash, clicks: ClickTable):
@@ -230,143 +221,6 @@ def _write_clicks(fh, chash, clicks: ClickTable):
 # analyze
 # ---------------------------------------------------------------------------
 
-# the fixed text around _EVENT_LINE's fields, each field's key, and the fields
-# a number fills (%r, %d); every other field holds a JSON token (%s)
-_EVENT_TEXT = [part.encode() for part in re.split("%[rds]", _EVENT_LINE)]
-_EVENT_KEYS = [part.decode().rsplit('"', 2)[1] for part in _EVENT_TEXT[:-1]]
-_EVENT_NUMBERS = [i for i, kind in enumerate(re.findall("%([rds])", _EVENT_LINE)) if kind != "s"]
-# every part but the last ends in '": ', so a part starts at a fixed offset
-# before its last colon; the index of that colon among a line's colons
-_TEXT_COLON = np.cumsum([part.count(b":") for part in _EVENT_TEXT[:-1]]) - 1
-_TEXT_OFFSET = np.array([part.rindex(b":") for part in _EVENT_TEXT[:-1]])
-# the longest field read (a float repr has at most 24 bytes), and the masks
-# that keep the first k bytes of a field's three 8-byte words, at index k
-_FIELD_WIDTH = 24
-_FIELD_MASKS = np.array([np.frombuffer(b"\xff" * k + bytes(_FIELD_WIDTH - k), np.uint64)
-                         for k in range(_FIELD_WIDTH + 1)])
-# the parts in pieces of up to 16 bytes: each piece's part, its offset in
-# the part, and its bytes as two 8-byte words with the masks that keep them
-_PIECES = [(k, offset, part[offset:offset + 16]) for k, part in enumerate(_EVENT_TEXT)
-           for offset in range(0, len(part), 16)]
-_PIECE_PART = np.array([k for k, _, _ in _PIECES])
-_PIECE_OFFSET = np.array([offset for _, offset, _ in _PIECES])
-_PIECE_WORDS = np.array([np.frombuffer(piece.ljust(16, b"\0"), np.uint64)
-                         for _, _, piece in _PIECES])
-_PIECE_MASKS = _FIELD_MASKS[[len(piece) for _, _, piece in _PIECES], :2]
-# the values each %s field may hold, but the config hash, which is not read
-# and may be any JSON string; a node's readout is decoded alone, then paired
-_NODE_READOUTS = ("up", "down", None)
-_EVENT_VOCABULARIES = {"bell_outcome": BELL_OUTCOMES, "detector1": DETECTORS,
-                       "detector2": DETECTORS, "accepted": (False, True),
-                       "origin": ("background", "signal"), "plane": PLANES,
-                       "outcome1": _NODE_READOUTS, "outcome2": _NODE_READOUTS}
-_EVENT_TOKENS = [_EVENT_KEYS.index(key) for key in _EVENT_VOCABULARIES]
-_EVENT_HASH = _EVENT_KEYS.index("config_hash")
-# each value of those vocabularies and its JSON token as json.dumps spells
-# it; the tokens as a field's words, in the order of their first word, which
-# tells them apart; and each value's code in each %s field (-1 where the
-# field cannot hold it)
-_VALUE_TOKENS = {v: json.dumps(v) for vocabulary in _EVENT_VOCABULARIES.values()
-                 for v in vocabulary}
-_TOKEN_WORDS = np.array([np.frombuffer(token.encode().ljust(_FIELD_WIDTH, b"\0"), np.uint64)
-                         for token in _VALUE_TOKENS.values()])
-_TOKEN_ORDER = np.argsort(_TOKEN_WORDS[:, 0])
-_TOKEN_CODES = np.array([[vocabulary.index(v) if v in vocabulary else -1
-                          for vocabulary in _EVENT_VOCABULARIES.values()]
-                         for v in _VALUE_TOKENS], dtype=np.int8)
-# the READOUTS index of each (node 1, node 2) pair of _NODE_READOUTS indices;
-# -1 for no readout, -2 for a pair no run writes
-_READOUT_CODES = np.full((len(_NODE_READOUTS),) * 2, -2, dtype=np.int8)
-_READOUT_CODES[-1, -1] = -1
-_READOUT_CODES[tuple(np.array([[_NODE_READOUTS.index(r) for r in pair]
-                               for pair in READOUTS]).T)] = range(len(READOUTS))
-
-
-def _decode(words) -> np.ndarray:
-    """(n, k) codes of the (n, k, 3) words of the _EVENT_TOKENS fields.
-
-    A code indexes the field's vocabulary in _EVENT_VOCABULARIES.  Raises
-    ValueError for a token that is not one of the field's values as
-    json.dumps spells it.
-    """
-    index = _TOKEN_ORDER[np.minimum(np.searchsorted(_TOKEN_WORDS[:, 0], words[..., 0],
-                                                    sorter=_TOKEN_ORDER), len(_TOKEN_ORDER) - 1)]
-    codes = _TOKEN_CODES[index, np.arange(len(_EVENT_TOKENS))]
-    if not (np.array_equal(_TOKEN_WORDS[index], words) and np.all(codes >= 0)):
-        raise ValueError("a field holds a value outside its vocabulary")
-    return codes
-
-
-def _template_rows(lines) -> EventTable:
-    """EventTable of events.jsonl lines (bytes) in the writer's form, _EVENT_LINE.
-
-    Each line must hold _EVENT_TEXT verbatim, a number in each %r and %d
-    field, a value of the field's vocabulary in each other field as
-    json.dumps spells it, and one JSON string as the config hash.  A number
-    is read as Python's float reads it, which for a JSON number is the value
-    json.loads gives.  Raises ValueError for any other line.
-    """
-    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)))
-    if len(lines) and not lines[-1].endswith(b"\n"):
-        raise ValueError("the last line has no newline")
-    text = np.frombuffer(b"".join([*lines, bytes(_FIELD_WIDTH)]), np.uint8)
-    colons = np.flatnonzero(text == ord(":"))
-    if len(colons) != len(lines) * (_TEXT_COLON[-1] + 1):
-        raise ValueError("not in the form of _EVENT_LINE")
-    colons = colons.reshape(len(lines), _TEXT_COLON[-1] + 1)
-    parts = np.concatenate([colons[:, _TEXT_COLON] - _TEXT_OFFSET,
-                            line_ends[:, None] - len(_EVENT_TEXT[-1])], axis=1)
-    # each array is dropped once read, so that the parse holds about 2 kB a line
-    del colons
-    # the 16 and the _FIELD_WIDTH bytes from each position of the text, as one item
-    pieces, windows = (np.ndarray((len(text) - width + 1,), f"V{width}", text, strides=(1,))
-                       for width in (16, _FIELD_WIDTH))
-    held = pieces[(parts[:, _PIECE_PART] + _PIECE_OFFSET).ravel()].view(np.uint64)
-    held = held.reshape(len(parts), *_PIECE_MASKS.shape)
-    held &= _PIECE_MASKS
-    if not (np.array_equal(parts[:, 0], np.concatenate([[0], line_ends])[:-1])
-            and np.all(held == _PIECE_WORDS)):
-        raise ValueError("not in the form of _EVENT_LINE")
-    del held
-    starts = parts[:, :-1] + [len(part) for part in _EVENT_TEXT[:-1]]
-    lengths = parts[:, 1:] - starts
-    del parts
-    if not np.all((lengths >= 0) & (lengths <= _FIELD_WIDTH)):
-        raise ValueError("a field longer than the parser reads")
-    words = windows[starts.ravel()].view(np.uint64).reshape(*starts.shape, _FIELD_WIDTH // 8)
-    del text, pieces, windows, starts
-    words &= _FIELD_MASKS[lengths]
-    tokens = words.view(f"S{_FIELD_WIDTH}")[..., 0]
-    # the config hash, which is not read, is one JSON string on every line
-    if len(lines) and not (np.all(words[:, _EVENT_HASH] == words[0, _EVENT_HASH])
-                           and isinstance(json.loads(tokens[0, _EVENT_HASH]), str)):
-        raise ValueError("the config hash is not one JSON string")
-    floats = dict(zip([_EVENT_KEYS[i] for i in _EVENT_NUMBERS],
-                      tokens[:, _EVENT_NUMBERS].astype(float).T))
-    codes = dict(zip(_EVENT_VOCABULARIES, _decode(words[:, _EVENT_TOKENS]).T))
-    readout = _READOUT_CODES[codes["outcome1"], codes["outcome2"]]
-    if np.any(readout < -1):
-        raise ValueError("one node's readout without the other's")
-    return EventTable(
-        wall_time_s=floats["wall_time_s"], try_index=floats["try_index"].astype(np.int64),
-        outcome=codes["bell_outcome"],
-        detectors=np.stack([codes["detector1"], codes["detector2"]], axis=1),
-        click_ns=np.stack([floats["click1_ns"], floats["click2_ns"]], axis=1),
-        accepted=codes["accepted"] == 1, signal=codes["origin"] == 1,
-        alpha_rad=floats["alpha_rad"], beta_rad=floats["beta_rad"], plane=codes["plane"],
-        fidelity=floats["fidelity"],
-        probabilities=np.stack([floats[k] for k in OUTCOME_KEYS], axis=1), readout=readout)
-
-
-def _template_line(rec) -> bytes:
-    """An events.jsonl record written through _EVENT_LINE, with an empty config hash."""
-    flat = {**rec, **rec["probabilities"], "config_hash": '""'}
-    values = [flat[key] for key in _EVENT_KEYS]
-    for i in _EVENT_TOKENS:
-        values[i] = _VALUE_TOKENS[values[i]]
-    return (_EVENT_LINE % tuple(values)).encode()
-
-
 def _is_header(rec) -> bool:
     return isinstance(rec, dict) and rec.get("type") == "header"
 
@@ -377,10 +231,11 @@ def _event_block(path, lineno, lines, headers) -> EventTable:
     Lines in the writer's form are parsed together.  If any line is not,
     each line of the block is read with json.loads instead: a header record
     goes to ``headers``, and each event record is written back through
-    _EVENT_LINE, so the block is parsed as the writer's lines are.
+    EVENT_LINE, so the block is parsed as the writer's lines are.
     """
+    from .analysis.eventlines import parse_event_lines, template_line
     try:
-        return _template_rows(lines)
+        return parse_event_lines(lines)
     except ValueError:
         pass
     written, linenos = [], []
@@ -395,16 +250,16 @@ def _event_block(path, lineno, lines, headers) -> EventTable:
             headers.append(rec)
             continue
         try:
-            written.append(_template_line(rec))
+            written.append(template_line(rec))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
         linenos.append(i)
     try:
-        return _template_rows(written)
+        return parse_event_lines(written)
     except ValueError:
         for i, line in zip(linenos, written):
             try:
-                _template_rows([line])
+                parse_event_lines([line])
             except ValueError as exc:
                 raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
         raise
@@ -417,6 +272,9 @@ def _load_events(path):
     time into columns allocated once from its line count, so the run is
     held once.
     """
+    # imported here, since only analyze reads events.jsonl: at the top of this
+    # module the parser raised the peak RSS of dephasing by 0.3-0.5 MB
+    from .analysis.eventlines import parse_event_lines
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -433,7 +291,7 @@ def _load_events(path):
             headers.append(first)
         else:
             fh.seek(0)
-        empty = _template_rows([])
+        empty = parse_event_lines([])
         columns = {f.name: np.empty((n_lines, *getattr(empty, f.name).shape[1:]),
                                     getattr(empty, f.name).dtype) for f in fields(empty)}
         row, lineno = 0, 1 + len(headers)
