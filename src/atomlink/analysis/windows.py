@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# recording span of the singles histogram around the nominal arrival
+HISTOGRAM_SPAN = (-500e-9, 500e-9)
+
 
 @dataclass(frozen=True)
 class DetectionHistogram:

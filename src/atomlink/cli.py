@@ -3,7 +3,13 @@
 Exit codes: 0 success, 2 configuration error, 3 calibration failure,
 4 I/O error.  Every output embeds the scenario config hash so analysis can
 refuse to mix incompatible runs.
+
+Each command imports the layers it runs inside its own body, after the
+checks that need none, so that parsing the arguments loads no numpy and
+each process loads only what its command uses.
 """
+
+from __future__ import annotations
 
 import argparse
 import csv
@@ -13,50 +19,7 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    DetectionHistogram,
-    chsh_from_dataset,
-    correlation_probability,
-    fringe_visibility_summary,
-    interference_contrast,
-    sbr,
-    three_basis_summary,
-)
-# the dataset builder keeps the name that perfbench/traced_cli.py wraps
-from .analysis import dataset_from_events as _dataset_from_records
-from .analysis.estimators import contrast_sigma, fringe_sigma
-from .analysis.tables import (
-    EVENT_LINE,
-    BELL_OUTCOMES,
-    CLICK_ORIGINS,
-    DETECTORS,
-    PLANES,
-    READOUTS,
-    WINDOWS,
-    ClickTable,
-    EventTable,
-)
-from .calibration import DEFAULT_TARGETS, calibrate, check_targets
-from .memory import dephasing_channel_family
-from .protocol import (
-    PRESETS,
-    config_hash,
-    duty_cycle,
-    event_rate,
-    fidelity_vs_length,
-    load_scenario,
-    preset,
-    repetition_rate,
-    run_sequence,
-    sbr_model,
-    success_probability,
-)
-from .protocol.rates import window_capture
-from .protocol.scenario import save_scenario
-from .protocol.sequence import HISTOGRAM_SPAN
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,6 +47,7 @@ def _open_output(path):
 
 
 def _resolve_scenario(args):
+    from .protocol.scenario import load_scenario, preset
     if getattr(args, "scenario", None):
         try:
             return load_scenario(args.scenario)
@@ -145,6 +109,7 @@ def cmd_simulate(args) -> int:
     for p in (events_path, summary_path, clicks_path):
         _check_output(p, out, args.force)
 
+    from .protocol.sequence import run_sequence
     result = run_sequence(
         scenario, schedule=args.schedule, target_events=args.events,
         seed=args.seed, mode=args.mode, n_trajectories=args.trajectories,
@@ -164,11 +129,6 @@ def cmd_simulate(args) -> int:
 
 
 _CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
-# one clicks.csv row template per (window, detector, origin) code triple, at
-# index (window * len(DETECTORS) + detector) * len(CLICK_ORIGINS) + origin
-_CLICK_ROWS = np.array([f"{w},{d},%.3f,{o}\r\n"
-                        for w, d, o in itertools.product(WINDOWS, DETECTORS, CLICK_ORIGINS)],
-                       dtype=object)
 # rows of a run file that are formatted, or parsed, at a time
 _FILE_BLOCK = 2048
 # events.jsonl lines parsed at a time: a line is about twenty clicks.csv rows
@@ -178,11 +138,13 @@ _EVENT_BLOCK = 192
 
 def _quoted(vocabulary, codes):
     """JSON strings of the vocabulary entries that ``codes`` index."""
+    import numpy as np
     return np.array([json.dumps(v) for v in vocabulary], dtype=object)[codes].tolist()
 
 
 def _write_events(fh, header, events: EventTable):
     """The header line, then one JSON record per event, _FILE_BLOCK events at a time."""
+    from .analysis.tables import BELL_OUTCOMES, DETECTORS, EVENT_LINE, PLANES, READOUTS
     fh.write(json.dumps(header) + "\n")
     quoted_hash = json.dumps(header["config_hash"])
     for start in range(0, len(events), _FILE_BLOCK):
@@ -208,13 +170,20 @@ def _write_clicks(fh, chash, clicks: ClickTable):
 
     Each block is formatted in one call, from the row templates of its codes.
     """
+    import numpy as np
+    from .analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS
+    # one row template per (window, detector, origin) code triple, at index
+    # (window * len(DETECTORS) + detector) * len(CLICK_ORIGINS) + origin
+    templates = np.array([f"{w},{d},%.3f,{o}\r\n"
+                          for w, d, o in itertools.product(WINDOWS, DETECTORS, CLICK_ORIGINS)],
+                         dtype=object)
     fh.write(f"# config_hash={chash}\n")
     fh.write(",".join(_CLICK_HEADER) + "\r\n")
     for first in range(0, len(clicks), _FILE_BLOCK):
         block = clicks.rows(slice(first, first + _FILE_BLOCK))
         key = (block.window.astype(np.intp) * len(DETECTORS) + block.detector) \
             * len(CLICK_ORIGINS) + block.origin
-        fh.write("".join(_CLICK_ROWS[key].tolist()) % tuple((block.time_s * 1e9).tolist()))
+        fh.write("".join(templates[key].tolist()) % tuple((block.time_s * 1e9).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +241,9 @@ def _load_events(path):
     time into columns allocated once from its line count, so the run is
     held once.
     """
-    # imported here, since only analyze reads events.jsonl: at the top of this
-    # module the parser raised the peak RSS of dephasing by 0.3-0.5 MB
+    import numpy as np
     from .analysis.eventlines import parse_event_lines
+    from .analysis.tables import EventTable
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -306,20 +275,19 @@ def _load_events(path):
     return headers[-1], EventTable(**columns).rows(slice(0, row))
 
 
-# strings longer than every label, so that a truncated field cannot match one
-_LABEL_DTYPE = f"U{max(map(len, WINDOWS + DETECTORS + CLICK_ORIGINS)) + 1}"
-_CLICK_DTYPE = [(name, "f8" if name == "timestamp_ns" else _LABEL_DTYPE)
-                for name in _CLICK_HEADER]
-
-
 def _click_block(path, first_lineno, lines):
     """(window, detector, origin codes, times in s) of consecutive clicks.csv body lines.
 
     ``first_lineno`` is the file line number of ``lines[0]``.  A malformed
     block is parsed again one non-blank line at a time to name the bad line.
     """
+    import numpy as np
+    from .analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS
+    # strings longer than every label, so that a truncated field cannot match one
+    label = f"U{max(map(len, WINDOWS + DETECTORS + CLICK_ORIGINS)) + 1}"
+    dtype = [(name, "f8" if name == "timestamp_ns" else label) for name in _CLICK_HEADER]
     try:
-        rows = np.loadtxt(lines, delimiter=",", dtype=_CLICK_DTYPE, comments=None, ndmin=1)
+        rows = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1)
         codes = []
         for name, vocabulary in zip(("window", "detector", "origin"),
                                     (WINDOWS, DETECTORS, CLICK_ORIGINS)):
@@ -345,6 +313,7 @@ def _load_clicks(path):
     The body is parsed _FILE_BLOCK lines at a time into int8 codes and
     float64 times, so no more than one block of text is held.
     """
+    from .analysis.tables import ClickTable
     try:
         fh = open(path)
     except OSError as exc:
@@ -398,6 +367,19 @@ def cmd_analyze(args) -> int:
             raise CliError("--fringe-csv needs the fringe estimator", EXIT_CONFIG)
         _check_output(args.fringe_csv, out, args.force)
 
+    import numpy as np
+    from .analysis.estimators import (
+        chsh_from_dataset,
+        contrast_sigma,
+        correlation_probability,
+        dataset_from_events,
+        fringe_sigma,
+        fringe_visibility_summary,
+        interference_contrast,
+        three_basis_summary,
+    )
+    from .analysis.tables import BELL_OUTCOMES
+    from .analysis.windows import HISTOGRAM_SPAN, DetectionHistogram, sbr
     header, events = _load_events(args.events)
     chash = header.get("config_hash")
     mode = header.get("mode", "sampled-clicks")
@@ -412,7 +394,7 @@ def cmd_analyze(args) -> int:
         summary_hash, summary = _load_summary(args.summary)
         _check_hash("summary", summary_hash, chash, args.force)
 
-    dataset = _dataset_from_records(events, mode)
+    dataset = dataset_from_events(events, mode)
     n_accepted = int(np.count_nonzero(events.accepted))
     report["accepted_fraction"] = n_accepted / len(events) if len(events) else 0.0
 
@@ -502,6 +484,9 @@ def cmd_dephasing(args) -> int:
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_output(path, out, args.force)
+    import numpy as np
+    from .memory.channel import dephasing_channel_family
+    from .protocol.scenario import config_hash
     times = np.round(np.arange(0.0, args.t_max + args.dt / 2, args.dt), 12)
     family = dephasing_channel_family(
         node.trap, node.field_env, node.temperature, times, args.trajectories, seed=args.seed,
@@ -530,6 +515,15 @@ def cmd_rates(args) -> int:
     names = [n.strip() for n in args.presets.split(",") if n.strip()]
     if not names:
         raise CliError(f"--presets names no preset: {args.presets!r}", EXIT_CONFIG)
+    from .protocol.rates import (
+        duty_cycle,
+        event_rate,
+        repetition_rate,
+        sbr_model,
+        success_probability,
+        window_capture,
+    )
+    from .protocol.scenario import config_hash, preset
     try:
         scenarios = [preset(name) for name in names]
     except KeyError as exc:
@@ -540,8 +534,10 @@ def cmd_rates(args) -> int:
     for p in filter(None, (path, fpath)):
         _check_output(p, out, args.force)
     # the Monte Carlo runs first, so that a bad argument leaves nothing on disk
-    table = fidelity_vs_length(scenarios, n_trajectories=args.trajectories,
-                               seed=args.seed) if fpath else None
+    table = None
+    if fpath:
+        from .protocol.model import fidelity_vs_length
+        table = fidelity_vs_length(scenarios, n_trajectories=args.trajectories, seed=args.seed)
     rows = []
     for name, s in zip(names, scenarios):
         rep = repetition_rate(s)
@@ -589,6 +585,7 @@ def _write_rows(path, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    from .calibration import DEFAULT_TARGETS, calibrate, check_targets
     targets = None
     if args.targets:
         try:
@@ -632,6 +629,7 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from .protocol.presets import PRESETS
     p = argparse.ArgumentParser(
         prog="atomlink",
         description="Simulator and analysis toolkit for a heralded two-node "
@@ -712,6 +710,7 @@ def cmd_export_scenario(args) -> int:
     out = _out_dir(args)
     path = os.path.join(out, args.output)
     _check_output(path, out, args.force)
+    from .protocol.scenario import preset, save_scenario
     try:
         os.makedirs(out, exist_ok=True)
         save_scenario(preset(args.preset), path)

@@ -1,5 +1,7 @@
 """Photon wavepackets and two-photon temporal indistinguishability."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

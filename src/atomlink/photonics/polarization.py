@@ -6,6 +6,8 @@ sees).  Stokes components are ordered (S1, S2, S3) = (H/V, D/A, R/L), i.e.
 expectation values of (sigma_z, sigma_x, sigma_y) on the Jones vector.
 """
 
+from __future__ import annotations
+
 import math
 
 import numpy as np

@@ -1,26 +1,5 @@
-from .scenario import (
-    LinkScenario,
-    NodeConfig,
-    SequenceConfig,
-    PRESETS,
-    config_hash,
-    load_scenario,
-    preset,
-    save_scenario,
-)
-from .rates import (
-    duty_cycle,
-    event_rate,
-    repetition_rate,
-    sbr_model,
-    success_probability,
-)
-from .model import fidelity_vs_length
-from .sequence import RunResult, run_sequence
+"""Scenarios, rate budget, event sequence and fidelity model of the link.
 
-__all__ = [
-    "LinkScenario", "NodeConfig", "SequenceConfig", "PRESETS", "config_hash",
-    "load_scenario", "preset", "save_scenario",
-    "duty_cycle", "event_rate", "repetition_rate", "sbr_model", "success_probability",
-    "fidelity_vs_length", "RunResult", "run_sequence",
-]
+Import names from the submodules.  The package re-exports nothing, so that
+loading one submodule (the preset table, say) loads none of the others.
+"""

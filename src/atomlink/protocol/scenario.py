@@ -22,6 +22,7 @@ from ..photonics import (
     QfcParams,
     propagation_delay,
 )
+from .presets import _PUBLISHED_VALUES, _TABLE_ROWS, PRESETS
 
 # calibrated defaults (see calibration.py for the fitting routines)
 CAL_COLLECTION_EFFICIENCY = 6.637e-3
@@ -138,27 +139,6 @@ class LinkScenario:
         return self.readout_time1, self.readout_time2
 
 
-_TABLE_ROWS = {
-    # name: (L1, L2, A1, A2, t1, t2) with lengths in km, times in us
-    "l6": (2.6, 3.3, 0.7, 0.8, 28.5, 35.5),
-    "l11": (5.4, 5.5, 1.5, 1.3, 57.1, 71.0),
-    "l23": (11.3, 11.4, 3.3, 2.8, 114.2, 124.3),
-    "l33": (16.5, 16.6, 4.5, 4.1, 171.2, 177.5),
-}
-
-_PUBLISHED_VALUES = {
-    "l6": {"repetition_rate_hz": 30.8e3, "success_probability": 3.66e-6,
-           "event_rate_hz": 1.0 / 19.0, "fidelity": 0.830, "fidelity_sigma": 0.010,
-           "sbr_node1": 58.0, "sbr_node2": 65.0, "sbr_coincidence": 48.0,
-           "events": 4281},
-    "l11": {"fidelity": 0.799, "fidelity_sigma": 0.011, "events": 4271},
-    "l23": {"fidelity": 0.719, "fidelity_sigma": 0.012, "events": 4153},
-    "l33": {"repetition_rate_hz": 9.7e3, "success_probability": 1.22e-6,
-            "event_rate_hz": 1.0 / 208.0, "fidelity": 0.622, "fidelity_sigma": 0.015,
-            "sbr_coincidence": 42.0, "events": 3022},
-}
-
-
 def preset(name: str) -> LinkScenario:
     """One of the shipped fibre configurations l6, l11, l23, l33."""
     if name not in _TABLE_ROWS:
@@ -172,9 +152,6 @@ def preset(name: str) -> LinkScenario:
         readout_time2=t2 * 1e-6,
         published_values=dict(_PUBLISHED_VALUES[name]),
     )
-
-
-PRESETS = tuple(_TABLE_ROWS)
 
 
 # ---------------------------------------------------------------------------

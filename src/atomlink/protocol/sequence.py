@@ -25,6 +25,7 @@ from ..analysis import (
 )
 from ..analysis.estimators import SCHEDULES
 from ..analysis.tables import BELL_OUTCOMES, CLICK_ORIGINS, DETECTORS, PLANES
+from ..analysis.windows import HISTOGRAM_SPAN
 from ..memory import dephasing_channel_family
 from ..photonics import (
     CoincidenceClass,
@@ -55,8 +56,6 @@ from .rates import (
 )
 from .scenario import LinkScenario, config_hash
 
-# recording span of the singles histogram around the nominal arrival
-HISTOGRAM_SPAN = (-500e-9, 500e-9)
 # singles kept per node for that histogram; beyond it the stream is subsampled
 MAX_SINGLES = 20000
 # heralds per block of the state pass, whose 9x9 states and temporaries

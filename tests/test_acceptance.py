@@ -30,14 +30,10 @@ from atomlink.photonics import (
     stokes_rotation,
 )
 from atomlink.photonics.polarization import _probe_cost, residual_error_from_cost
-from atomlink.protocol import (
-    event_rate,
-    fidelity_vs_length,
-    preset,
-    repetition_rate,
-    run_sequence,
-)
-from atomlink.protocol.rates import accepted_contrast
+from atomlink.protocol.model import fidelity_vs_length
+from atomlink.protocol.rates import accepted_contrast, event_rate, repetition_rate
+from atomlink.protocol.scenario import preset
+from atomlink.protocol.sequence import run_sequence
 from atomlink.quantum import BellOutcome
 
 import oracles

@@ -25,15 +25,18 @@ from atomlink.cli import (
     build_parser,
     main,
 )
-from atomlink.protocol import (
+import atomlink.protocol.model
+import atomlink.protocol.sequence
+from atomlink.protocol.rates import sbr_model
+from atomlink.protocol.scenario import (
+    CAL_AP_SCALE,
+    CAL_XI_MAX,
     config_hash,
     load_scenario,
     preset,
-    run_sequence,
     save_scenario,
-    sbr_model,
 )
-from atomlink.protocol.scenario import CAL_AP_SCALE, CAL_XI_MAX
+from atomlink.protocol.sequence import run_sequence
 
 import oracles
 
@@ -252,8 +255,8 @@ class TestRunFiles:
             "zero": ["--preset", "l6", "--events", "0"],
         }[case]
         save_scenario(replace(preset("l6"), wavepacket_delay=150e-9), tmp_path / "far.ini")
-        real, runs = atomlink.cli.run_sequence, []
-        monkeypatch.setattr(atomlink.cli, "run_sequence",
+        real, runs = atomlink.protocol.sequence.run_sequence, []
+        monkeypatch.setattr(atomlink.protocol.sequence, "run_sequence",
                             lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
         run = tmp_path / "run"
         assert run_cli("simulate", *argv, "--seed", "5", "--trajectories", "300",
@@ -480,7 +483,7 @@ class TestRates:
         def no_monte_carlo(*args, **kwargs):
             raise AssertionError("the fidelity Monte Carlo ran")
 
-        monkeypatch.setattr(atomlink.cli, "fidelity_vs_length", no_monte_carlo)
+        monkeypatch.setattr(atomlink.protocol.model, "fidelity_vs_length", no_monte_carlo)
         assert run_cli("rates", "--fidelity-out", "sub/f.csv", "--trajectories", "100",
                        "--out", str(tmp_path)) == 4
         assert not (tmp_path / "rates.csv").exists()
@@ -657,7 +660,7 @@ class TestExportScenario:
     def test_round_trip(self, tmp_path):
         assert run_cli("export-scenario", "--preset", "l33",
                        "--out", str(tmp_path)) == 0
-        from atomlink.protocol import load_scenario, preset, config_hash
+        from atomlink.protocol.scenario import load_scenario, preset, config_hash
         loaded = load_scenario(tmp_path / "scenario.ini")
         assert config_hash(loaded) == config_hash(preset("l33"))
 

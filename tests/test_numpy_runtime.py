@@ -1,9 +1,14 @@
-"""The package runs on numpy alone; scipy is the reference its stand-ins are checked against."""
+"""The package runs on numpy alone; scipy is the reference its stand-ins are checked against.
 
+Each command loads only the layers it runs, and parsing the arguments loads no numpy.
+"""
+
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,26 @@ from atomlink.cli import main
 from atomlink.memory.channel import _normal_grid
 from atomlink.photonics import PhotonWavepacket, window_capture_probability
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+ENV = {**os.environ, "PYTHONPATH": SRC}
+
+
+def _benchmark_runner():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _main_in_subprocess(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
+    code = ("import json, sys; from atomlink.cli import main; rc = main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=ENV,
+                         capture_output=True, text=True, check=True).stdout
+    rc, modules = json.loads(out.splitlines()[-1])
+    return rc, set(modules)
 
 
 @pytest.mark.parametrize("name, reference", [
@@ -55,29 +79,56 @@ def test_window_capture_matches_ndtr(wavepacket):
 
 
 def test_cli_import_loads_no_scipy():
-    code = ("import sys, atomlink.cli; "
-            "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    # nor numpy: the import and the parse of each benchmark command line need
+    # only the standard library and the preset names
+    bench = _benchmark_runner()
+    argvs = [bench.main_args(w, 5, "out") for w in bench.WORKLOADS.values()]
+    argvs.append(bench.analyze_args("out"))
+    code = ("import json, sys, atomlink.cli; parser = atomlink.cli.build_parser(); "
+            "[parser.parse_args(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(','.join(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=ENV,
+                         capture_output=True, text=True, check=True).stdout
     assert out.strip() == ""
 
 
 def test_analyze_loads_no_numpy_ma(tmp_path):
     # np.unique without index outputs imports numpy.ma (13-19 ms) on numpy 2.4;
-    # a fringe run with clicks reaches fringe_fit and times_by_window
+    # a fringe run with clicks reaches fringe_fit and times_by_window.  Nor
+    # does analyze load the generator, the memory layer, the simulation or
+    # the calibration
     run = tmp_path / "run"
     assert main(["simulate", "--preset", "l6", "--seed", "3", "--schedule", "fringe",
                  "--events", "400", "--trajectories", "300", "--out", str(run)]) == 0
-    code = ("import sys; from atomlink.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, 'numpy.ma' in sys.modules)")
     argv = ["analyze", "--events", str(run / "events.jsonl"), "--clicks", str(run / "clicks.csv"),
             "--summary", str(run / "summary.json"),
             "--estimators", "fidelity,fringe,chsh,contrast,sbr", "--out", str(run)]
-    env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split()[-2:] == ["0", "False"]
+    rc, modules = _main_in_subprocess(argv)
+    assert rc == 0
+    assert not modules & {"numpy.ma", "numpy.random", "atomlink.memory",
+                          "atomlink.protocol.sequence", "atomlink.calibration"}
     report = json.loads((run / "report.json").read_text())
     assert report["estimators"]["fringe"]["PsiMinus"]["fits"]
     assert report["estimators"]["sbr"]["coincidence"] > 0
+
+
+def test_dephasing_loads_no_analysis(tmp_path):
+    argv = ["dephasing", "--preset", "l6", "--trajectories", "200", "--t-max", "20e-6",
+            "--out", str(tmp_path)]
+    rc, modules = _main_in_subprocess(argv)
+    assert rc == 0
+    assert not modules & {"atomlink.analysis", "atomlink.quantum", "atomlink.protocol.sequence"}
+    assert (tmp_path / "envelope.csv").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    (["dephasing", "--dt", "0"], 2),
+    (["analyze", "--events", "events.jsonl"], 4),     # report.json exists
+], ids=["dephasing-dt", "analyze-existing-report"])
+def test_early_errors_load_no_numpy(tmp_path, command, code):
+    (tmp_path / "report.json").write_text("{}")
+    rc, modules = _main_in_subprocess([*command, "--out", str(tmp_path)])
+    assert rc == code
+    assert "numpy" not in modules
+    assert not (tmp_path / "envelope.csv").exists()
+    assert (tmp_path / "report.json").read_text() == "{}"

@@ -6,18 +6,22 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from atomlink.protocol import (
-    PRESETS,
-    config_hash,
+from atomlink.protocol.rates import (
     duty_cycle,
     event_rate,
-    load_scenario,
-    preset,
     repetition_rate,
     sbr_model,
     success_probability,
 )
-from atomlink.protocol.scenario import CAL_XI_MAX, SequenceConfig, save_scenario
+from atomlink.protocol.scenario import (
+    CAL_XI_MAX,
+    PRESETS,
+    SequenceConfig,
+    config_hash,
+    load_scenario,
+    preset,
+    save_scenario,
+)
 
 
 def _edited(obj, dotted, value):

@@ -14,17 +14,16 @@ from atomlink.analysis import (
 from atomlink.analysis.tables import CLICK_ORIGINS, PLANES
 from atomlink.memory import dephasing_channel_family
 from atomlink.photonics.polarization import rotation_su2
-from atomlink.protocol import (
-    PRESETS,
+from atomlink.protocol import sequence
+from atomlink.protocol.model import fidelity_vs_length
+from atomlink.protocol.rates import (
+    block_model,
     duty_cycle,
     event_rate,
-    fidelity_vs_length,
-    preset,
     repetition_rate,
-    run_sequence,
+    window_capture,
 )
-from atomlink.protocol import sequence
-from atomlink.protocol.rates import block_model, window_capture
+from atomlink.protocol.scenario import PRESETS, preset
 from atomlink.protocol.sequence import (
     SCHEDULES,
     _werner_atom_photon,
@@ -32,6 +31,7 @@ from atomlink.protocol.sequence import (
     event_readout,
     heralded_states,
     mean_pair_operators,
+    run_sequence,
     signal_input,
     wall_times,
 )
