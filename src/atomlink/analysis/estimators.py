@@ -5,29 +5,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..quantum import chsh_s
-from .tables import BELL_OUTCOMES, PLANES, CorrelationDataset, EventTable, round_angles
-
-# the (alpha, beta, plane) readout settings of each run schedule
-SCHEDULES = {
-    "three-basis": (
-        [(0.0, 0.0, "equator"), (np.pi / 2, 0.0, "equator"),
-         (np.pi / 4, np.pi / 4, "equator"), (3 * np.pi / 4, np.pi / 4, "equator"),
-         (0.0, 0.0, "z"), (np.pi / 2, 0.0, "z")]
-    ),
-    "fringe": (
-        [(np.radians(a), 0.0, "equator") for a in (0, 22.5, 45, 67.5, 90)]
-        + [(np.radians(a), np.pi / 4, "equator") for a in (45, 67.5, 90, 112.5, 135)]
-    ),
-    "chsh": (
-        [(np.radians(22.5), 0.0, "equator"), (np.radians(67.5), 0.0, "equator"),
-         (np.radians(67.5), np.radians(45), "equator"),
-         (np.radians(112.5), np.radians(45), "equator")]
-    ),
-}
-
-# basis -> its (aligned, flipped) settings, consecutive in the three-basis schedule
-BASIS_PAIRS = dict(zip(("X", "Y", "Z"), zip(SCHEDULES["three-basis"][0::2],
-                                            SCHEDULES["three-basis"][1::2])))
+from .tables import (
+    BASIS_PAIRS,
+    BELL_OUTCOMES,
+    PLANES,
+    SCHEDULES,
+    CorrelationDataset,
+    EventTable,
+    round_angles,
+)
 
 
 def _setting_codes(angles: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .protocol.rates import accepted_contrast, flight_time, repetition_rate, success_probability
-from .protocol.scenario import CAL_AP_SCALE, PRESETS, LinkScenario, preset
+from .protocol.presets import PRESETS
+from .protocol.scenario import CAL_AP_SCALE, LinkScenario, preset
 
 DEFAULT_TARGETS = {
     "repetition_rates_hz": {name: preset(name).published_values["repetition_rate_hz"]

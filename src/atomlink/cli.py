@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import __version__
 
@@ -241,6 +240,7 @@ def _load_events(path):
     time into columns allocated once from its line count, so the run is
     held once.
     """
+    from dataclasses import fields
     import numpy as np
     from .analysis.eventlines import parse_event_lines
     from .analysis.tables import EventTable
@@ -378,7 +378,7 @@ def cmd_analyze(args) -> int:
         interference_contrast,
         three_basis_summary,
     )
-    from .analysis.tables import BELL_OUTCOMES
+    from .analysis.tables import BELL_OUTCOMES, DETECTORS
     from .analysis.windows import HISTOGRAM_SPAN, DetectionHistogram, sbr
     header, events = _load_events(args.events)
     chash = header.get("config_hash")
@@ -438,8 +438,11 @@ def cmd_analyze(args) -> int:
             elif name == "sbr":
                 if clicks is None:
                     raise CliError("sbr estimator needs --clicks", EXIT_CONFIG)
+                # the singles only: herald clicks, all near the arrival, would
+                # count as signal in proportion to the herald count
+                singles = clicks.rows(clicks.detector == DETECTORS.index("single"))
                 edges = np.arange(HISTOGRAM_SPAN[0], HISTOGRAM_SPAN[1] + 1e-12, 2e-9)
-                hist = DetectionHistogram.from_click_times(clicks.times_by_window(), edges)
+                hist = DetectionHistogram.from_click_times(singles.times_by_window(), edges)
                 # side bands start where the wavepacket tail is negligible
                 est = sbr(hist, window=(0.0, 70e-9), exclusion=(-100e-9, 250e-9))
                 report["estimators"]["sbr"] = {

@@ -77,14 +77,8 @@ class DephasingChannelFamily:
         return np.abs(self.coherences[:, _UP, _DOWN])
 
     def stderr(self) -> np.ndarray:
-        """Monte-Carlo standard error of the |up><down| coherence at each time.
-
-        The coherence is a mean of n unit-modulus samples, so its standard
-        error is at most sqrt((1 - |c|^2) / n); the stratified noise grid
-        only makes this bound conservative.
-        """
-        spread = np.maximum(1.0 - self.envelope() ** 2, 0.0)
-        return np.sqrt(spread / self.meta["n_trajectories"])
+        """Monte-Carlo standard error of the |up><down| coherence at each time."""
+        return coherence_stderr(self.envelope(), self.meta["n_trajectories"])
 
     def expectation_curve(self, basis: str) -> np.ndarray:
         """<sigma_b>(t) of the memory prepared in the +1 eigenstate of sigma_b.
@@ -113,6 +107,16 @@ class DephasingChannelFamily:
         t0, t1 = self.times[i - 1], self.times[i]
         v0, v1 = v[i - 1], v[i]
         return float(t0 + (v0 - target) / (v0 - v1) * (t1 - t0))
+
+
+def coherence_stderr(envelope, n_trajectories: int):
+    """Monte-Carlo standard error of a coherence of modulus ``envelope``.
+
+    The coherence is a mean of n unit-modulus samples, so its standard
+    error is at most sqrt((1 - |c|^2) / n); the stratified noise grid
+    only makes this bound conservative.
+    """
+    return np.sqrt(np.maximum(1.0 - envelope ** 2, 0.0) / n_trajectories)
 
 
 def _normal_grid(n: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from ..analysis import CorrelationDataset, three_basis_summary
-from ..analysis.estimators import BASIS_PAIRS, SCHEDULES
-from ..analysis.tables import BELL_OUTCOMES, PLANES
+from ..analysis.estimators import three_basis_summary
+from ..analysis.tables import BASIS_PAIRS, BELL_OUTCOMES, PLANES, SCHEDULES, CorrelationDataset
+from ..memory.channel import coherence_stderr
 from ..quantum import BellOutcome
 from .rates import sbr_model
 from .sequence import (
@@ -26,8 +26,9 @@ def fidelity_vs_length(scenarios, n_trajectories, seed):
     operator (``mean_pair_operators``).  It goes through the run's own
     state pass: ``heralded_states`` with both nodes' memory channels at
     their readout times (``memory_coherences``, each node's configured
-    field environment), mixed with the background heralds' maximally mixed
-    pair at the accepted-window background weight of ``sbr_model``.  The
+    field environment, one build for the scenarios that share it), mixed
+    with the background heralds' maximally mixed pair at the
+    accepted-window background weight of ``sbr_model``.  The
     six three-basis settings are read out with ``event_readout`` for both
     Bell outcomes, and the readout probabilities, as the counts of a
     ``CorrelationDataset``, go through ``three_basis_summary`` as a run's
@@ -41,9 +42,8 @@ def fidelity_vs_length(scenarios, n_trajectories, seed):
     keys = [np.array(c) for c in zip(*[(a, b, PLANES.index(p), BELL_OUTCOMES.index(o.value))
                                        for o in BellOutcome for a, b, p in settings])]
     rows = []
-    for s in scenarios:
+    for s, coherences in zip(scenarios, memory_coherences(scenarios, n_trajectories, seed)):
         _, xi, _ = coincidence_branches(s)
-        coherences = memory_coherences(s, n_trajectories, seed)
         signal = heralded_states(signal_input(s), coherences,
                                  mean_pair_operators(list(BellOutcome), xi,
                                                      s.polarization_error_mean))
@@ -53,13 +53,16 @@ def fidelity_vs_length(scenarios, n_trajectories, seed):
                                  setting_index, outcomes)
         summary = three_basis_summary(CorrelationDataset(*keys, probs))
         per_outcome = summary["per_outcome"].values()
+        env1, env2 = (abs(c[2, 0]) for c in coherences)
         rows.append({
             "name": s.name,
             "total_length_km": s.total_length_km,
             "readout_time1": s.readout_time1,
             "readout_time2": s.readout_time2,
-            "envelope1": float(abs(coherences[0][2, 0])),
-            "envelope2": float(abs(coherences[1][2, 0])),
+            "envelope1": float(env1),
+            "envelope1_stderr": float(coherence_stderr(env1, n_trajectories)),
+            "envelope2": float(env2),
+            "envelope2_stderr": float(coherence_stderr(env2, n_trajectories)),
             "background_weight": w,
             **{f"contrast_{k.lower()}": float(np.mean([o["contrasts"][k] for o in per_outcome]))
                for k in BASIS_PAIRS},

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from ..photonics import indistinguishability, link_transmission, window_capture_probability
-from ..photonics.fibre import propagation_delay
+from ..photonics.fibre import link_transmission, propagation_delay
+from ..photonics.interference import indistinguishability, window_capture_probability
 from .scenario import LinkScenario, SequenceConfig
 
 

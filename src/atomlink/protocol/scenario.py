@@ -14,14 +14,12 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from ..memory import FieldEnvironment, TrapParams
-from ..photonics import (
-    DetectorParams,
-    FibreLink,
-    PhotonWavepacket,
-    QfcParams,
-    propagation_delay,
-)
+from ..memory.fields import FieldEnvironment
+from ..memory.trap import TrapParams
+from ..photonics.bsm import DetectorParams
+from ..photonics.conversion import QfcParams
+from ..photonics.fibre import FibreLink, propagation_delay
+from ..photonics.interference import PhotonWavepacket
 from .presets import _PUBLISHED_VALUES, _TABLE_ROWS, PRESETS
 
 # calibrated defaults (see calibration.py for the fitting routines)

@@ -16,24 +16,20 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .. import quantum
-from ..analysis import (
+from ..analysis.tables import (
+    BELL_OUTCOMES,
+    CLICK_ORIGINS,
+    DETECTORS,
+    PLANES,
+    SCHEDULES,
     ClickTable,
     CorrelationDataset,
     EventTable,
-    acceptance_filter,
-    dataset_from_events,
 )
-from ..analysis.estimators import SCHEDULES
-from ..analysis.tables import BELL_OUTCOMES, CLICK_ORIGINS, DETECTORS, PLANES
-from ..analysis.windows import HISTOGRAM_SPAN
-from ..memory import dephasing_channel_family
-from ..photonics import (
-    CoincidenceClass,
-    coincidence_distribution,
-    indistinguishability,
-    window_capture_probability,
-)
-from ..photonics.bsm import CLASS_PAIRS, DETECTOR_PAIRS
+from ..analysis.windows import HISTOGRAM_SPAN, acceptance_filter
+from ..memory.channel import dephasing_channel_family
+from ..photonics.bsm import CLASS_PAIRS, DETECTOR_PAIRS, CoincidenceClass, coincidence_distribution
+from ..photonics.interference import indistinguishability, window_capture_probability
 from ..photonics.polarization import rotation_su2
 from ..quantum import (
     AtomBasisSetting,
@@ -78,6 +74,7 @@ class RunResult:
     @cached_property
     def dataset(self) -> CorrelationDataset:
         """Correlation counts of the accepted heralds, built on first access."""
+        from ..analysis.estimators import dataset_from_events
         return dataset_from_events(self.events, self.mode)
 
 
@@ -165,17 +162,27 @@ def signal_input(scenario: LinkScenario) -> DensityMatrix:
         for node in scenario.nodes()))
 
 
-def memory_coherences(scenario: LinkScenario, n_trajectories: int, seed: int) -> list:
+def memory_coherences(scenarios, n_trajectories: int, seed: int) -> list:
     """Both nodes' 3x3 coherence matrices at their readout times, analyzer frame.
 
-    Each node's channel is built from its own ``field_env`` with seed
-    ``2 seed + i + 1`` for node index i.
+    One pair per scenario.  Node i's channel is built from its own
+    ``trap``, ``field_env`` and ``temperature`` with seed ``2 seed + i + 1``;
+    the scenarios that share all three share one build, sampled at each of
+    their readout times.
     """
-    coherences = []
-    for i, (node, t) in enumerate(zip(scenario.nodes(), scenario.readout_times())):
-        fam = dephasing_channel_family(node.trap, node.field_env, node.temperature,
-                                       [round(t, 12)], n_trajectories, seed=seed * 2 + i + 1)
-        coherences.append(fam.rotating_channel_at(round(t, 12)))
+    times = [[round(t, 12) for t in s.readout_times()] for s in scenarios]
+    coherences = [[None, None] for _ in scenarios]
+    for i in (0, 1):
+        groups = {}
+        for k, s in enumerate(scenarios):
+            node = s.nodes()[i]
+            groups.setdefault((node.trap, node.field_env, node.temperature), []).append(k)
+        for (trap, env, temperature), members in groups.items():
+            fam = dephasing_channel_family(trap, env, temperature,
+                                           sorted({times[k][i] for k in members}),
+                                           n_trajectories, seed=seed * 2 + i + 1)
+            for k in members:
+                coherences[k][i] = fam.rotating_channel_at(times[k][i])
     return coherences
 
 
@@ -342,7 +349,7 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     herald_count = len(wall)
     uniforms = rng.random(herald_count) if mode == "sampled-clicks" else None
 
-    coherences = memory_coherences(scenario, n_trajectories, seed)
+    coherences = memory_coherences([scenario], n_trajectories, seed)[0]
 
     # states, checks and readout in blocks; density-matrix mode keeps the states
     outcome_codes = _OUTCOME_CODE[cls[herald]]

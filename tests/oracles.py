@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from atomlink.analysis import (
-    CorrelationDataset,
-    DetectionHistogram,
+from atomlink.analysis.estimators import (
     chsh_from_dataset,
+    contrast_sigma,
     fringe_visibility_summary,
     interference_contrast,
-    sbr,
     three_basis_summary,
 )
-from atomlink.analysis.estimators import contrast_sigma
 from atomlink.analysis.tables import (
     BELL_OUTCOMES,
     CLICK_ORIGINS,
@@ -32,11 +29,13 @@ from atomlink.analysis.tables import (
     PLANES,
     READOUTS,
     WINDOWS,
+    CorrelationDataset,
 )
+from atomlink.analysis.windows import DetectionHistogram, sbr
 from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
 from atomlink.memory.trap import MotionKernel, TrapParams, thermal_sigmas
-from atomlink.photonics import compensator_settings, rotation_su2
+from atomlink.photonics.polarization import compensator_settings, rotation_su2
 from atomlink.quantum import OUTCOME_KEYS
 
 SQ2 = np.sqrt(2.0)
@@ -761,7 +760,7 @@ def reference_report(events_path, clicks_path, summary_path, estimators) -> dict
                 }
             elif name == "sbr":
                 times = {}
-                for row in clicks:
+                for row in (r for r in clicks if r["detector"] == "single"):
                     times.setdefault(row["window"], []).append(float(row["timestamp_ns"]) * 1e-9)
                 edges = np.arange(-500e-9, 500e-9 + 1e-12, 2e-9)
                 hist = DetectionHistogram.from_click_times(times, edges)

@@ -11,25 +11,25 @@ import numpy as np
 import pytest
 
 from atomlink import quantum as q
-from atomlink.analysis import (
+from atomlink.analysis.estimators import (
+    contrast_sigma,
     fidelity_bound,
     interference_contrast,
     three_basis_summary,
 )
-from atomlink.analysis.estimators import contrast_sigma
-from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
-from atomlink.photonics import (
-    CoincidenceClass,
-    classify_coincidence,
-    coincidence_distribution,
-    indistinguishability,
-    PhotonWavepacket,
+from atomlink.memory.channel import dephasing_channel_family
+from atomlink.memory.fields import FieldEnvironment
+from atomlink.memory.trap import TrapParams
+from atomlink.photonics.bsm import CoincidenceClass, classify_coincidence, coincidence_distribution
+from atomlink.photonics.interference import PhotonWavepacket, indistinguishability
+from atomlink.photonics.polarization import (
+    _probe_cost,
     compensator_settings,
+    residual_error_from_cost,
     rotation_su2,
     simulate_drift_with_control,
     stokes_rotation,
 )
-from atomlink.photonics.polarization import _probe_cost, residual_error_from_cost
 from atomlink.protocol.model import fidelity_vs_length
 from atomlink.protocol.rates import accepted_contrast, event_rate, repetition_rate
 from atomlink.protocol.scenario import preset

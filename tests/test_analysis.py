@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from atomlink import quantum as q
-from atomlink.analysis import (
-    DetectionHistogram,
-    acceptance_filter,
+from atomlink.analysis.estimators import (
     basis_contrast,
     binomial_sigma,
     correlation_probability,
     fidelity_bound,
     fringe_fit,
     interference_contrast,
-    sbr,
+    fidelity_sigma,
+    fringe_visibility_summary,
     statistical_error,
     three_basis_summary,
 )
-from atomlink.analysis.estimators import fidelity_sigma, fringe_visibility_summary
+from atomlink.analysis.windows import DetectionHistogram, acceptance_filter, sbr
 from atomlink.quantum import AtomBasisSetting, BellOutcome
 
 import oracles
@@ -246,14 +245,14 @@ class TestDatasetPipeline:
         assert v_sig < 0.02
 
     def test_chsh_pipeline(self):
-        from atomlink.analysis import chsh_from_dataset
+        from atomlink.analysis.estimators import chsh_from_dataset
         ds = self._ideal_dataset()
         s, sig = chsh_from_dataset(ds)
         assert s == pytest.approx(2 * np.sqrt(2), abs=0.02)
 
     def test_chsh_sampling_convergence_rate(self):
         # statistical error of S scales as 1/sqrt(N)
-        from atomlink.analysis import chsh_from_dataset
+        from atomlink.analysis.estimators import chsh_from_dataset
         devs = {}
         for n_per in (200, 3200):
             reps = []

@@ -7,8 +7,8 @@ imported as the defining module (``channel.X`` after ``from .memory import
 channel``).  An attribute of anything else, such as a column of a table
 that shares the name, does not count for it.  A public method counts as
 called when some module loads it as an attribute outside its own body.  The
-``__init__`` modules only re-export, so they do not count.  A
-name that only tests use belongs in ``tests/oracles.py`` or in the test
+``__init__`` modules hold no code (a test below keeps them so) and do not
+count.  A name that only tests use belongs in ``tests/oracles.py`` or in the test
 itself; the few that stay are the API the README or an acceptance criterion
 names, listed below with the reason.
 
@@ -19,9 +19,14 @@ passes the parameter by keyword, positionally, or through ``*args`` or
 parameter no caller sets has one value in use and belongs in the body as a
 constant; the few that stay are listed in ``ALLOWED_PARAMETERS`` with the
 reason.
+
+No subpackage ``__init__`` imports or binds anything, and every import from
+the package, in the package and in the tests, names the module that defines
+the name, so that importing one module loads only the modules it names.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "atomlink"
@@ -198,3 +203,44 @@ def test_parameter_allowlist_is_current():
     unset = set(unset_parameters())
     stale = [p for p in ALLOWED_PARAMETERS if p not in unset]
     assert not stale, f"allowlisted parameters that a call sets or that no longer exist: {stale}"
+
+
+def test_subpackages_re_export_nothing():
+    # an import in a subpackage's __init__ loads every module it names into
+    # each process that imports any one of the subpackage's modules
+    for path in set(PACKAGE.rglob("__init__.py")) - {PACKAGE / "__init__.py"}:
+        body = ast.parse(path.read_text()).body
+        held = [ast.unparse(n) for n in body
+                if not (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))]
+        assert not held, f"{path.relative_to(PACKAGE)} holds {held}"
+
+
+@cache
+def _top_level_names(parts: tuple) -> set:
+    """Names that the package module at dotted ``parts`` binds itself, imports aside."""
+    path = PACKAGE.joinpath(*parts)
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_imports_name_the_defining_module():
+    # in the package and in the tests, each name imported from the package
+    # is a submodule of the module it is imported from or is defined there
+    modules = list(_modules()) + [(path.stem, ast.parse(path.read_text()))
+                                  for path in Path(__file__).parent.glob("*.py")]
+    wrong = []
+    for module, tree in modules:
+        for dotted in _module_aliases(module, tree).values():
+            *parts, name = dotted.split(".")
+            target = PACKAGE.joinpath(*parts, name)
+            if not (name in _top_level_names(tuple(parts)) or target.is_dir()
+                    or target.with_suffix(".py").exists()):
+                wrong.append(f"{module} imports {name} from {'.'.join([PACKAGE.name, *parts])}")
+    assert not wrong, wrong

@@ -13,7 +13,7 @@ import pytest
 import atomlink.analysis.estimators
 import atomlink.calibration
 import atomlink.cli
-from atomlink.analysis import interference_contrast
+from atomlink.analysis.estimators import interference_contrast
 from atomlink.calibration import DEFAULT_TARGETS, calibrate, fit_t_overhead
 from atomlink.analysis.tables import CLICK_ORIGINS, DETECTORS, WINDOWS, ClickTable, EventTable
 from atomlink.cli import (
@@ -120,6 +120,38 @@ class TestAnalyze:
         assert 0.5 < report["estimators"]["fidelity"]["fidelity"] <= 1.0
         assert report["accepted_fraction"] > 0.5
         assert report["estimators"]["sbr"]["coincidence"] > 10
+
+    def test_sbr_matches_model(self, tmp_path):
+        # the histogram takes the singles only: with the herald clicks, all
+        # near the arrival, it read about 6 standard errors above the model
+        # at 4000 heralds, and more with more heralds
+        run = tmp_path / "run"
+        assert run_cli("simulate", "--preset", "l6", "--seed", "1", "--events", "4000",
+                       "--out", str(run), "--trajectories", "100") == 0
+        assert run_cli("analyze", "--events", str(run / "events.jsonl"),
+                       "--clicks", str(run / "clicks.csv"), "--estimators", "sbr",
+                       "--out", str(run)) == 0
+        est = json.loads((run / "report.json").read_text())["estimators"]["sbr"]
+        model = json.loads((run / "summary.json").read_text())["sbr_model"]
+        _, clicks = _load_clicks(run / "clicks.csv")
+        edges = np.arange(-500e-9, 500e-9 + 1e-12, 2e-9)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        window = (centers >= 0.0) & (centers <= 70e-9)
+        side = (centers < -100e-9) | (centers > 250e-9)
+        singles = clicks.detector == DETECTORS.index("single")
+        sbr, sigma = {}, {}
+        for code, name in enumerate(WINDOWS):
+            counts = np.histogram(clicks.time_s[singles & (clicks.window == code)], edges)[0]
+            # SBR + 1 = (window counts / side-band counts) x (side span / window span)
+            sbr[name] = est["per_channel"][name]
+            sigma[name] = (sbr[name] + 1.0) * np.sqrt(1.0 / counts[window].sum()
+                                                      + 1.0 / counts[side].sum())
+        # the coincidence SBR combines the channels harmonically
+        sbr["coincidence"] = est["coincidence"]
+        sigma["coincidence"] = sbr["coincidence"] ** 2 * np.hypot(
+            *(sigma[w] / sbr[w] ** 2 for w in WINDOWS))
+        for name in sbr:
+            assert abs(sbr[name] - model[name]) <= 3.0 * sigma[name], (name, sbr, model, sigma)
 
     def test_contrast_uses_acceptance_window(self, tmp_path):
         # about 2% of heralds are D-null, so enough events to see a few

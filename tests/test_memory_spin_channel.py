@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from atomlink.memory import FieldEnvironment, TrapParams, dephasing_channel_family
+from atomlink.memory.channel import dephasing_channel_family
+from atomlink.memory.fields import FieldEnvironment, vector_shift_gauss
+from atomlink.memory.trap import TrapParams
 from atomlink.memory import channel
-from atomlink.memory.fields import vector_shift_gauss
-from atomlink.protocol.scenario import PRESETS, preset
+from atomlink.protocol.presets import PRESETS
+from atomlink.protocol.scenario import preset
 from atomlink.quantum import BellOutcome, DensityMatrix, HilbertSpec, atom_bell_state, fidelity
 
 from oracles import (

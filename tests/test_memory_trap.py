@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from atomlink.constants import K_B
-from atomlink.memory import TrapParams
-from atomlink.memory.trap import thermal_sigmas
+from atomlink.memory.trap import TrapParams, thermal_sigmas
 
 from oracles import (
     AtomInitialCondition,

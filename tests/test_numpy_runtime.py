@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri
 from atomlink import constants as C
 from atomlink.cli import main
 from atomlink.memory.channel import _normal_grid
-from atomlink.photonics import PhotonWavepacket, window_capture_probability
+from atomlink.photonics.interference import PhotonWavepacket, window_capture_probability
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -40,6 +40,14 @@ def _main_in_subprocess(argv):
                          capture_output=True, text=True, check=True).stdout
     rc, modules = json.loads(out.splitlines()[-1])
     return rc, set(modules)
+
+
+def _modules_after(code, *argv):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=ENV,
+                         capture_output=True, text=True, check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("name, reference", [
@@ -80,16 +88,17 @@ def test_window_capture_matches_ndtr(wavepacket):
 
 def test_cli_import_loads_no_scipy():
     # nor numpy: the import and the parse of each benchmark command line need
-    # only the standard library and the preset names
+    # only the standard library and the preset names, and not dataclasses,
+    # which loads inspect
     bench = _benchmark_runner()
     argvs = [bench.main_args(w, 5, "out") for w in bench.WORKLOADS.values()]
     argvs.append(bench.analyze_args("out"))
-    code = ("import json, sys, atomlink.cli; parser = atomlink.cli.build_parser(); "
-            "[parser.parse_args(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(','.join(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=ENV,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == ""
+    modules = _modules_after("import json, sys, atomlink.cli; "
+                             "parser = atomlink.cli.build_parser(); "
+                             "[parser.parse_args(argv) for argv in json.loads(sys.argv[1])]",
+                             json.dumps(argvs))
+    assert not {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}
+    assert not {"dataclasses", "inspect"} & (modules - _modules_after("pass"))
 
 
 def test_analyze_loads_no_numpy_ma(tmp_path):
@@ -107,9 +116,28 @@ def test_analyze_loads_no_numpy_ma(tmp_path):
     assert rc == 0
     assert not modules & {"numpy.ma", "numpy.random", "atomlink.memory",
                           "atomlink.protocol.sequence", "atomlink.calibration"}
+    # nor any memory module, any photonics module but the detector labels'
+    # bsm, or statistics
+    assert not {m for m in modules if m.startswith("atomlink.memory.")}
+    assert {m for m in modules if m.startswith("atomlink.photonics.")} == {"atomlink.photonics.bsm"}
+    assert "statistics" not in modules
     report = json.loads((run / "report.json").read_text())
     assert report["estimators"]["fringe"]["PsiMinus"]["fits"]
     assert report["estimators"]["sbr"]["coincidence"] > 0
+
+
+def test_scenario_import_loads_no_channel():
+    modules = _modules_after("import atomlink.protocol.scenario")
+    assert not modules & {"atomlink.memory.channel", "statistics"}
+
+
+def test_simulate_loads_no_estimators(tmp_path):
+    argv = ["simulate", "--preset", "l6", "--events", "50", "--trajectories", "200",
+            "--out", str(tmp_path)]
+    rc, modules = _main_in_subprocess(argv)
+    assert rc == 0
+    assert not modules & {"atomlink.analysis.estimators", "atomlink.analysis.eventlines"}
+    assert (tmp_path / "events.jsonl").exists()
 
 
 def test_dephasing_loads_no_analysis(tmp_path):

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomlink.photonics import (
+from atomlink.photonics.bsm import (
     CoincidenceClass,
     DetectorParams,
-    FibreLink,
-    PhotonWavepacket,
-    QfcParams,
     classify_coincidence,
     coincidence_distribution,
-    indistinguishability,
+)
+from atomlink.photonics.conversion import QfcParams
+from atomlink.photonics.fibre import (
+    ATTENUATION_DB_PER_KM,
+    FibreLink,
     link_transmission,
     propagation_delay,
+)
+from atomlink.photonics.interference import (
+    PhotonWavepacket,
+    indistinguishability,
     window_capture_probability,
 )
-from atomlink.photonics.fibre import ATTENUATION_DB_PER_KM
 
 import oracles
 
@@ -153,7 +157,7 @@ class TestCoincidences:
         assert perfect[CoincidenceClass.D_MINUS] == pytest.approx(0.25, abs=1e-12)
 
     def test_no_interference_contrast_is_zero(self):
-        from atomlink.analysis import interference_contrast
+        from atomlink.analysis.estimators import interference_contrast
         d = coincidence_distribution(0.0)
         c = interference_contrast(d[CoincidenceClass.D_NULL],
                                   d[CoincidenceClass.D_PLUS],
@@ -193,7 +197,7 @@ class TestCoincidences:
                 coincidence_distribution(xi)
 
     def test_contrast_equals_xi(self):
-        from atomlink.analysis import interference_contrast
+        from atomlink.analysis.estimators import interference_contrast
         for xi in (0.0, 0.3, 0.7, 0.955, 1.0):
             d = coincidence_distribution(xi)
             c = interference_contrast(d[CoincidenceClass.D_NULL],

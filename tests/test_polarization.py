@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from atomlink.photonics import (
+from atomlink.photonics.polarization import (
     compensator_settings,
     drift_walk,
     rotation_su2,

@@ -13,7 +13,7 @@ from atomlink.quantum import (
     MeasurementPlane,
     StateVector,
 )
-from atomlink.photonics import rotation_su2
+from atomlink.photonics.polarization import rotation_su2
 
 import oracles
 

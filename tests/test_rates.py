@@ -13,9 +13,9 @@ from atomlink.protocol.rates import (
     sbr_model,
     success_probability,
 )
+from atomlink.protocol.presets import PRESETS
 from atomlink.protocol.scenario import (
     CAL_XI_MAX,
-    PRESETS,
     SequenceConfig,
     config_hash,
     load_scenario,

@@ -6,13 +6,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from atomlink.analysis import (
+from atomlink.analysis.estimators import (
     correlation_probability,
     interference_contrast,
     three_basis_summary,
 )
-from atomlink.analysis.tables import CLICK_ORIGINS, PLANES
-from atomlink.memory import dephasing_channel_family
+from atomlink.analysis.tables import CLICK_ORIGINS, PLANES, SCHEDULES
+from atomlink.memory.channel import dephasing_channel_family
 from atomlink.photonics.polarization import rotation_su2
 from atomlink.protocol import sequence
 from atomlink.protocol.model import fidelity_vs_length
@@ -23,9 +23,9 @@ from atomlink.protocol.rates import (
     repetition_rate,
     window_capture,
 )
-from atomlink.protocol.scenario import PRESETS, preset
+from atomlink.protocol.presets import PRESETS
+from atomlink.protocol.scenario import preset
 from atomlink.protocol.sequence import (
-    SCHEDULES,
     _werner_atom_photon,
     coincidence_branches,
     event_readout,
@@ -484,6 +484,23 @@ def _run_contrasts(run):
     return np.array(contrasts), np.sqrt(variances) / 2.0
 
 
+class TestMemoryCoherences:
+    def test_grouped_builds_match_one_build_per_scenario(self):
+        # the presets share each node's memory; l6 with a deeper node-1
+        # trap shares node 2's build with them but not node 1's
+        l6 = preset("l6")
+        deep = replace(l6, name="l6-deep", node1=replace(
+            l6.node1, trap=replace(l6.node1.trap, trap_depth_u0=3.0e-3)))
+        scenarios = [preset(name) for name in PRESETS] + [deep]
+        n, seed = 200, 4
+        grouped = sequence.memory_coherences(scenarios, n, seed)
+        for s, pair in zip(scenarios, grouped):
+            for i, (node, t) in enumerate(zip(s.nodes(), s.readout_times())):
+                fam = dephasing_channel_family(node.trap, node.field_env, node.temperature,
+                                               [round(t, 12)], n, seed=2 * seed + i + 1)
+                assert np.array_equal(pair[i], fam.rotating_channel_at(round(t, 12))), (s.name, i)
+
+
 class TestFidelityModel:
     def test_residual_average_matches_monte_carlo(self):
         # stage 5's residual draw, 10^5 pairs per outcome, against the closed form
@@ -510,6 +527,15 @@ class TestFidelityModel:
         for xi in (0.0, 0.5, 0.97):
             prob, _ = herald(inputs, interference_pair_operators(outcomes, xi, u1, u2))
             assert np.max(np.abs(prob - 0.25)) < 1e-12
+
+    def test_envelope_stderr_is_the_channel_stderr(self):
+        s, n, seed = preset("l23"), 200, 3
+        (row,) = fidelity_vs_length([s], n_trajectories=n, seed=seed)
+        for i, (node, t) in enumerate(zip(s.nodes(), s.readout_times())):
+            fam = dephasing_channel_family(node.trap, node.field_env, node.temperature,
+                                           [round(t, 12)], n, seed=2 * seed + i + 1)
+            assert row[f"envelope{i + 1}"] == pytest.approx(fam.envelope()[0], rel=1e-14)
+            assert row[f"envelope{i + 1}_stderr"] == pytest.approx(fam.stderr()[0], rel=1e-12)
 
     def test_deterministic(self):
         scenarios = [preset("l6"), preset("l33")]
