@@ -20,7 +20,7 @@ from ..photonics.bsm import DetectorParams
 from ..photonics.conversion import QfcParams
 from ..photonics.fibre import FibreLink, propagation_delay
 from ..photonics.interference import PhotonWavepacket
-from .presets import _PUBLISHED_VALUES, _TABLE_ROWS, PRESETS
+from .presets import _PUBLISHED_VALUES, _TABLE_ROWS
 
 # calibrated defaults (see calibration.py for the fitting routines)
 CAL_COLLECTION_EFFICIENCY = 6.637e-3

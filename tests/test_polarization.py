@@ -5,18 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 from atomlink.photonics.polarization import (
-    compensator_settings,
-    drift_walk,
-    rotation_su2,
-    simulate_drift_with_control,
-    stokes_rotation,
-)
-from atomlink.photonics.polarization import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     _probe_cost,
+    compensator_settings,
+    drift_walk,
     residual_error_from_cost,
+    rotation_su2,
+    simulate_drift_with_control,
+    stokes_rotation,
 )
 from atomlink import quantum as q
 
