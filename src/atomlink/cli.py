@@ -75,6 +75,23 @@ def _check_output(path, out, force):
         raise CliError(f"cannot write {path}: {parent} is not a directory", EXIT_IO)
 
 
+# the variables that set the size of the BLAS and OpenMP thread pools
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(args) -> dict:
+    """What produced a run: its command line, versions, BLAS and thread settings.
+
+    Kept in the manifest only, out of every output a run is compared by.
+    """
+    import platform
+    import numpy as np
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"argv": args.argv, "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARS}}
+
+
 def _write_manifest(out, args, scenario, chash, extra=None):
     manifest = {
         "tool": "atomlink",
@@ -86,6 +103,7 @@ def _write_manifest(out, args, scenario, chash, extra=None):
         "mode": getattr(args, "mode", None),
         "events": getattr(args, "events", None),
         "out": out,
+        "environment": _environment(args),
     }
     if extra:
         manifest.update(extra)
@@ -726,6 +744,7 @@ def cmd_export_scenario(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except CliError as exc:

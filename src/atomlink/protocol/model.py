@@ -8,12 +8,11 @@ from ..memory.channel import coherence_stderr
 from ..quantum import BellOutcome
 from .rates import sbr_model
 from .sequence import (
-    _MIXED_PAIR,
     coincidence_branches,
-    event_readout,
-    heralded_states,
+    herald_readout,
     mean_pair_operators,
     memory_coherences,
+    readout_matrix,
     signal_input,
 )
 
@@ -23,34 +22,31 @@ def fidelity_vs_length(scenarios, n_trajectories, seed):
 
     The herald probability is 1/4 for every fibre residual, so the mean
     heralded state is the herald of the residual-averaged photon-pair
-    operator (``mean_pair_operators``).  It goes through the run's own
-    state pass: ``heralded_states`` with both nodes' memory channels at
-    their readout times (``memory_coherences``, each node's configured
+    operator (``mean_pair_operators``).  It is read out through the run's
+    own readout pass: ``herald_readout`` with both nodes' memory channels
+    at their readout times (``memory_coherences``, each node's configured
     field environment, one build for the scenarios that share it), mixed
-    with the background heralds' maximally mixed pair at the
-    accepted-window background weight of ``sbr_model``.  The
-    six three-basis settings are read out with ``event_readout`` for both
-    Bell outcomes, and the readout probabilities, as the counts of a
-    ``CorrelationDataset``, go through ``three_basis_summary`` as a run's
-    counts do.  No herald is drawn, so the rows depend only on the memory
-    channels' Monte Carlo (``n_trajectories``, ``seed``).
+    with the background heralds' readout (the maximally mixed pair) at the
+    accepted-window background weight of ``sbr_model``.  The six
+    three-basis settings are read out for both Bell outcomes, and the
+    readout probabilities, as the counts of a ``CorrelationDataset``, go
+    through ``three_basis_summary`` as a run's counts do.  No herald is
+    drawn, so the rows depend only on the memory channels' Monte Carlo
+    (``n_trajectories``, ``seed``).
     """
     settings = SCHEDULES["three-basis"]
-    outcomes = [o for o in BellOutcome for _ in settings]
-    setting_index = np.tile(np.arange(len(settings)), len(BellOutcome))
     # (alpha, beta, plane, outcome) columns of the readout rows
     keys = [np.array(c) for c in zip(*[(a, b, PLANES.index(p), BELL_OUTCOMES.index(o.value))
                                        for o in BellOutcome for a, b, p in settings])]
     rows = []
     for s, coherences in zip(scenarios, memory_coherences(scenarios, n_trajectories, seed)):
         _, xi, _ = coincidence_branches(s)
-        signal = heralded_states(signal_input(s), coherences,
-                                 mean_pair_operators(list(BellOutcome), xi,
-                                                     s.polarization_error_mean))
+        q, background = readout_matrix(signal_input(s), coherences, settings)
+        signal = herald_readout(q, mean_pair_operators(list(BellOutcome), xi,
+                                                       s.polarization_error_mean))
         w = sbr_model(s)["background_weight"]
-        states = (1.0 - w) * signal + w * _MIXED_PAIR
-        probs, _ = event_readout(np.repeat(states, len(settings), axis=0), settings,
-                                 setting_index, outcomes)
+        # each outcome's readout probabilities, setting by setting
+        probs = ((1.0 - w) * signal + w * background)[:, :4 * len(settings)].reshape(-1, 4)
         summary = three_basis_summary(CorrelationDataset(*keys, probs))
         per_outcome = summary["per_outcome"].values()
         env1, env2 = (abs(c[2, 0]) for c in coherences)

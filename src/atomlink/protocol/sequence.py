@@ -10,7 +10,7 @@ structure of cooling, presence checks and trap reloads (``wall_times``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -44,6 +44,7 @@ from .rates import (
     background_herald_probability,
     background_rate_at_station,
     block_model,
+    duty_cycle,
     event_rate,
     node_detection_efficiency,
     repetition_rate,
@@ -54,28 +55,55 @@ from .scenario import LinkScenario, config_hash
 
 # singles kept per node for that histogram; beyond it the stream is subsampled
 MAX_SINGLES = 20000
-# heralds per block of the state pass, whose 9x9 states and temporaries
-# are 166 kB each; 512 raised the peak RSS of a 1000-herald l6 simulate by
-# 1.8 MB, and 64 saved nothing more
+# heralds per block of the readout pass and of the states built on demand;
+# over 20 cold 4281-herald l6 runs each, 128 had the lowest median and
+# maximum run time of 64 to 4096 (0.083 and 0.097 s)
 _STATE_BLOCK = 128
 
 
 @dataclass
 class RunResult:
-    """A run's events and clicks as columns, plus its states in density-matrix mode."""
+    """A run's events and clicks as columns; in density-matrix mode also its states.
+
+    ``herald_draws`` holds what the states are built from in density-matrix
+    mode, and is None in sampled-clicks mode: the signal input, both
+    memories' coherence matrices, xi, and the stage-5 residual angles
+    (n_signal, 2) and axes (n_signal, 2, 3) of the signal heralds.
+    """
 
     config_hash: str
     mode: str
     events: EventTable
     summary: dict
     clicks: ClickTable
-    states: np.ndarray | None = None     # (n, 9, 9), density-matrix mode only
+    herald_draws: tuple | None = field(repr=False)
 
     @cached_property
     def dataset(self) -> CorrelationDataset:
         """Correlation counts of the accepted heralds, built on first access."""
         from ..analysis.estimators import dataset_from_events
         return dataset_from_events(self.events, self.mode)
+
+    @cached_property
+    def states(self) -> np.ndarray | None:
+        """(n, 9, 9) heralded atom-atom states in density-matrix mode, else None.
+
+        Built on first access, _STATE_BLOCK heralds at a time: each signal
+        herald through ``heralded_states`` from its outcome and residual
+        draws, each background herald as the mixed pair, and every block
+        checked with ``quantum.check_density_matrices``.
+        """
+        if self.herald_draws is None:
+            return None
+        signal_in, coherences, xi, angles, axes = self.herald_draws
+        ev = self.events
+        states = np.empty((len(ev), 9, 9), complex)
+        for rows, sig, pair_ops in _signal_pair_blocks(ev.signal, ev.outcome, xi, angles, axes):
+            block = states[rows]
+            block[:] = _MIXED_PAIR
+            block[sig] = heralded_states(signal_in, coherences, pair_ops)
+            quantum.check_density_matrices(block)
+        return states
 
 
 def wall_times(scenario: LinkScenario, tries, rng: np.random.Generator
@@ -216,43 +244,85 @@ def heralded_states(signal_in: DensityMatrix, coherences, pair_ops: np.ndarray) 
     the [3,2,3,2] input as one Schur multiplier kron(c1, c2); its unit
     diagonal leaves every herald probability unchanged.
     """
+    return quantum.herald(_memory_input(signal_in, coherences), pair_ops)[1]
+
+
+def _memory_input(signal_in: DensityMatrix, coherences) -> np.ndarray:
+    """The (16, 81) ``herald_input`` of the signal input times both memories' Schur multiplier."""
     c1, c2 = coherences
-    inputs = quantum.herald_input(signal_in.matrix) * np.kron(c1, c2).ravel()
-    _, states = quantum.herald(inputs, pair_ops)
-    return states
+    return quantum.herald_input(signal_in.matrix) * np.kron(c1, c2).ravel()
 
 
 @lru_cache(maxsize=len(SCHEDULES))
-def _readout_rows(settings: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (s * 4, 81) readout rows of a settings cycle and (2, 81) Bell-state rows.
+def _readout_rows(settings: tuple) -> np.ndarray:
+    """Read-only (s * 4 + 3, 81) rows of a settings cycle: readout, Bell states, trace.
 
+    The s * 4 readout rows, then one row per BellOutcome and vec(I).
     <v|rho|v> is the dot product of conj(v) (x) v with the flattened state.
     """
     ops = quantum.readout_operators(*zip(*(
         (AtomBasisSetting(a, MeasurementPlane(p)), AtomBasisSetting(b, MeasurementPlane(p)))
         for a, b, p in settings))).reshape(-1, 81)
-    bell = np.array([np.outer(v.conj(), v).ravel()
-                     for v in (atom_bell_state(o).amplitudes for o in BellOutcome)])
-    for rows in (ops, bell):
-        rows.setflags(write=False)
-    return ops, bell
+    bell = [np.outer(v.conj(), v).ravel()
+            for v in (atom_bell_state(o).amplitudes for o in BellOutcome)]
+    rows = np.vstack([ops, *bell, np.eye(9).ravel()])
+    rows.setflags(write=False)
+    return rows
 
 
-def event_readout(states: np.ndarray, settings, setting_index,
-                  outcomes) -> tuple[np.ndarray, np.ndarray]:
-    """Readout probabilities (n, 4) and Bell fidelities (n,) of (n, 9, 9) states.
+def readout_matrix(signal_in: DensityMatrix, coherences, settings) -> tuple[np.ndarray, np.ndarray]:
+    """(q, background): what ``herald_readout`` reads heralds with, once per run.
 
-    State h is read out at the (alpha, beta, plane) schedule entry
-    ``settings[setting_index[h]]`` (outcomes in ``OUTCOME_KEYS`` order) and
-    compared with the atomic Bell state of ``outcomes[h]``.
+    ``q`` is the (16, 4s + 3) product of the memories' input (see
+    ``heralded_states``) with ``_readout_rows`` of the s ``settings``, so
+    that P q is the readout of the unnormalized state of pair operator P.
+    ``background`` is the (4s + 2,) readout of a background herald's mixed
+    pair: the readout probabilities of each setting, then the fidelities
+    with each BellOutcome.
     """
-    flat = states.reshape(-1, 81)
-    rows = np.arange(len(flat))
-    ops, bell = _readout_rows(tuple(settings))
-    probs = (flat @ ops.T).real.reshape(len(flat), len(settings), 4)[rows, setting_index]
-    kinds = list(BellOutcome)
-    fids = (flat @ bell.T).real[rows, np.array([kinds.index(o) for o in outcomes], dtype=int)]
-    return probs, fids
+    rows = _readout_rows(tuple(settings))
+    background = (rows[:-1] @ _MIXED_PAIR.ravel()).real
+    return _memory_input(signal_in, coherences) @ rows.T, background
+
+
+def herald_readout(q: np.ndarray, pair_ops: np.ndarray) -> np.ndarray:
+    """(n, 4s + 2) readout of n heralds, the row of ``background`` in ``readout_matrix``.
+
+    Every column is linear in the herald's pair operator P, so the readout
+    is Re(P q) over its trace column, without forming the (9, 9) state:
+    the real part of Tr(A rho) for Hermitian A is that of Tr(A (rho +
+    rho^dagger) / 2).  Raises if any herald has zero probability.
+    """
+    values = (pair_ops @ q).real
+    prob = values[:, -1:]
+    if np.any(prob < 1e-15):
+        raise ValueError("the herald has zero probability on this input")
+    return values[:, :-1] / prob
+
+
+def _signal_pair_blocks(signal, outcome_codes, xi, angles, axes):
+    """(rows, sig, pair_ops) of each block of _STATE_BLOCK heralds.
+
+    ``rows`` is the block's slice, ``sig`` the block indices of its signal
+    heralds and ``pair_ops`` their (len(sig), 16) photon-pair operators, from
+    their BellOutcome codes and residual draws (one row of ``angles`` and
+    ``axes`` per signal herald, in herald order).
+    """
+    bell = list(BellOutcome)
+    residual_row = np.cumsum(signal) - 1
+    for start in range(0, len(signal), _STATE_BLOCK):
+        rows = slice(start, min(start + _STATE_BLOCK, len(signal)))
+        sig = np.flatnonzero(signal[rows])
+        residual = residual_row[rows][sig]
+        u = rotation_su2(axes[residual], angles[residual])
+        outcomes = [bell[c] for c in outcome_codes[rows][sig].tolist()]
+        yield rows, sig, quantum.interference_pair_operators(outcomes, xi, u[:, 0], u[:, 1])
+
+
+def _sample_readout(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """READOUTS index of each herald: the first cumulative probability above its uniform."""
+    above = uniforms[:, None] < np.cumsum(probs[:, :3], axis=1)
+    return np.argmax(np.column_stack([above, np.ones(len(probs), bool)]), axis=1)
 
 
 def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
@@ -261,12 +331,15 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     """Simulate heralded entanglement generation events.
 
     Every random number is drawn first, in whole arrays, stage by stage
-    (numbered below).  Then a batched pass, in blocks of ``_STATE_BLOCK``
-    heralds, builds every herald's atom-atom state, readout probabilities
-    and Bell fidelity.  ``mode``
-    "density-matrix" also returns the states; "sampled-clicks" samples
-    binary readout outcomes from uniforms drawn last, so the two modes of
-    one seed share every try, click and state.
+    (numbered below).  After a PSD check of both memories' coherence
+    matrices, a batched pass, in blocks of ``_STATE_BLOCK`` heralds, reads
+    every herald's readout probabilities and Bell fidelity straight from
+    its photon-pair operator (``herald_readout``), so no 9x9 state is
+    formed.  ``mode``
+    "density-matrix" returns a result whose ``states`` are built when first
+    read; "sampled-clicks" samples binary readout outcomes from uniforms
+    drawn last (stage 8), so the two modes of one seed share every try,
+    click, probability and fidelity.
     """
     if mode not in ("density-matrix", "sampled-clicks"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -350,37 +423,30 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     uniforms = rng.random(herald_count) if mode == "sampled-clicks" else None
 
     coherences = memory_coherences([scenario], n_trajectories, seed)[0]
-
-    # states, checks and readout in blocks; density-matrix mode keeps the states
-    outcome_codes = _OUTCOME_CODE[cls[herald]]
-    bell = list(BellOutcome)
-    outcomes = [bell[c] for c in outcome_codes.tolist()]
-    setting_index = np.arange(herald_count) % len(settings_cycle)
     signal_in = signal_input(scenario)
-    residual_row = np.cumsum(signal) - 1
+    # no state is checked on its own: the input (a DensityMatrix) and both
+    # coherence matrices are PSD, so every herald's state is, up to the
+    # inputs' PSD_TOL and HERM_TOL over its herald probability
+    quantum.check_psd(np.asarray(coherences))
+
+    # readout probabilities and Bell fidelities in blocks, from the pair operators
+    outcome_codes = _OUTCOME_CODE[cls[herald]]
+    setting_index = np.arange(herald_count) % len(settings_cycle)
+    q, background_row = readout_matrix(signal_in, coherences, settings_cycle)
     probs = np.empty((herald_count, 4))
     fids = np.empty(herald_count)
-    states = np.empty((herald_count, 9, 9), complex) if uniforms is None else None
-    for start in range(0, herald_count, _STATE_BLOCK):
-        stop = min(start + _STATE_BLOCK, herald_count)
-        rows = slice(start, stop)
-        block = np.tile(_MIXED_PAIR, (stop - start, 1, 1))
-        sig = np.flatnonzero(signal[rows])
-        residual = residual_row[rows][sig]
-        u = rotation_su2(axes[residual], angles[residual])
-        block[sig] = heralded_states(signal_in, coherences, quantum.interference_pair_operators(
-            [outcomes[start + h] for h in sig.tolist()], xi, u[:, 0], u[:, 1]))
-        quantum.check_density_matrices(block)
-        probs[rows], fids[rows] = event_readout(block, settings_cycle, setting_index[rows],
-                                                outcomes[rows])
-        if states is not None:
-            states[rows] = block
+    for rows, sig, pair_ops in _signal_pair_blocks(signal, outcome_codes, xi, angles, axes):
+        values = np.tile(background_row, (rows.stop - rows.start, 1))
+        values[sig] = herald_readout(q, pair_ops)
+        h = np.arange(len(values))
+        probs[rows] = values[h[:, None], 4 * setting_index[rows, None] + np.arange(4)]
+        fids[rows] = values[h, 4 * len(settings_cycle) + outcome_codes[rows]]
     if uniforms is not None:
-        # the first cumulative threshold above r picks uu, ud, du or dd
-        above = uniforms[:, None] < np.cumsum(probs[:, :3], axis=1)
-        readout = np.argmax(np.column_stack([above, np.ones(herald_count, bool)]), axis=1)
+        readout = _sample_readout(probs, uniforms)
+        herald_draws = None
     else:
         readout = np.full(herald_count, -1)
+        herald_draws = (signal_in, coherences, xi, angles, axes)
     herald_offsets = offsets[herald]
     window = (scenario.acceptance_window, scenario.acceptance_offset)
     accepted, _ = acceptance_filter(herald_offsets, *window)
@@ -401,6 +467,8 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         + singles)
 
     wall_time = float(wall[-1]) if herald_count else 0.0
+    rep_rate = repetition_rate(scenario)
+    duty = duty_cycle(scenario.sequence, 1.0 / rep_rate)
     chash = config_hash(scenario)
     summary = {
         "scenario": scenario.name,
@@ -422,12 +490,14 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "sbr_model": sbr_model(scenario),
         "model": {
             "success_probability": success_probability(scenario),
-            "repetition_rate_hz": repetition_rate(scenario),
+            "repetition_rate_hz": rep_rate,
             "duty_cycle_nominal": scenario.duty_cycle_nominal,
-            "event_rate_hz": event_rate(scenario),
+            # the expected live fraction of the clock this run's wall times follow
+            "duty_cycle": duty,
+            "event_rate_hz": event_rate(scenario, repetition_hz=rep_rate, duty=duty),
         },
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": float(dead[-1]) if herald_count else 0.0,
     }
-    return RunResult(chash, mode, events, summary, clicks, states)
+    return RunResult(chash, mode, events, summary, clicks, herald_draws)
 

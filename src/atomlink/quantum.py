@@ -102,15 +102,20 @@ class DensityMatrix:
 
 def check_density_matrices(mats: np.ndarray) -> None:
     """Raise unless every matrix of an (n, d, d) stack is Hermitian, unit-trace and PSD."""
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
+    check_psd(mats)
+
+
+def check_psd(mats: np.ndarray) -> None:
+    """Raise unless every matrix of an (n, d, d) stack is Hermitian and PSD to PSD_TOL."""
     diff = mats.conj().swapaxes(-1, -2)
     diff -= mats
     herm_err = np.max(np.abs(diff), initial=0.0)
     if herm_err > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if off.any():
-        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
     # mats - PSD_TOL * I has a Cholesky factor iff no eigenvalue is below
     # PSD_TOL, and it costs an eighth of eigvalsh, which only names a
     # failure; both read the lower triangle, held above to HERM_TOL of the upper

@@ -36,7 +36,14 @@ from atomlink.constants import G_F, GAUSS_TO_TESLA, HBAR, K_B, MU_B
 from atomlink.memory.spin import OMEGA_PER_GAUSS
 from atomlink.memory.trap import MotionKernel, TrapParams, thermal_sigmas
 from atomlink.photonics.polarization import compensator_settings, rotation_su2
-from atomlink.quantum import OUTCOME_KEYS
+from atomlink.quantum import (
+    OUTCOME_KEYS,
+    AtomBasisSetting,
+    BellOutcome,
+    MeasurementPlane,
+    atom_bell_state,
+    readout_operators,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -197,6 +204,29 @@ def rotation_to_linear_photon_basis() -> np.ndarray:
 def singlet_correlator(alpha: float, beta: float) -> float:
     """Analytic correlator of the ideal singlet at equatorial settings."""
     return -np.cos(2.0 * (alpha - beta))
+
+
+def state_readout(states: np.ndarray, settings, setting_index,
+                  outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Readout probabilities (n, 4) and Bell fidelities (n,) of (n, 9, 9) states.
+
+    The reference for the run's readout from pair operators: the per-herald
+    state path that formed every state first.  State h is read out at the
+    (alpha, beta, plane) entry ``settings[setting_index[h]]`` (outcomes in
+    ``OUTCOME_KEYS`` order) and compared with the atomic Bell state of
+    ``outcomes[h]``.
+    """
+    flat = states.reshape(-1, 81)
+    rows = np.arange(len(flat))
+    ops = readout_operators(*zip(*(
+        (AtomBasisSetting(a, MeasurementPlane(p)), AtomBasisSetting(b, MeasurementPlane(p)))
+        for a, b, p in settings))).reshape(-1, 81)
+    bell = np.array([np.outer(v.conj(), v).ravel()
+                     for v in (atom_bell_state(o).amplitudes for o in BellOutcome)])
+    probs = (flat @ ops.T).real.reshape(len(flat), len(settings), 4)[rows, setting_index]
+    kinds = list(BellOutcome)
+    fids = (flat @ bell.T).real[rows, np.array([kinds.index(o) for o in outcomes], dtype=int)]
+    return probs, fids
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

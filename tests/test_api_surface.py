@@ -39,6 +39,7 @@ ALLOWED = {
     "photonics.bsm.classify_coincidence": "criterion 1's coincidence taxonomy",
     "photonics.polarization.simulate_drift_with_control": "criterion 9's polarization model",
     "protocol.sequence.RunResult.dataset": "README run result; criterion 7 reads it",
+    "protocol.sequence.RunResult.states": "README run result; criterion 10 reads it",
 }
 
 # qualified function name and parameter -> why it stays without a caller that sets it

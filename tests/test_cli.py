@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import platform
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -64,6 +65,27 @@ class TestSimulate:
         assert "measured_event_rate_hz" in summary
         manifest = json.loads((small_run / "manifest.json").read_text())
         assert manifest["config_hash"] == summary["config_hash"]
+
+    def test_manifest_records_what_produced_the_run(self, tmp_path, monkeypatch):
+        # the BLAS thread count is recorded, and enters no other output
+        outs = []
+        for sub, threads in (("a", "1"), ("b", "2")):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.delenv(name, raising=False)
+            argv = ["simulate", "--preset", "l6", "--seed", "4", "--events", "30",
+                    "--trajectories", "300", "--out", str(tmp_path / sub)]
+            assert run_cli(*argv) == 0
+            env = json.loads((tmp_path / sub / "manifest.json").read_text())["environment"]
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+            assert env == {"argv": argv, "python": platform.python_version(),
+                           "numpy": np.__version__,
+                           "blas": {"name": blas["name"], "version": blas["version"]},
+                           "threads": {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}}
+            outs.append([(tmp_path / sub / name).read_bytes()
+                         for name in ("events.jsonl", "summary.json", "clicks.csv")])
+        assert outs[0] == outs[1]
 
     def test_zero_events(self, tmp_path):
         out = tmp_path / "empty"

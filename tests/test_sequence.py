@@ -14,6 +14,7 @@ from atomlink.analysis.estimators import (
 from atomlink.analysis.tables import CLICK_ORIGINS, PLANES, SCHEDULES
 from atomlink.memory.channel import dephasing_channel_family
 from atomlink.photonics.polarization import rotation_su2
+from atomlink import quantum
 from atomlink.protocol import sequence
 from atomlink.protocol.model import fidelity_vs_length
 from atomlink.protocol.rates import (
@@ -28,9 +29,10 @@ from atomlink.protocol.scenario import preset
 from atomlink.protocol.sequence import (
     _werner_atom_photon,
     coincidence_branches,
-    event_readout,
+    herald_readout,
     heralded_states,
     mean_pair_operators,
+    readout_matrix,
     run_sequence,
     signal_input,
     wall_times,
@@ -90,8 +92,10 @@ class TestDeterminism:
         # blocks, of which the last is partial
         def run(block):
             monkeypatch.setattr(sequence, "_STATE_BLOCK", block)
-            return run_sequence(preset("l6"), target_events=200, seed=5, mode=mode,
-                                n_trajectories=N_TRAJ)
+            result = run_sequence(preset("l6"), target_events=200, seed=5, mode=mode,
+                                  n_trajectories=N_TRAJ)
+            result.states    # built now, at this block size
+            return result
 
         default = sequence._STATE_BLOCK
         whole = run(200)
@@ -124,8 +128,19 @@ class TestStatePassMemory:
         finally:
             tracemalloc.stop()
         assert len(result.events) == 2000
-        # the 0.7 MB run result and one block of the state pass: 1.6 MB in all
-        # at 128 heralds a block, 3.5 MB at 512
+        # the 0.7 MB run result and one block of the readout pass: 1.5 MB in all
+        assert peak < 2.5e6
+
+    def test_density_matrix_run_holds_no_states(self):
+        # the (n, 9, 9) states, 2.6 MB here, are built only when read
+        tracemalloc.start()
+        try:
+            result = run_sequence(preset("l6"), target_events=2000, seed=3,
+                                  mode="density-matrix", n_trajectories=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.events) == 2000
         assert peak < 2.5e6
 
 
@@ -148,6 +163,15 @@ class TestEventStatistics:
         expected = event_rate(s, duty=duty)
         sigma = measured / np.sqrt(summary["n_events"])
         assert abs(measured - expected) < 3.5 * sigma
+
+    def test_model_rate_is_at_the_clock_duty(self, l6_run):
+        # the rate the run's own clock implies, next to the nominal duty
+        s = preset("l6")
+        model = l6_run.summary["model"]
+        duty = duty_cycle(s.sequence, 1.0 / repetition_rate(s))
+        assert model["duty_cycle"] == duty
+        assert model["duty_cycle_nominal"] == s.duty_cycle_nominal != duty
+        assert model["event_rate_hz"] == pytest.approx(event_rate(s, duty=duty), rel=1e-15)
 
     def test_bell_outcome_split(self, l6_run):
         counts = l6_run.summary["herald_counts"]
@@ -400,9 +424,15 @@ class TestBatchedHerald:
             outcomes = [list(BellOutcome)[h // len(cycle)] for h in range(n)]
             u1 = np.array([oracles.random_su2(rng) for _ in range(n)])
             u2 = np.array([oracles.random_su2(rng) for _ in range(n)])
-            states = heralded_states(signal_in, channels,
-                                     interference_pair_operators(outcomes, xi, u1, u2))
-            probs, fids = event_readout(states, cycle, setting_index, outcomes)
+            pair_ops = interference_pair_operators(outcomes, xi, u1, u2)
+            states = heralded_states(signal_in, channels, pair_ops)
+            probs, fids = oracles.state_readout(states, cycle, setting_index, outcomes)
+            # the run's readout, straight from the pair operators, against the state path
+            values = herald_readout(readout_matrix(signal_in, channels, cycle)[0], pair_ops)
+            codes = np.array([list(BellOutcome).index(o) for o in outcomes])
+            assert np.max(np.abs(values[np.arange(n)[:, None], 4 * setting_index[:, None]
+                                        + np.arange(4)] - probs)) <= 1e-15
+            assert np.max(np.abs(values[np.arange(n), 4 * len(cycle) + codes] - fids)) <= 1e-15
             for h in range(n):
                 lift = np.kron(np.kron(np.eye(3), u1[h]), np.kron(np.eye(3), u2[h]))
                 rotated = DensityMatrix(signal_in.spec, lift @ signal_in.matrix @ lift.conj().T)
@@ -447,6 +477,71 @@ class TestBatchedHerald:
             assert np.max(np.abs(state - rho.matrix)) < 1e-12
             assert np.max(np.abs(ev.probabilities[h] - p_ref)) < 1e-12
             assert abs(ev.fidelity[h] - f_ref) < 1e-12
+
+    def test_sampled_readouts_match_state_path(self, monkeypatch):
+        # each seed's density-matrix run shares every draw with its sampled
+        # run; its states, read out one by one, are the reference, and the
+        # sampled run's own uniforms give the reference readouts
+        uniforms = []
+        sample = sequence._sample_readout
+        monkeypatch.setattr(sequence, "_sample_readout",
+                            lambda probs, u: uniforms.append(u) or sample(probs, u))
+        cycle = SCHEDULES["three-basis"]
+        flips = 0
+        for seed in range(20):
+            sp, dm = (run_sequence(preset("l6"), target_events=300, seed=seed, mode=mode,
+                                   n_trajectories=200)
+                      for mode in ("sampled-clicks", "density-matrix"))
+            ev = sp.events
+            probs, fids = oracles.state_readout(dm.states, cycle, np.arange(len(ev)) % len(cycle),
+                                                [list(BellOutcome)[c] for c in ev.outcome])
+            assert np.max(np.abs(ev.probabilities - probs)) <= 1e-15
+            assert np.max(np.abs(ev.fidelity - fids)) <= 1e-15
+            flips += np.count_nonzero(sample(probs, uniforms[-1]) != ev.readout)
+        assert len(uniforms) == 20 and flips == 0
+
+    def test_states_are_built_only_when_read(self, monkeypatch):
+        calls = []
+        herald = quantum.herald
+        monkeypatch.setattr(quantum, "herald", lambda *a: calls.append(1) or herald(*a))
+        runs = [run_sequence(preset("l6"), target_events=50, seed=2, mode=mode,
+                             n_trajectories=N_TRAJ)
+                for mode in ("sampled-clicks", "density-matrix")]
+        assert not calls
+        assert runs[0].states is None and not calls
+        assert runs[1].states.shape == (50, 9, 9) and calls
+
+
+def _non_psd(matrix):
+    """``matrix`` with its lowest eigenvalue moved to -1e-3, trace and Hermiticity kept."""
+    w, v = np.linalg.eigh(matrix)
+    w[0], w[-1] = -1e-3, w[-1] + w[0] + 1e-3
+    return (v * w) @ v.conj().T
+
+
+class TestHeraldInputCheck:
+    """The checks of a run's inputs that stand in for checking every herald state."""
+
+    @pytest.mark.parametrize("mode", ["density-matrix", "sampled-clicks"])
+    def test_non_psd_input_is_rejected(self, mode, monkeypatch):
+        # the input is a DensityMatrix, which checks itself when built
+        good = signal_input(preset("l6"))
+        monkeypatch.setattr(sequence, "signal_input",
+                            lambda scenario: DensityMatrix(good.spec, _non_psd(good.matrix)))
+        with pytest.raises(ValueError, match="not PSD"):
+            run_sequence(preset("l6"), target_events=20, seed=1, mode=mode,
+                         n_trajectories=N_TRAJ)
+
+    @pytest.mark.parametrize("mode", ["density-matrix", "sampled-clicks"])
+    def test_non_psd_coherence_is_rejected(self, mode, monkeypatch):
+        # unit diagonal, eigenvalues 1 - sqrt2, 1 and 1 + sqrt2
+        bad = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], complex)
+        coherences = sequence.memory_coherences
+        monkeypatch.setattr(sequence, "memory_coherences",
+                            lambda *a: [[bad, coherences(*a)[0][1]]])
+        with pytest.raises(ValueError, match="not PSD"):
+            run_sequence(preset("l6"), target_events=20, seed=1, mode=mode,
+                         n_trajectories=N_TRAJ)
 
 
 class TestValidation:
