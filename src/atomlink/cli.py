@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+import time
 
 from . import __version__
 
@@ -118,19 +119,23 @@ def _write_manifest(out, args, scenario, chash, extra=None):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    start = time.perf_counter()
     scenario = _resolve_scenario(args)
     out = _out_dir(args)
     events_path = os.path.join(out, "events.jsonl")
     summary_path = os.path.join(out, "summary.json")
     clicks_path = os.path.join(out, "clicks.csv")
-    for p in (events_path, summary_path, clicks_path):
+    scenario_path = os.path.join(out, "scenario.ini")
+    for p in (events_path, summary_path, clicks_path, scenario_path):
         _check_output(p, out, args.force)
 
+    from .protocol.scenario import save_scenario
     from .protocol.sequence import run_sequence
     result = run_sequence(
         scenario, schedule=args.schedule, target_events=args.events,
         seed=args.seed, mode=args.mode, n_trajectories=args.trajectories,
     )
+    ran = time.perf_counter()
     chash = result.config_hash
     header = {"type": "header", "config_hash": chash, "scenario": scenario.name,
               "mode": args.mode, "seed": args.seed, "schedule": args.schedule}
@@ -140,7 +145,11 @@ def cmd_simulate(args) -> int:
         json.dump(result.summary, fh, indent=2, sort_keys=True, default=float)
     with _open_output(clicks_path) as fh:
         _write_clicks(fh, chash, result.clicks)
-    _write_manifest(out, args, scenario, chash)
+    save_scenario(scenario, scenario_path)
+    end = time.perf_counter()
+    timings = {**result.timings, "write_s": end - ran, "total_s": end - start}
+    _write_manifest(out, args, scenario, chash,
+                    {"timings": timings, "counters": result.counters})
     print(f"wrote {len(result.events)} events to {events_path}")
     return EXIT_OK
 
@@ -566,10 +575,13 @@ def cmd_rates(args) -> int:
         duty = duty_cycle(s.sequence, 1.0 / rep)
         quoted = s.published_values
         er_model = event_rate(s, duty=duty)
-        er_quoted = None
+        er_quoted = duty_implied = None
         if "success_probability" in quoted:
             er_quoted = event_rate(s, success_prob=quoted["success_probability"],
                                    repetition_hz=quoted.get("repetition_rate_hz"))
+        if {"event_rate_hz", "repetition_rate_hz", "success_probability"} <= quoted.keys():
+            duty_implied = quoted["event_rate_hz"] / (quoted["repetition_rate_hz"]
+                                                      * quoted["success_probability"])
         sb = sbr_model(s)
         rows.append({
             "name": name,
@@ -585,6 +597,12 @@ def cmd_rates(args) -> int:
             "event_rate_quoted_hz": quoted.get("event_rate_hz", ""),
             "sbr_coincidence_model": sb["coincidence"],
             "acceptance_fraction_model": window_capture(s, 0) * window_capture(s, 1),
+            # the duty the quoted event rate, repetition rate and herald odds imply
+            "duty_cycle_implied": duty_implied if duty_implied is not None else "",
+            "sbr_node1_model": sb["node1"],
+            "sbr_node2_model": sb["node2"],
+            **{f"sbr_{k}_quoted": quoted.get(f"sbr_{k}", "")
+               for k in ("node1", "node2", "coincidence")},
         })
     _write_rows(path, rows)
     print(f"wrote rate budget to {path}")

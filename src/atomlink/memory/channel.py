@@ -214,5 +214,8 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]
     moments = np.stack([e2.conj(), e1.conj(), np.ones_like(e1), e1, e2], axis=1)
     coherences = moments[:, np.subtract.outer(_M, _M) + 2]
-    meta = {"n_trajectories": n_trajectories, "spin_dt": SPIN_DT, "bias_field": env.bias_field}
+    # the whole spin steps, and the short step to each time off their grid
+    spin_steps = last + sum(rest > 0 for rests in samples.values() for rest in rests)
+    meta = {"n_trajectories": n_trajectories, "spin_dt": SPIN_DT, "spin_steps": spin_steps,
+            "bias_field": env.bias_field}
     return DephasingChannelFamily(times, coherences, meta)

@@ -109,8 +109,15 @@ def window_capture(scenario: LinkScenario, node_index: int) -> float:
 def sbr_model(scenario: LinkScenario) -> dict:
     """Modelled signal-to-background ratios in the acceptance window.
 
-    A heralding coincidence is spoiled when a background click replaces
-    either photon (see ``background_herald_probability``).
+    ``node1`` and ``node2`` are each node's photon click probability in the
+    window over the whole station's background count in it.  ``coincidence``
+    is the signal heralds over the heralds in which a background click
+    replaces either photon, or both (see ``background_herald_probability``);
+    for small click and background odds this is the harmonic combination
+    1 / (1 / node1 + 1 / node2) of the per-node ratios.  The paper's l6
+    values do not follow that definition: its coincidence ratio (48) is
+    not the harmonic combination of its per-node ratios (58 and 65, which
+    give 30.6).  No constant is tuned to close that gap.
     """
     bg_mean = background_rate_at_station(scenario) * scenario.acceptance_window
     out = {}

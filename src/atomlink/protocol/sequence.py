@@ -10,6 +10,7 @@ structure of cooling, presence checks and trap reloads (``wall_times``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -69,6 +70,8 @@ class RunResult:
     mode, and is None in sampled-clicks mode: the signal input, both
     memories' coherence matrices, xi, and the stage-5 residual angles
     (n_signal, 2) and axes (n_signal, 2, 3) of the signal heralds.
+    ``timings`` (seconds) and ``counters`` say where the run's time went;
+    they enter no other output.
     """
 
     config_hash: str
@@ -77,6 +80,8 @@ class RunResult:
     summary: dict
     clicks: ClickTable
     herald_draws: tuple | None = field(repr=False)
+    timings: dict
+    counters: dict
 
     @cached_property
     def dataset(self) -> CorrelationDataset:
@@ -190,13 +195,15 @@ def signal_input(scenario: LinkScenario) -> DensityMatrix:
         for node in scenario.nodes()))
 
 
-def memory_coherences(scenarios, n_trajectories: int, seed: int) -> list:
+def memory_coherences(scenarios, n_trajectories: int, seed: int,
+                      counters: dict | None = None) -> list:
     """Both nodes' 3x3 coherence matrices at their readout times, analyzer frame.
 
     One pair per scenario.  Node i's channel is built from its own
     ``trap``, ``field_env`` and ``temperature`` with seed ``2 seed + i + 1``;
     the scenarios that share all three share one build, sampled at each of
-    their readout times.
+    their readout times.  Each build adds one to ``counters["channel_builds"]``
+    and its trajectories times spin steps to ``counters["traj_steps"]``.
     """
     times = [[round(t, 12) for t in s.readout_times()] for s in scenarios]
     coherences = [[None, None] for _ in scenarios]
@@ -209,6 +216,9 @@ def memory_coherences(scenarios, n_trajectories: int, seed: int) -> list:
             fam = dephasing_channel_family(trap, env, temperature,
                                            sorted({times[k][i] for k in members}),
                                            n_trajectories, seed=seed * 2 + i + 1)
+            if counters is not None:
+                counters["channel_builds"] += 1
+                counters["traj_steps"] += n_trajectories * fam.meta["spin_steps"]
             for k in members:
                 coherences[k][i] = fam.rotating_channel_at(times[k][i])
     return coherences
@@ -422,7 +432,11 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     herald_count = len(wall)
     uniforms = rng.random(herald_count) if mode == "sampled-clicks" else None
 
-    coherences = memory_coherences([scenario], n_trajectories, seed)[0]
+    counters = {"channel_builds": 0, "traj_steps": 0, "readout_blocks": 0,
+                "heralds": herald_count}
+    start = time.perf_counter()
+    coherences = memory_coherences([scenario], n_trajectories, seed, counters)[0]
+    channel_s = time.perf_counter() - start
     signal_in = signal_input(scenario)
     # no state is checked on its own: the input (a DensityMatrix) and both
     # coherence matrices are PSD, so every herald's state is, up to the
@@ -435,12 +449,15 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
     q, background_row = readout_matrix(signal_in, coherences, settings_cycle)
     probs = np.empty((herald_count, 4))
     fids = np.empty(herald_count)
+    start = time.perf_counter()
     for rows, sig, pair_ops in _signal_pair_blocks(signal, outcome_codes, xi, angles, axes):
+        counters["readout_blocks"] += 1
         values = np.tile(background_row, (rows.stop - rows.start, 1))
         values[sig] = herald_readout(q, pair_ops)
         h = np.arange(len(values))
         probs[rows] = values[h[:, None], 4 * setting_index[rows, None] + np.arange(4)]
         fids[rows] = values[h, 4 * len(settings_cycle) + outcome_codes[rows]]
+    timings = {"channel_s": channel_s, "readout_s": time.perf_counter() - start}
     if uniforms is not None:
         readout = _sample_readout(probs, uniforms)
         herald_draws = None
@@ -499,5 +516,5 @@ def run_sequence(scenario: LinkScenario, schedule: str = "three-basis",
         "mean_state_fidelity": float(np.mean(fids)) if herald_count else None,
         "dead_time_s": float(dead[-1]) if herald_count else 0.0,
     }
-    return RunResult(chash, mode, events, summary, clicks, herald_draws)
+    return RunResult(chash, mode, events, summary, clicks, herald_draws, timings, counters)
 

@@ -110,21 +110,41 @@ def check_density_matrices(mats: np.ndarray) -> None:
 
 
 def check_psd(mats: np.ndarray) -> None:
-    """Raise unless every matrix of an (n, d, d) stack is Hermitian and PSD to PSD_TOL."""
-    diff = mats.conj().swapaxes(-1, -2)
+    """Raise unless every matrix of an (n, d, d) stack is Hermitian and PSD to PSD_TOL.
+
+    Positivity is an unblocked Cholesky factorization of mats - PSD_TOL * I
+    written in numpy over the whole stack, which exists iff no eigenvalue
+    is below PSD_TOL.  LAPACK (``eigvalsh``) is reached only once it has
+    failed, to name the smallest eigenvalue.
+    """
+    # np.conjugate copies; a real array's .conj() is the array itself
+    diff = np.conjugate(mats).swapaxes(-1, -2)
     diff -= mats
     herm_err = np.max(np.abs(diff), initial=0.0)
     if herm_err > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-    # mats - PSD_TOL * I has a Cholesky factor iff no eigenvalue is below
-    # PSD_TOL, and it costs an eighth of eigvalsh, which only names a
-    # failure; both read the lower triangle, held above to HERM_TOL of the upper
-    try:
-        np.linalg.cholesky(mats - PSD_TOL * np.eye(mats.shape[-1]))
-    except np.linalg.LinAlgError:
+    if not _has_cholesky(mats - PSD_TOL * np.eye(mats.shape[-1])):
         eig_min = np.linalg.eigvalsh(mats).min()
         if eig_min < PSD_TOL:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})") from None
+            raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
+
+
+def _has_cholesky(a: np.ndarray) -> bool:
+    """Whether every matrix of a Hermitian stack has a Cholesky factor; overwrites ``a``.
+
+    Column k of the factor is column k of the trailing block below its
+    pivot, over the pivot's square root; its rank-1 update is taken off the
+    next trailing block.  As in LAPACK's lower Cholesky, only the lower
+    triangle and the real part of the diagonal are read, and a pivot that
+    is not positive (or is NaN) fails.
+    """
+    for k in range(a.shape[-1]):
+        pivot = a[..., k, k].real
+        if not np.all(pivot > 0.0):
+            return False
+        col = a[..., k + 1:, k] / np.sqrt(pivot)[..., None]
+        a[..., k + 1:, k + 1:] -= col[..., :, None] * col[..., None, :].conj()
+    return True
 
 
 def _as_density(state: StateVector | DensityMatrix) -> DensityMatrix:

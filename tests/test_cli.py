@@ -128,6 +128,48 @@ class TestSimulate:
         code = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path))
         assert code == 2
 
+    def test_run_carries_its_scenario(self, small_run, tmp_path):
+        # a preset run, and a run of a scenario file that is no preset
+        custom = tmp_path / "custom.ini"
+        save_scenario(replace(preset("l33"), name="custom", xi_max=0.9), custom)
+        out = tmp_path / "custom"
+        assert run_cli("simulate", "--scenario", str(custom), "--events", "40",
+                       "--trajectories", "300", "--out", str(out)) == 0
+        for run in (small_run, out):
+            chash = json.loads((run / "summary.json").read_text())["config_hash"]
+            assert config_hash(load_scenario(run / "scenario.ini")) == chash
+        assert load_scenario(out / "scenario.ini") == load_scenario(custom)
+
+    def test_rerun_from_carried_scenario_is_byte_identical(self, small_run, tmp_path):
+        out = tmp_path / "again"
+        assert run_cli("simulate", "--scenario", str(small_run / "scenario.ini"), "--seed", "1",
+                       "--mode", "sampled-clicks", "--events", "120", "--out", str(out),
+                       "--trajectories", "300") == 0
+        for name in ("events.jsonl", "clicks.csv", "summary.json", "scenario.ini"):
+            assert (out / name).read_bytes() == (small_run / name).read_bytes()
+
+    def test_existing_scenario_file_stops_the_run_before_work(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(atomlink.protocol.sequence, "run_sequence", no_run)
+        (tmp_path / "scenario.ini").write_text("kept")
+        assert run_cli("simulate", "--preset", "l6", "--out", str(tmp_path)) == 4
+        assert (tmp_path / "scenario.ini").read_text() == "kept"
+        assert not (tmp_path / "events.jsonl").exists()
+
+    def test_manifest_says_where_the_time_went(self, small_run):
+        manifest = json.loads((small_run / "manifest.json").read_text())
+        # l6 reads out at 28.5 and 35.5 us: 28 and 35 whole spin steps and a short one each
+        assert manifest["counters"] == {"channel_builds": 2, "traj_steps": 300 * (29 + 36),
+                                        "readout_blocks": 1, "heralds": 120}
+        timings = manifest["timings"]
+        assert set(timings) == {"channel_s", "readout_s", "write_s", "total_s"}
+        assert all(t > 0.0 for t in timings.values())
+        assert timings["total_s"] > timings["channel_s"] + timings["readout_s"] + timings["write_s"]
+        summary = (small_run / "summary.json").read_text()
+        assert "timings" not in summary and "counters" not in summary
+
 
 class TestAnalyze:
     def test_report_fields(self, small_run, tmp_path):
@@ -521,6 +563,36 @@ class TestRates:
         l6 = dict(zip(text[0].split(","), text[1].split(",")))
         assert float(l6["repetition_rate_hz"]) == pytest.approx(30.8e3, rel=0.05)
         assert float(l6["success_probability_model"]) == pytest.approx(3.66e-6, rel=0.01)
+
+    def test_implied_duty_and_sbr_columns(self, tmp_path):
+        assert run_cli("rates", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "rates.csv", newline="") as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        header = list(rows["l6"])
+        # appended, so the earlier columns keep their places
+        assert header[:13] == [
+            "name", "config_hash", "total_length_km", "repetition_rate_hz",
+            "repetition_rate_quoted_hz", "success_probability_model",
+            "success_probability_quoted", "duty_cycle", "event_rate_model_hz",
+            "event_rate_quoted_inputs_hz", "event_rate_quoted_hz", "sbr_coincidence_model",
+            "acceptance_fraction_model"]
+        assert header[13:] == ["duty_cycle_implied", "sbr_node1_model", "sbr_node2_model",
+                               "sbr_node1_quoted", "sbr_node2_quoted", "sbr_coincidence_quoted"]
+        # (1/19 s) / (30.8 kHz * 3.66e-6) and (1/208 s) / (9.7 kHz * 1.22e-6)
+        assert float(rows["l6"]["duty_cycle_implied"]) == pytest.approx(0.467, abs=5e-4)
+        assert float(rows["l33"]["duty_cycle_implied"]) == pytest.approx(0.406, abs=5e-4)
+        for name in ("l6", "l33"):
+            model = sbr_model(preset(name))
+            for node in ("node1", "node2"):
+                assert float(rows[name][f"sbr_{node}_model"]) == model[node]
+        assert [float(rows["l6"][f"sbr_{k}_quoted"]) for k in ("node1", "node2", "coincidence")] \
+            == [58.0, 65.0, 48.0]
+        assert (rows["l33"]["sbr_node1_quoted"], rows["l33"]["sbr_node2_quoted"],
+                float(rows["l33"]["sbr_coincidence_quoted"])) == ("", "", 42.0)
+        # l11 and l23 quote no rates and no SBR
+        for name in ("l11", "l23"):
+            assert [rows[name][k] for k in header[13:] if k.endswith(("implied", "quoted"))] \
+                == [""] * 4
 
     @pytest.mark.parametrize("args", [
         ["--presets", ","],

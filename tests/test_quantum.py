@@ -250,6 +250,45 @@ class TestHeraldBlocks:
             with pytest.raises(ValueError, match="not PSD"):
                 q.check_density_matrices(state[None])
 
+    @pytest.mark.parametrize("d", [3, 6, 9, 36])
+    @pytest.mark.parametrize("eigenvalue", [
+        0.0, 0.5 * q.PSD_TOL, -0.5 * q.PSD_TOL, 2.0 * q.PSD_TOL, -2.0 * q.PSD_TOL, -1e-9])
+    def test_psd_check_accepts_what_lapack_factors(self, d, eigenvalue):
+        # random Hermitian matrices, real and complex, with the smallest
+        # eigenvalue placed near PSD_TOL; LAPACK's Cholesky of the same
+        # shifted matrix is the oracle, one matrix at a time
+        rng = np.random.default_rng([d, int(round(eigenvalue / q.PSD_TOL * 2)) + 10])
+        disagree = 0
+        for dtype in (float, complex):
+            for _ in range(20):
+                g = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if dtype is complex
+                                               else 0.0)
+                basis, _ = np.linalg.qr(g)
+                eigs = np.r_[eigenvalue, rng.uniform(0.01, 1.0, d - 1)]
+                mat = (basis * eigs) @ basis.conj().T
+                mat = (mat + mat.conj().T) / 2.0
+                try:
+                    np.linalg.cholesky(mat - q.PSD_TOL * np.eye(d))
+                    factors = True
+                except np.linalg.LinAlgError:
+                    factors = False
+                try:
+                    q.check_psd(mat[None])
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                disagree += accepted != factors
+        assert disagree == 0
+
+    def test_psd_check_leaves_a_real_input_alone(self):
+        # a real array's .conj() is the array itself, so an in-place
+        # Hermitian difference taken from it would zero the input
+        mat = np.diag([1.0, -1e-3, 0.5])
+        kept = mat.copy()
+        with pytest.raises(ValueError, match="not PSD"):
+            q.check_psd(mat[None])
+        np.testing.assert_array_equal(mat, kept)
+
 
 class TestAtomReadout:
     """The analyzer projectors and the joint readout rows built from them."""

@@ -544,6 +544,29 @@ class TestHeraldInputCheck:
                          n_trajectories=N_TRAJ)
 
 
+_LAPACK_CALLS = ("cholesky", "eigvalsh", "eigh", "inv", "solve", "qr", "svd", "det")
+
+
+class TestNoLapackOnTheRunPath:
+    """A run, its states and the fidelity model reach no LAPACK routine unless a check fails."""
+
+    def test_run_states_and_model_need_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK reached")
+
+        for name in _LAPACK_CALLS:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for mode in ("density-matrix", "sampled-clicks"):
+            run = run_sequence(preset("l6"), target_events=200, seed=3, mode=mode,
+                               n_trajectories=N_TRAJ)
+        assert run.states is None
+        dm = run_sequence(preset("l33"), target_events=200, seed=3, mode="density-matrix",
+                          n_trajectories=N_TRAJ)
+        assert dm.states.shape == (200, 9, 9)
+        (row,) = fidelity_vs_length([preset("l6")], n_trajectories=N_TRAJ, seed=2)
+        assert 0.5 < row["fidelity"] < 1.0
+
+
 class TestValidation:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
