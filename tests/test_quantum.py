@@ -257,7 +257,7 @@ class TestHeraldBlocks:
         # random Hermitian matrices, real and complex, with the smallest
         # eigenvalue placed near PSD_TOL; LAPACK's Cholesky of the same
         # shifted matrix is the oracle, one matrix at a time
-        rng = np.random.default_rng([d, int(round(eigenvalue / q.PSD_TOL * 2)) + 10])
+        rng = np.random.default_rng(d)
         disagree = 0
         for dtype in (float, complex):
             for _ in range(20):
