@@ -505,6 +505,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dephasing(args) -> int:
+    start = time.perf_counter()
     if not args.dt > 0.0:
         raise CliError(f"--dt must be positive, got {args.dt!r}", EXIT_CONFIG)
     if not args.t_max >= 0.0:
@@ -518,9 +519,11 @@ def cmd_dephasing(args) -> int:
     from .memory.channel import dephasing_channel_family
     from .protocol.scenario import config_hash
     times = np.round(np.arange(0.0, args.t_max + args.dt / 2, args.dt), 12)
+    build = time.perf_counter()
     family = dephasing_channel_family(
         node.trap, node.field_env, node.temperature, times, args.trajectories, seed=args.seed,
     )
+    built = time.perf_counter()
     chash = config_hash(scenario)
     with _open_output(path) as fh:
         fh.write(f"# config_hash={chash}\n")
@@ -531,9 +534,14 @@ def cmd_dephasing(args) -> int:
             curve = family.expectation_curve(basis)
             for t, x, v, se in zip(family.times, curve, envelope, stderr):
                 w.writerow([f"{t * 1e6:.3f}", basis, f"{x:.6f}", f"{v:.6f}", f"{se:.6f}"])
+    end = time.perf_counter()
     one_over_e = family.one_over_e_time()
     print(f"wrote envelope to {path}; 1/e time {one_over_e * 1e6:.1f} us")
-    _write_manifest(out, args, scenario, chash, {"one_over_e_us": one_over_e * 1e6})
+    _write_manifest(out, args, scenario, chash, {
+        "one_over_e_us": one_over_e * 1e6,
+        "timings": {"channel_s": built - build, "write_s": end - built, "total_s": end - start},
+        "counters": {"channel_builds": 1,
+                     "traj_steps": args.trajectories * family.meta["spin_steps"]}})
     return EXIT_OK
 
 

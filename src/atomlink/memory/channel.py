@@ -1,24 +1,33 @@
 """Monte-Carlo dephasing channel of the trapped-atom memory.
 
-Each trajectory draws thermal initial conditions and one quasi-static field
-noise sample, integrates the atomic motion in the Gaussian trap, and
-accumulates the Zeeman phase phi of the local field.  The bias, the noise
-and the vector-light-shift field all lie along the quantization axis, so a
+Each trajectory draws thermal initial conditions, integrates the atomic
+motion in the Gaussian trap, and accumulates the Zeeman phase phi of the
+local field.  The bias, the quasi-static field noise and the
+vector-light-shift field all lie along the quantization axis, so a
 trajectory's unitary is diag(exp(-i m phi)) over m = (-1, 0, +1).  Averaging
-over trajectories gives a completely positive trace-preserving qutrit
-channel that multiplies each density-matrix entry by a number,
+over the trajectories and the noise gives a completely positive
+trace-preserving qutrit channel that multiplies each density-matrix entry
+by a number,
 rho[i, k] -> c[i, k] rho[i, k] with c[i, k] = E[exp(-i (m_i - m_k) phi)]
 (a Schur multiplier); the 3x3 coherence matrix c is all that is stored.
 
-Reproducibility contract: trajectory k draws from a Philox stream keyed by
-(seed, k), the quasi-static noise is a deterministic stratified normal grid
-over the trajectory index, and all trajectories are integrated and summed as
-one array in a single pass, so the same arguments give bit-identical results.
+Reproducibility contract: a build draws from one MT19937 stream,
+``random.Random(seed)``, and trajectory k's thermal start comes from its
+64-bit words 6k..6k+5 alone, so a build with fewer trajectories draws the
+first rows of one with more.  The quasi-static field noise is Gaussian and
+lies along the quantization axis with the bias, so it is averaged exactly:
+trajectory k's phase is phi_k(t) = Omega (b + sigma z) t + theta_k(t), and
+only the vector-shift phase theta_k of the motion is sampled,
+
+    E[exp(-i d phi)] = exp(-i d Omega b t - (d Omega sigma t)^2 / 2) mean_k exp(-i d theta_k)
+
+for d = 1, 2.  All trajectories are integrated and summed as one array in
+a single pass, so the same arguments give bit-identical results.
 
 Time step: each spin step of ``SPIN_DT`` moves the atoms by two Yoshida-4
-steps, and the phase integrates the field by Simpson's rule over the
-vector-shift profiles at the start, the middle and the end of the step,
-phi += Omega dt (b + g (f0 + 4 f_half + f1) / 6), all three from force
+steps, and theta integrates the vector-shift field by Simpson's rule over
+its profiles at the start, the middle and the end of the step,
+theta += Omega g dt (f0 + 4 f_half + f1) / 6, all three from force
 evaluations the motion makes anyway; the end profile is the next step's
 start.  Sample times sit on the finer ``SAMPLE_DT`` grid; a time between two
 spin steps is reached by one short step of the same form from the last grid
@@ -26,8 +35,8 @@ point, taken on a copy of the state and its start profile, so c(t) does not
 depend on which other times are requested.
 """
 
+import random
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -77,7 +86,11 @@ class DephasingChannelFamily:
         return np.abs(self.coherences[:, _UP, _DOWN])
 
     def stderr(self) -> np.ndarray:
-        """Monte-Carlo standard error of the |up><down| coherence at each time."""
+        """Bound on the Monte-Carlo standard error of the |up><down| coherence.
+
+        A true bound, and a conservative one once the field noise has
+        dephased; see ``coherence_stderr``.
+        """
         return coherence_stderr(self.envelope(), self.meta["n_trajectories"])
 
     def expectation_curve(self, basis: str) -> np.ndarray:
@@ -112,38 +125,30 @@ class DephasingChannelFamily:
 def coherence_stderr(envelope, n_trajectories: int):
     """Monte-Carlo standard error of a coherence of modulus ``envelope``.
 
-    The coherence is a mean of n unit-modulus samples, so its standard
-    error is at most sqrt((1 - |c|^2) / n); the stratified noise grid
-    only makes this bound conservative.
+    The coherence is a Gaussian factor G <= 1 times a mean of n
+    unit-modulus samples, so its standard error is sqrt((G^2 - |c|^2) / n)
+    at most, and this bound, sqrt((1 - |c|^2) / n), holds but is
+    conservative wherever the field noise has dephased.  The motion-only
+    error times G would put the step-convergence check at 0.84 of its
+    budget (0.37 with this bound), so that replacement waits for the
+    seed-sweep coverage check of every reported sigma (ROADMAP item 3).
     """
     return np.sqrt(np.maximum(1.0 - envelope ** 2, 0.0) / n_trajectories)
 
 
-def _normal_grid(n: int) -> np.ndarray:
-    """Standard normal quantiles at the midpoints (k + 0.5) / n of n equal strata."""
-    inv_cdf = NormalDist().inv_cdf
-    return np.array([inv_cdf((k + 0.5) / n) for k in range(n)])
-
-
 def _thermal_draws(seed: int, n: int) -> np.ndarray:
-    """(n, 6) standard normals; row k is the start of the Philox stream keyed by (seed, k).
+    """(n, 6) standard normals from the MT19937 stream ``random.Random(seed)``.
 
-    One generator is re-keyed per trajectory through its state, which is
-    what ``Generator(Philox(key=[seed, k]))`` starts from, without the
-    entropy draw of a new Philox's seed sequence.
+    The top 53 bits of each little-endian 64-bit word of the stream give a
+    uniform u in [0, 1), and consecutive pairs (u1, u2) give two normals by
+    Box-Muller, sqrt(-2 ln(1 - u1)) (cos, sin)(2 pi u2); row k comes from
+    words 6k..6k+5.
     """
-    bit_gen = np.random.Philox(key=[0, 0])
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    zeros = (0, 0, 0, 0)
-    # an empty output buffer, so the next draw starts a new Philox block
-    state.update(buffer=zeros, buffer_pos=4, has_uint32=0, uinteger=0)
-    out = np.empty((n, 6))
-    for k in range(n):
-        state["state"] = {"counter": zeros, "key": (seed, k)}
-        bit_gen.state = state
-        out[k] = gen.normal(size=6)
-    return out
+    words = np.frombuffer(random.Random(seed).randbytes(48 * n), dtype="<u8")
+    u1, u2 = ((words >> 11) * 2.0 ** -53).reshape(-1, 2).T
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).reshape(n, 6)
 
 
 def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
@@ -177,40 +182,45 @@ def dephasing_channel_family(trap: TrapParams, env: FieldEnvironment,
     draws = _thermal_draws(seed, n_trajectories)
     pos = np.ascontiguousarray((draws[:, :3] * sig_pos).T)
     vel = np.ascontiguousarray((draws[:, 3:] * sig_v).T)
-    # stratified quasi-static noise over the trajectory index
-    field = env.bias_field + env.shot_noise_sigma * _normal_grid(n_trajectories)
-    shift_gauss = vector_shift_gauss(trap, env)
+    # theta's rate per unit of the Simpson sum; the bias and the noise are averaged below
+    shift_rate = OMEGA_PER_GAUSS * vector_shift_gauss(trap, env) / 6.0
 
     kernel = MotionKernel(trap, n_trajectories)
     acc = np.empty_like(pos)
     kernel.force(pos, acc)
     shift = kernel.shift.copy()    # the profile at the start of the next step
-    phi = np.zeros(n_trajectories)
+    theta = np.zeros(n_trajectories)
     rate = np.empty(n_trajectories)
-    # sums of exp(-i phi) and exp(-2i phi) over the trajectories at every sample
-    sums = np.zeros((len(times), 2), dtype=complex)
+    # sums of cos theta, sin theta, cos 2 theta and sin 2 theta over the
+    # trajectories at every sample
+    sums = np.zeros((len(times), 4))
 
-    def advance(pos, vel, acc, shift, phi, dt):
+    def advance(pos, vel, acc, shift, theta, dt):
         simpson = kernel.step(pos, vel, acc, shift, dt)
-        np.multiply(simpson, shift_gauss / 6.0, out=rate)
-        np.add(rate, field, out=rate)
-        np.multiply(rate, OMEGA_PER_GAUSS * dt, out=rate)
-        phi += rate
+        np.multiply(simpson, shift_rate * dt, out=rate)
+        theta += rate
+
+    def sample(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        return cos.sum(), sin.sum(), (cos * cos - sin * sin).sum(), 2.0 * (cos * sin).sum()
 
     last = max(samples)
     for step in range(last + 1):
         for rest, t_idx in samples.get(step, {}).items():
             if rest == 0:
-                rot = np.exp(-1j * phi)
+                sums[t_idx] += sample(theta)
             else:
-                branch = [a.copy() for a in (pos, vel, acc, shift, phi)]
+                branch = [a.copy() for a in (pos, vel, acc, shift, theta)]
                 advance(*branch, rest * SAMPLE_DT)
-                rot = np.exp(-1j * branch[4])
-            sums[t_idx] += (rot.sum(), (rot * rot).sum())
+                sums[t_idx] += sample(branch[4])
         if step < last:
-            advance(pos, vel, acc, shift, phi, SPIN_DT)
+            advance(pos, vel, acc, shift, theta, SPIN_DT)
 
-    e1, e2 = (sums / n_trajectories).T
+    # mean_k exp(-i d theta_k) times the exact bias and noise average, for d = 1, 2
+    bias = OMEGA_PER_GAUSS * env.bias_field * times
+    spread = (OMEGA_PER_GAUSS * env.shot_noise_sigma * times) ** 2
+    e1 = (sums[:, 0] - 1j * sums[:, 1]) / n_trajectories * np.exp(-1j * bias - spread / 2.0)
+    e2 = (sums[:, 2] - 1j * sums[:, 3]) / n_trajectories * np.exp(-2j * bias - 2.0 * spread)
     # E[exp(-i d phi)] for d = m_i - m_k = -2..2, gathered into c[i, k]
     moments = np.stack([e2.conj(), e1.conj(), np.ones_like(e1), e1, e2], axis=1)
     coherences = moments[:, np.subtract.outer(_M, _M) + 2]

@@ -10,6 +10,8 @@ import csv
 import itertools
 import json
 import math
+import random
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,8 +300,8 @@ def brute_t_overhead(scenarios: dict, rates: dict) -> float:
 # trap accessors below evaluate the package's motion kernel at given
 # positions; the motion helpers step with the Yoshida integrator below on
 # that acceleration, and the trap tests check their energy conservation and
-# oscillation period.  brute_channel_coherence has its own integrator and
-# field formulas.
+# oscillation period.  brute_phases has its own thermal draws, integrator
+# and field formulas.
 # ---------------------------------------------------------------------------
 
 def _kernel_at(trap: TrapParams, positions):
@@ -552,20 +554,19 @@ def _brute_vector_shift(trap, scale, x, y, z):
     return scale * depth_gauss * 4.0 * x / (k * w2) * intensity
 
 
-def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
-                            spin_dt=1e-7):
-    """(T, 3, 3) coherence matrices of the memory channel, one trajectory at a time.
+def brute_phases(trap, env, temperature, times, n_trajectories, seed, spin_dt=1e-7):
+    """(n, T) Zeeman phases of the memory's trajectories, one trajectory at a time.
 
-    Trajectory k draws six normals from Philox(seed, k) for its thermal start
-    and precesses in the stratified static field b + sigma z_k plus the
-    vector shift at its position.  Each spin step of ``spin_dt`` moves the
-    atom by two Yoshida-4 steps (three velocity-Verlet substeps each), and
-    the phase integrates the field by Simpson's rule, (f0 + 4 f_half + f1) / 6
-    of the vector shift evaluated afresh at the positions at the start, after
-    the first Yoshida step and at the end.  A sample time t on the 100 ns
-    grid but off the ``spin_dt`` grid is reached from the last spin-step grid
+    Trajectory k takes its thermal start from row k of ``mt_thermal_draws``
+    and precesses in the bias plus the vector shift at its position; the
+    field noise is left out.  Each spin step of ``spin_dt`` moves the atom by
+    two Yoshida-4 steps (three velocity-Verlet substeps each), and the phase
+    integrates the field by Simpson's rule, (f0 + 4 f_half + f1) / 6 of the
+    vector shift evaluated afresh at the positions at the start, after the
+    first Yoshida step and at the end.  A sample time t on the 100 ns grid
+    but off the ``spin_dt`` grid is reached from the last spin-step grid
     point by one step of the same form spanning the rest of t, taken on a
-    copy of the state.  c[i, k] is the mean of exp(-i (m_i - m_k) phi).
+    copy of the state.
     """
     omega = G_F * MU_B * GAUSS_TO_TESLA / HBAR
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -581,9 +582,8 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
     # (grid point, rest in sample_dt ticks) of every sample time
     grid = [divmod(int(round(t / sample_dt)), ticks_per_step) for t in times]
     last = max(step for step, _ in grid)
-    m = [-1, 0, 1]
 
-    def spin_step(pos, vel, acc, phi, b, dt):
+    def spin_step(pos, vel, acc, phi, dt):
         h = dt / 2
         shifts = [_brute_vector_shift(trap, env.fictitious_field_scale, *pos)]
         for _ in range(2):
@@ -594,14 +594,13 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
                 vel = [vel[i] + 0.5 * w * h * acc[i] for i in range(3)]
             shifts.append(_brute_vector_shift(trap, env.fictitious_field_scale, *pos))
         start, middle, end = shifts
-        field = b + (start + 4.0 * middle + end) / 6.0
+        field = env.bias_field + (start + 4.0 * middle + end) / 6.0
         return pos, vel, acc, phi + omega * field * dt
 
-    out = np.zeros((len(times), 3, 3), dtype=complex)
-    for k, z in enumerate(philox_thermal_draws(seed, n_trajectories)):
-        pos = [float(z[i]) * sig_pos[i] for i in range(3)]
-        vel = [float(z[3 + i]) * sig_v for i in range(3)]
-        b = env.bias_field + env.shot_noise_sigma * float(ndtri((k + 0.5) / n_trajectories))
+    out = []
+    for z in mt_thermal_draws(seed, n_trajectories):
+        pos = [z[i] * sig_pos[i] for i in range(3)]
+        vel = [z[3 + i] * sig_v for i in range(3)]
         state = (pos, vel, _brute_trap_acceleration(trap, *pos), 0.0)
         phases = [0.0] * len(times)
         for step in range(last + 1):
@@ -609,21 +608,75 @@ def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
                 if t_step == step and rest == 0:
                     phases[t_idx] = state[3]
                 elif t_step == step:
-                    phases[t_idx] = spin_step(*state, b, rest * sample_dt)[3]
+                    phases[t_idx] = spin_step(*state, rest * sample_dt)[3]
             if step < last:
-                state = spin_step(*state, b, spin_dt)
-        for t_idx, phase in enumerate(phases):
-            for i in range(3):
-                for j in range(3):
-                    out[t_idx, i, j] += np.exp(-1j * (m[i] - m[j]) * phase)
-    return out / n_trajectories
+                state = spin_step(*state, spin_dt)
+        out.append(phases)
+    return np.array(out)
 
 
-def philox_thermal_draws(seed: int, n: int) -> np.ndarray:
-    """(n, 6) normals, one new Generator(Philox(key=[seed, k])) per trajectory k."""
-    return np.array([
-        np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(k)])).normal(size=6)
-        for k in range(n)])
+def gaussian_noise_factor(sigma, t):
+    """3x3 factor exp(-((m_i - m_k) gamma1 sigma t)^2 / 2) of quasi-static noise.
+
+    The mean of exp(-i d gamma1 sigma z t) over a standard normal z, for the
+    coherence between m_i and m_k, d = m_i - m_k.
+    """
+    d = np.subtract.outer([-1, 0, 1], [-1, 0, 1])
+    return np.exp(-0.5 * (d * GAMMA_1 * sigma * t) ** 2)
+
+
+def brute_channel_coherence(trap, env, temperature, times, n_trajectories, seed,
+                            spin_dt=1e-7):
+    """(T, 3, 3) coherence matrices of the memory channel, one trajectory at a time.
+
+    c[i, k] is the mean over the ``brute_phases`` trajectories of
+    exp(-i (m_i - m_k) phi) times the Gaussian average of the field noise,
+    ``gaussian_noise_factor``.
+    """
+    phases = brute_phases(trap, env, temperature, times, n_trajectories, seed, spin_dt)
+    m = [-1, 0, 1]
+    out = np.zeros((len(times), 3, 3), dtype=complex)
+    for t_idx, t in enumerate(times):
+        factor = gaussian_noise_factor(env.shot_noise_sigma, t)
+        for i in range(3):
+            for j in range(3):
+                terms = [np.exp(-1j * (m[i] - m[j]) * phi[t_idx]) for phi in phases]
+                out[t_idx, i, j] = sum(terms) / n_trajectories * factor[i, j]
+    return out
+
+
+def stratified_noise_coherence(phases, sigma, times):
+    """(T,) |up><down| coherence with the noise sampled on a stratified grid.
+
+    Trajectory k of (n, T) noise-free ``phases`` precesses in the extra
+    static field sigma z_k, z_k the normal quantile at (k + 1/2) / n, so
+    the coherence is the mean of exp(-2i (phi_k + Omega sigma z_k t)).
+    """
+    n = len(phases)
+    omega = G_F * MU_B * GAUSS_TO_TESLA / HBAR
+    z = ndtri((np.arange(n) + 0.5) / n)
+    noise = omega * sigma * np.outer(z, times)
+    return np.exp(-2j * (phases + noise)).mean(axis=0)
+
+
+def mt_thermal_draws(seed: int, n: int) -> list:
+    """n rows of six normals, each built by itself from the MT19937 stream.
+
+    Row k unpacks words 6k..6k+5 of ``random.Random(seed)``'s byte stream
+    as little-endian 64-bit integers, keeps the top 53 bits of each as a
+    uniform u in [0, 1), and turns each pair (u1, u2) into two normals by
+    Box-Muller, sqrt(-2 ln(1 - u1)) (cos, sin)(2 pi u2).
+    """
+    stream = random.Random(seed).randbytes(48 * n)
+    rows = []
+    for k in range(n):
+        u = [(word >> 11) / 2.0 ** 53 for word in struct.unpack_from("<6Q", stream, 48 * k)]
+        row = []
+        for u1, u2 in zip(u[0::2], u[1::2]):
+            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+            row += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

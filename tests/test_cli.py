@@ -769,6 +769,24 @@ class TestDephasing:
         assert all(float(r["envelope"]) > 0.999 for r in rows)
         assert json.loads((tmp_path / "manifest.json").read_text())["config_hash"] == chash
 
+    def test_manifest_says_where_the_time_went(self, tmp_path):
+        # the timings and counters sit in the manifest only, so two same-seed
+        # runs still write the same envelope
+        argv = ("dephasing", "--preset", "l6", "--t-max", "12.5e-6", "--dt", "2.5e-6",
+                "--trajectories", "150", "--seed", "4")
+        for run in ("a", "b"):
+            assert run_cli(*argv, "--out", str(tmp_path / run)) == 0
+        envelopes = [(tmp_path / run / "envelope.csv").read_bytes() for run in ("a", "b")]
+        assert envelopes[0] == envelopes[1]
+        for run in ("a", "b"):
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            # 12 whole spin steps and the short steps to 2.5, 7.5 and 12.5 us
+            assert manifest["counters"] == {"channel_builds": 1, "traj_steps": 150 * 15}
+            timings = manifest["timings"]
+            assert set(timings) == {"channel_s", "write_s", "total_s"}
+            assert all(t > 0.0 for t in timings.values())
+            assert timings["total_s"] > timings["channel_s"] + timings["write_s"]
+
     @pytest.mark.parametrize("dt", ["0", "-1e-6"])
     def test_nonpositive_dt_is_config_error(self, tmp_path, dt):
         out = tmp_path / "dephasing"

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from atomlink.memory.channel import dephasing_channel_family
 from atomlink.memory.fields import FieldEnvironment, vector_shift_gauss
@@ -20,10 +19,13 @@ from oracles import (
     UP_Z,
     apply_to_subsystem,
     brute_channel_coherence,
+    brute_phases,
     evolve_spin1,
-    philox_thermal_draws,
+    gaussian_noise_factor,
+    mt_thermal_draws,
     random_density_matrix,
     spin1_matrices,
+    stratified_noise_coherence,
     vector_shift_profile,
 )
 
@@ -31,20 +33,19 @@ TRAP = TrapParams()
 QUIET = FieldEnvironment(shot_noise_sigma=0.0, fictitious_field_scale=0.0)
 
 
-def _pinned_unitaries(env, t, n_traj):
-    """Spin-1 unitaries of a pinned atom in each stratified static field.
+def _pinned_unitary(env, t):
+    """Spin-1 unitary of an atom pinned in the bias field for a time t.
 
     At vanishing temperature the atom sits at the focus and the fictitious
-    term is zero, so trajectory k precesses in the static field b + sigma z_k
-    of its stratified noise sample; each unitary is built column by column
-    by the general spin-1 evolution along the quantization axis F3.
+    term is zero, so the atom precesses in the static bias alone; the
+    unitary is built column by column by the general spin-1 evolution along
+    the quantization axis F3.  The field noise enters the references below
+    through ``gaussian_noise_factor``.
     """
     n = int(round(t / 1e-7))
-    z = ndtri((np.arange(n_traj) + 0.5) / n_traj)
-    return [np.stack([evolve_spin1(start, np.tile([0.0, 0.0, b], (n, 1)),
-                                   1e-7).spin_states[-1]
-                      for start in np.eye(3, dtype=complex)], axis=1)
-            for b in env.bias_field + env.shot_noise_sigma * z]
+    return np.stack([evolve_spin1(start, np.tile([0.0, 0.0, env.bias_field], (n, 1)),
+                                  1e-7).spin_states[-1]
+                     for start in np.eye(3, dtype=complex)], axis=1)
 
 
 class TestSpinMatrices:
@@ -137,6 +138,15 @@ class TestLocalField:
             FieldEnvironment(shot_noise_sigma=-1e-3)
 
 
+@pytest.fixture(scope="module")
+def brute_motion():
+    """Sample times, trajectory count and the brute oracle's noise-free phases."""
+    times = np.round([20e-6, 45e-6, 70e-6], 12)
+    n = 200
+    return times, n, brute_phases(TRAP, FieldEnvironment(), 50e-6, times, n, seed=23,
+                                  spin_dt=channel.SPIN_DT)
+
+
 class TestDephasingChannel:
     def test_zero_time_is_identity(self):
         ch = dephasing_channel_family(TRAP, QUIET, 50e-6, [0.0], 200, seed=4).channel_at(0.0)
@@ -158,38 +168,41 @@ class TestDephasingChannel:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5e-3])
     def test_matches_single_spin_evolution_for_pinned_atom(self, sigma):
-        # the channel must be the mean of the pinned atom's rotations; the
-        # reference superoperator s4[i, k, j, l] = E[U_ij U*_kl] is zero
-        # outside s4[i, k, i, k], which holds the coherence matrix
+        # the channel must be the pinned atom's rotation in the bias, averaged
+        # over the field noise; the rotation's superoperator
+        # s4[i, k, j, l] = U_ij U*_kl is zero outside s4[i, k, i, k], which
+        # times the Gaussian noise factor is the coherence matrix
         t = 20e-6
-        n_traj = 150
         env = FieldEnvironment(shot_noise_sigma=sigma, fictitious_field_scale=0.0)
-        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], n_traj, seed=2).channel_at(t)
-        s4 = np.mean([np.einsum("ij,kl->ikjl", u, u.conj())
-                      for u in _pinned_unitaries(env, t, n_traj)], axis=0)
+        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], 150, seed=2).channel_at(t)
+        u = _pinned_unitary(env, t)
+        s4 = np.einsum("ij,kl->ikjl", u, u.conj())
         i, k = np.indices((3, 3))
         outside = s4.copy()
         outside[i, k, i, k] = 0.0
         assert np.max(np.abs(outside)) < 1e-12
-        assert np.max(np.abs(ch - s4[i, k, i, k])) < 1e-12
+        expected = s4[i, k, i, k] * gaussian_noise_factor(sigma, t)
+        assert np.max(np.abs(ch - expected)) < 1e-12
 
     @pytest.mark.parametrize("subsystem", [0, 2])
     def test_apply_matches_lifted_unitaries(self, subsystem):
         # on a random qutrit-qubit-qutrit state the channel acts on one
-        # qutrit as the mean of U rho U^dagger over the trajectories; this
-        # also checks the entrywise reference the batched herald tests use
+        # qutrit as U rho U^dagger for the rotation in the bias, and the
+        # noise average multiplies each entry by the factor of its two
+        # levels on that qutrit; this also checks the entrywise reference
+        # the batched herald tests use
         t = 20e-6
-        n_traj = 120
-        env = FieldEnvironment(shot_noise_sigma=0.5e-3, fictitious_field_scale=0.0)
-        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], n_traj, seed=5).channel_at(t)
+        sigma = 0.5e-3
+        env = FieldEnvironment(shot_noise_sigma=sigma, fictitious_field_scale=0.0)
+        ch = dephasing_channel_family(TRAP, env, 1e-15, [t], 120, seed=5).channel_at(t)
         rho = random_density_matrix(np.random.default_rng(13), 18)
-        expected = np.zeros((18, 18), dtype=complex)
-        for u in _pinned_unitaries(env, t, n_traj):
-            ops = [np.eye(3), np.eye(2), np.eye(3)]
-            ops[subsystem] = u
-            lifted = np.kron(np.kron(ops[0], ops[1]), ops[2])
-            expected += lifted @ rho @ lifted.conj().T
-        expected /= n_traj
+        ops = [np.eye(3), np.eye(2), np.eye(3)]
+        ops[subsystem] = _pinned_unitary(env, t)
+        lifted = np.kron(np.kron(ops[0], ops[1]), ops[2])
+        # the qutrit index of each basis state of the whole system
+        level = np.unravel_index(np.arange(18), (3, 2, 3))[subsystem]
+        factor = gaussian_noise_factor(sigma, t)[np.ix_(level, level)]
+        expected = (lifted @ rho @ lifted.conj().T) * factor
         out = apply_to_subsystem(ch, rho, [3, 2, 3], subsystem)
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -216,19 +229,50 @@ class TestDephasingChannel:
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2**31 - 1, 2**40])
     def test_thermal_draws_match_per_trajectory_generators(self, seed):
-        # one re-keyed generator in place of a new Philox per trajectory
-        assert np.array_equal(channel._thermal_draws(seed, 300), philox_thermal_draws(seed, 300))
+        # the vectorized draw against a reference that builds each
+        # trajectory's row by itself from its own six words of the stream
+        draws = channel._thermal_draws(seed, 300)
+        assert draws.shape == (300, 6)
+        assert np.max(np.abs(draws - np.array(mt_thermal_draws(seed, 300)))) <= 1e-15
+
+    def test_thermal_draws_are_prefix_stable(self):
+        # row k depends on the seed and its own words only, so fewer
+        # trajectories draw the first rows of more
+        assert np.array_equal(channel._thermal_draws(3, 300), channel._thermal_draws(3, 1000)[:300])
+
+    def test_thermal_draws_are_standard_normal(self):
+        z = channel._thermal_draws(12, 100_000 // 6 + 1).ravel()[:100_000]
+        n = len(z)
+        # standard errors of the mean (1/sqrt(n)) and of the variance (sqrt(2/n))
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
     def test_moving_atom_matches_brute_force(self):
-        # thermal motion and the vector-shift field together, against a
-        # per-trajectory loop with its own integrator and field formulas;
-        # 7.3 us is off the spin-step grid, so it takes the partial step
+        # thermal motion, the vector-shift field and the noise average
+        # together, against a per-trajectory loop with its own draws,
+        # integrator and field formulas; 7.3 us is off the spin-step grid,
+        # so it takes the partial step
         env = FieldEnvironment()
         times = np.round([0.0, 7.3e-6, 10e-6], 12)
         fam = dephasing_channel_family(TRAP, env, 50e-6, times, 120, seed=17)
         expected = brute_channel_coherence(TRAP, env, 50e-6, times, 120, seed=17,
                                            spin_dt=channel.SPIN_DT)
         assert np.max(np.abs(fam.coherences - expected)) < 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.25e-3, 0.5e-3, 1.0e-3])
+    def test_exact_noise_average_matches_stratified_sampling(self, brute_motion, sigma):
+        # the exact noise average against the same motion with the noise
+        # sampled per trajectory on a stratified grid: they differ by the
+        # sampling error of that grid, whose standard error is below
+        # sqrt((1 - |c|^2) / n); the bound is four of it
+        times, n, phases = brute_motion
+        env = FieldEnvironment(shot_noise_sigma=sigma)
+        closed = dephasing_channel_family(TRAP, env, 50e-6, times, n, seed=23)
+        sampled = stratified_noise_coherence(phases, sigma, times)
+        diff = np.abs(closed.coherences[:, 2, 0] - sampled)
+        assert np.all(diff <= 4.0 * closed.stderr())
+        # the noise dephases visibly at the longest time
+        assert gaussian_noise_factor(sigma, times[-1])[2, 0] < 0.995
 
     def test_monte_carlo_convergence(self):
         env = FieldEnvironment()

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import constants as codata
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from atomlink import constants as C
 from atomlink.cli import main
-from atomlink.memory.channel import _normal_grid
 from atomlink.photonics.interference import PhotonWavepacket, window_capture_probability
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,12 +58,6 @@ def _modules_after(code, *argv):
 ])
 def test_constants_match_codata(name, reference):
     assert getattr(C, name) == pytest.approx(reference, rel=1e-15)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 600, 2000, 10000])
-def test_normal_grid_matches_ndtri(n):
-    expected = ndtri((np.arange(n) + 0.5) / n)
-    np.testing.assert_allclose(_normal_grid(n), expected, rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("wavepacket", [PhotonWavepacket(),
@@ -147,6 +140,23 @@ def test_dephasing_loads_no_analysis(tmp_path):
     assert rc == 0
     assert not modules & {"atomlink.analysis", "atomlink.quantum", "atomlink.protocol.sequence"}
     assert (tmp_path / "envelope.csv").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["dephasing", "--preset", "l6", "--trajectories", "200", "--t-max", "20e-6"],
+     "envelope.csv"),
+    (["rates", "--presets", "l6", "--trajectories", "100", "--fidelity-out", "f.csv"], "f.csv"),
+], ids=["dephasing", "rates-fidelity-out"])
+def test_memory_builds_load_no_numpy_random(tmp_path, argv, output):
+    # the thermal starts come from the standard library's MT19937 and the
+    # field noise is averaged in closed form, so neither numpy's generators
+    # (nine extension modules and secrets) nor statistics is loaded
+    rc, modules = _main_in_subprocess([*argv, "--out", str(tmp_path)])
+    assert rc == 0
+    assert "atomlink.memory.channel" in modules
+    assert not {m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")}
+    assert not modules & {"statistics", "secrets"}
+    assert (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("command, code", [
