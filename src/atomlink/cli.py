@@ -157,9 +157,9 @@ def cmd_simulate(args) -> int:
 _CLICK_HEADER = ("window", "detector", "timestamp_ns", "origin")
 # rows of a run file that are formatted, or parsed, at a time
 _FILE_BLOCK = 2048
-# events.jsonl lines parsed at a time: a line is about twenty clicks.csv rows
-# long, and its parse holds about 2 kB
-_EVENT_BLOCK = 192
+# events.jsonl lines decoded at a time: 48 to 256 read 20 000 events alike, and
+# each line of a block adds about 2.5 kB to the reader's peak (2.07 MB at 64)
+_EVENT_BLOCK = 64
 
 
 def _quoted(vocabulary, codes):
@@ -216,90 +216,90 @@ def _write_clicks(fh, chash, clicks: ClickTable):
 # analyze
 # ---------------------------------------------------------------------------
 
-def _is_header(rec) -> bool:
-    return isinstance(rec, dict) and rec.get("type") == "header"
-
-
-def _event_block(path, lineno, lines, headers) -> EventTable:
-    """EventTable of consecutive events.jsonl lines, the first at file line ``lineno``.
-
-    Lines in the writer's form are parsed together.  If any line is not,
-    each line of the block is read with json.loads instead: a header record
-    goes to ``headers``, and each event record is written back through
-    EVENT_LINE, so the block is parsed as the writer's lines are.
-    """
-    from .analysis.eventlines import parse_event_lines, template_line
-    try:
-        return parse_event_lines(lines)
-    except ValueError:
-        pass
-    written, linenos = [], []
-    for i, line in enumerate(lines, start=lineno):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise CliError(f"{path}:{i}: malformed JSON line ({exc})", EXIT_IO)
-        if _is_header(rec):
-            headers.append(rec)
-            continue
-        try:
-            written.append(template_line(rec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
-        linenos.append(i)
-    try:
-        return parse_event_lines(written)
-    except ValueError:
-        for i, line in zip(linenos, written):
-            try:
-                parse_event_lines([line])
-            except ValueError as exc:
-                raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
-        raise
-
-
 def _load_events(path):
     """Header record and EventTable of an events.jsonl file.
 
-    After a first header line, the file is parsed _EVENT_BLOCK lines at a
-    time into columns allocated once from its line count, so the run is
-    held once.
+    Each _EVENT_BLOCK lines are decoded as one JSON array into columns
+    allocated once from the file's line count, so the run is held once.  A
+    block that is not one valid record per non-blank line is read again one
+    line at a time to name the bad line.  The last "header" record counts.
     """
-    from dataclasses import fields
+    from operator import itemgetter
     import numpy as np
-    from .analysis.eventlines import parse_event_lines
-    from .analysis.tables import EventTable
+    from .analysis.tables import BELL_OUTCOMES, DETECTORS, PLANES, READOUTS, EventTable
+    from .quantum import OUTCOME_KEYS
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    # the JSON types of the fields that no vocabulary holds: a number is never a bool
+    types = {**dict.fromkeys(("wall_time_s", "click1_ns", "click2_ns", "alpha_rad", "beta_rad",
+                              "fidelity", *OUTCOME_KEYS), {int, float}),
+             "try_index": {int}, "accepted": {bool}, "config_hash": {str}}
+    codes = {key: {v: i for i, v in enumerate(vocabulary)} for key, vocabulary in (
+        ("bell_outcome", BELL_OUTCOMES), ("detector1", DETECTORS), ("detector2", DETECTORS),
+        ("plane", PLANES), ("origin", ("background", "signal")))}
+    readouts = {pair: i for i, pair in enumerate(READOUTS)} | {(None, None): -1}
+    fields = [key for key in [*types, *codes, "outcome1", "outcome2"] if key not in OUTCOME_KEYS]
+    # each column's dtype and the fields that fill it, in order
+    layout = {**{key: (float, key) for key in ("wall_time_s", "alpha_rad", "beta_rad", "fidelity")},
+              "try_index": (np.int64, "try_index"), "outcome": (np.int8, "bell_outcome"),
+              "detectors": (np.int8, "detector1", "detector2"), "plane": (np.int8, "plane"),
+              "click_ns": (float, "click1_ns", "click2_ns"), "readout": (np.int8, "readout"),
+              "probabilities": (float, *OUTCOME_KEYS), "accepted": (bool, "accepted"),
+              "signal": (bool, "origin")}
+    headers = []
+
+    def put(lines, row) -> int:
+        """Decode the non-blank lines into the columns from ``row`` on; the next row."""
+        text = [line for line in lines if line.strip()]
+        records = json.loads(b"[" + b",".join(text) + b"]", parse_constant=reject)
+        if len(records) != len(text):
+            raise ValueError(f"{len(records)} JSON values on {len(text)} lines")
+        is_header = [type(r) is dict and r.get("type") == "header" for r in records]
+        headers.extend(itertools.compress(records, is_header))
+        records = [r for r, h in zip(records, is_header) if not h]
+        if not records:
+            return row
+        *values, probabilities = zip(*map(itemgetter(*fields, "probabilities"), records))
+        values = dict(zip(fields, values))
+        values.update(zip(OUTCOME_KEYS, zip(*map(itemgetter(*OUTCOME_KEYS), probabilities))))
+        for key, allowed in types.items():
+            if wrong := {*map(type, values[key])} - allowed:
+                raise TypeError(f"{key} holds a {wrong.pop().__name__}")
+        for key, vocabulary in codes.items():
+            values[key] = list(map(vocabulary.__getitem__, values[key]))
+        values["readout"] = list(map(readouts.__getitem__,
+                                     zip(values["outcome1"], values["outcome2"])))
+        for name, (_, *keys) in layout.items():
+            columns[name][row:row + len(records)].T[:] = [values[k] for k in keys]
+        return row + len(records)
+
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
-    headers = []
     with fh:
         n_lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
         fh.seek(0)
-        try:
-            first = json.loads(fh.readline())
-        except ValueError:
-            first = None
-        if _is_header(first):
-            headers.append(first)
-        else:
-            fh.seek(0)
-        empty = parse_event_lines([])
-        columns = {f.name: np.empty((n_lines, *getattr(empty, f.name).shape[1:]),
-                                    getattr(empty, f.name).dtype) for f in fields(empty)}
-        row, lineno = 0, 1 + len(headers)
+        columns = {name: np.empty((n_lines, len(keys)), dtype)
+                   for name, (dtype, *keys) in layout.items()}
+        row, lineno = 0, 1
         while lines := list(itertools.islice(fh, _EVENT_BLOCK)):
-            part = _event_block(path, lineno, lines, headers)
-            for name, column in columns.items():
-                column[row:row + len(part)] = getattr(part, name)
-            row += len(part)
+            try:
+                row = put(lines, row)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                for i, line in enumerate(lines, start=lineno):
+                    try:
+                        put([line], row)
+                    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                        raise CliError(f"{path}:{i}: malformed event record ({exc!r})", EXIT_IO)
+                raise CliError(f"{path}:{lineno}: malformed block", EXIT_IO)
             lineno += len(lines)
     if not headers:
         raise CliError(f"{path}: missing header line", EXIT_IO)
-    return headers[-1], EventTable(**columns).rows(slice(0, row))
+    return headers[-1], EventTable(**{name: column[:row, 0] if column.shape[1] == 1
+                                      else column[:row] for name, column in columns.items()})
 
 
 def _click_block(path, first_lineno, lines):

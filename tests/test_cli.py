@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import platform
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -530,22 +531,51 @@ class TestFileBlocks:
                             result.events).decode().splitlines(keepends=True)
         return result, path, lines
 
-    @pytest.mark.parametrize("index", [2, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("index", [2, 2 * BLOCK + 3, "every"])
     def test_reordered_keys_load_through_json(self, run, index, tmp_path, monkeypatch):
         result, path, lines = self._events_lines(run, tmp_path, monkeypatch)
-        record = json.loads(lines[index])
-        lines[index] = json.dumps(dict(reversed(record.items()))) + "\n"
+        if index == "every":
+            # as another tool may write them: every object's keys reversed, no spaces
+            lines = [json.dumps(json.loads(line, object_hook=lambda d: dict(reversed(d.items()))),
+                                separators=(",", ":")) + "\n" for line in lines]
+        else:
+            record = json.loads(lines[index])
+            lines[index] = json.dumps(dict(reversed(record.items()))) + "\n"
         path.write_text("".join(lines))
         _, events = _load_events(path)
         for f in fields(events):
             assert np.array_equal(getattr(events, f.name), getattr(result.events, f.name)), f.name
 
-    @pytest.mark.parametrize("edit", ["json", "record"])
+    def test_last_header_counts(self, run, tmp_path, monkeypatch):
+        result, path, lines = self._events_lines(run, tmp_path, monkeypatch)
+        later = {**json.loads(lines[0]), "scenario": "later"}
+        path.write_text("".join([*lines[1:8], json.dumps(later) + "\n", *lines[8:]]))
+        header, events = _load_events(path)
+        assert header == later and len(events) == len(result.events)
+        path.write_text("".join(lines[1:]))
+        with pytest.raises(CliError, match="missing header line") as err:
+            _load_events(path)
+        assert err.value.code == 4
+
+    @pytest.mark.parametrize("edit", [
+        "json", "record", "joined", "split",
+        # not JSON numbers, or not of the field's JSON type
+        "fidelity=1_000.5", "fidelity=nan", "fidelity=NaN", "fidelity=Infinity",
+        'fidelity="0.5"', "fidelity=true", "try_index=12.5", "accepted=1"])
     @pytest.mark.parametrize("index", [2, 2 * BLOCK + 3])
     def test_malformed_event_line_names_its_line(self, run, index, edit, tmp_path, monkeypatch):
         _, path, lines = self._events_lines(run, tmp_path, monkeypatch)
-        lines[index] = {"json": lines[index][:40] + "\n",
-                        "record": lines[index].replace('"plane"', '"planes"')}[edit]
+        line = lines[index]
+        if "=" in edit:
+            key, value = edit.split("=")
+            lines[index] = re.sub(f'"{key}": [^,]*', f'"{key}": {value}', line, count=1)
+            assert lines[index] != line
+        else:
+            lines[index] = {"json": line[:40] + "\n",
+                            "record": line.replace('"plane"', '"planes"'),
+                            "joined": line.rstrip("\n") + "," + line,
+                            # split before a comma, so that its block still decodes
+                            "split": line.replace(", ", "\n", 1)}[edit]
         path.write_text("".join(lines))
         code = run_cli("analyze", "--events", str(path), "--out", str(tmp_path / "a"))
         with pytest.raises(CliError) as err:
